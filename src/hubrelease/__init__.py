@@ -32,21 +32,15 @@ from .policies import (
     PolicyKind,
     SpontaneousPolicy,
     ThresholdPolicy,
-    decide_non_causal,
-    decide_periodic,
-    decide_spontaneous,
-    decide_threshold,
+    make_policy,
 )
 from .sim import (
     HourResult,
     MetricsSummary,
-    PlatoonRecord,
     SimConfig,
     SweepRow,
-    VehicleRecord,
     monte_carlo,
     per_vehicle_utility,
-    platoon_episode_reward,
     run_episode_hour,
     sweep,
 )
@@ -81,19 +75,13 @@ __all__ = [
     "PolicyKind",
     "SpontaneousPolicy",
     "ThresholdPolicy",
-    "decide_non_causal",
-    "decide_periodic",
-    "decide_spontaneous",
-    "decide_threshold",
+    "make_policy",
     "HourResult",
     "MetricsSummary",
-    "PlatoonRecord",
     "SimConfig",
     "SweepRow",
-    "VehicleRecord",
     "monte_carlo",
     "per_vehicle_utility",
-    "platoon_episode_reward",
     "run_episode_hour",
     "sweep",
     "RewardParams",

@@ -109,8 +109,8 @@ def poisson_truncated(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Arriv
 
     lam = 0 degenerates to a point mass at zero arrivals.
     """
-    if lam < 0:
-        raise ValueError(f"rate must be nonnegative, got {lam!r}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"rate must be nonnegative and finite, got {lam!r}")
     _validate_tail_mass(tail_mass)
     x_max = 0
     while poisson.sf(x_max, lam) >= tail_mass:
@@ -128,9 +128,9 @@ def zero_truncated_poisson(
     Requires lam > 0; the lam -> 0 limit (a guaranteed single vehicle) must be
     requested explicitly via ``InitialCountDistribution.degenerate()``.
     """
-    if lam <= 0:
+    if not 0 < lam < math.inf:
         raise ValueError(
-            f"rate must be positive, got {lam!r}; "
+            f"rate must be positive and finite, got {lam!r}; "
             "use InitialCountDistribution.degenerate() for the zero-rate limit"
         )
     _validate_tail_mass(tail_mass)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -78,12 +79,16 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 def cmd_dp_verify(args: argparse.Namespace) -> int:
     dist = _distribution(args)
     params = RewardParams(benefit=1.0, step_cost=args.ratio)
+    threshold = compute_threshold(dist, args.ratio)
     max_count = args.max_count
     if max_count is None:
+        # The solver clamps counts at the cap, so the cap must also leave
+        # room for one batch on top of n_star for the two rules to compare.
         max_count = suggest_max_count(dist, args.horizon)
+        if threshold.n_star is not None:
+            max_count = max(max_count, threshold.n_star + dist.support_max)
     config = DpConfig(args.horizon, max_count, dist, params)
     solution = solve(config)
-    threshold = compute_threshold(dist, args.ratio)
     mismatches = compare_with_threshold(solution, threshold)
     if args.dump_actions is not None:
         write_action_table(solution, args.dump_actions)
@@ -138,8 +143,8 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    if args.lambda_min < 0 or args.lambda_max < args.lambda_min:
-        raise ValueError("need 0 <= lambda-min <= lambda-max")
+    if not 0 <= args.lambda_min <= args.lambda_max < math.inf:
+        raise ValueError("need 0 <= lambda-min <= lambda-max, both finite")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for name in policies:
         if name not in POLICY_NAMES:
@@ -148,6 +153,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     grid = [float(v) for v in np.linspace(args.lambda_min, args.lambda_max, args.points)]
     params = RewardParams(benefit=1.0, step_cost=args.ratio)
+    if args.step_seconds <= 0:
+        raise ValueError(f"step_seconds must be positive, got {args.step_seconds!r}")
     rows = sweep(
         grid,
         policies,
@@ -155,7 +162,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         samples=args.samples,
         horizon_steps=args.horizon,
         master_seed=args.seed,
-        step_seconds=args.step_seconds,
         initial_lam=args.initial_lam,
         include_forced_in_length=not args.exclude_forced_length,
         period_steps=args.period,
@@ -236,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--ratio", type=float, required=True)
     p_verify.add_argument("--horizon", type=int, default=720)
     p_verify.add_argument("--max-count", type=int, default=None,
-                          help="occupancy cap (default: smallest safe cap)")
+                          help="occupancy cap (default: the smallest safe cap, "
+                               "raised to n_star plus the largest batch if lower)")
     p_verify.add_argument("--dump-actions", default=None,
                           help="write the k,n,action table to this CSV")
     p_verify.set_defaults(func=cmd_dp_verify)
@@ -254,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--samples", type=int, default=1000)
     p_sweep.add_argument("--horizon", type=int, default=720)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--step-seconds", type=float, default=5.0)
+    p_sweep.add_argument("--step-seconds", type=float, default=5.0,
+                         help="step length recorded in the manifest; "
+                              "it labels the output and changes no result")
     p_sweep.add_argument("--initial-lambda", dest="initial_lam", type=float,
                          default=None,
                          help="rate for the initial-count draw (default: the cell rate)")

@@ -21,6 +21,21 @@ from .stopping import RewardParams, Threshold
 CAP_TOLERANCE = 1e-9
 
 
+def _absorbing_convolution(
+    pmf: np.ndarray, horizon: int, cap: int
+) -> tuple[np.ndarray, float]:
+    """Count pmf on 0..cap after `horizon` arrival draws on top of one vehicle,
+    with the mass that passed the cap absorbed into a separate overflow total."""
+    probs = np.zeros(cap + 1)
+    probs[1] = 1.0
+    absorbed = 0.0
+    for _ in range(horizon):
+        full = np.convolve(probs, pmf)
+        absorbed += float(full[cap + 1 :].sum())
+        probs = full[: cap + 1]
+    return probs, absorbed
+
+
 def cap_violation_probability(
     dist: ArrivalDistribution, horizon: int, max_count: int
 ) -> float:
@@ -34,17 +49,9 @@ def cap_violation_probability(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")
-    pmf = np.asarray(dist.probabilities)
     if dist.support_max == 0:
         return 0.0
-    probs = np.zeros(max_count + 1)
-    probs[1] = 1.0
-    absorbed = 0.0
-    for _ in range(horizon):
-        full = np.convolve(probs, pmf)
-        absorbed += float(full[max_count + 1 :].sum())
-        probs = full[: max_count + 1]
-    return absorbed
+    return _absorbing_convolution(np.asarray(dist.probabilities), horizon, max_count)[1]
 
 
 def suggest_max_count(
@@ -59,14 +66,7 @@ def suggest_max_count(
     # any 1e-9 quantile of a sum of bounded i.i.d. counts.
     spread = 12.0 * np.sqrt(max(horizon * dist.variance, 1.0))
     bound = int(np.ceil(1 + horizon * dist.mean + spread)) + dist.support_max + 2
-    pmf = np.asarray(dist.probabilities)
-    probs = np.zeros(bound + 1)
-    probs[1] = 1.0
-    escaped = 0.0
-    for _ in range(horizon):
-        full = np.convolve(probs, pmf)
-        escaped += float(full[bound + 1 :].sum())
-        probs = full[: bound + 1]
+    probs, escaped = _absorbing_convolution(np.asarray(dist.probabilities), horizon, bound)
     if escaped >= tol:
         raise ValueError("search cushion too small for the requested tolerance")
     tail = np.cumsum(probs[::-1])[::-1]  # tail[c] = P(final count >= c)

@@ -3,11 +3,19 @@
 Three causal rules (occupancy threshold, fixed period, release-on-sight)
 plus a non-causal benchmark that sees the whole future arrival trajectory
 of an episode and picks the reward-maximizing release step.
+
+Each policy has one method, ``release_steps(arrivals, params)``: given an
+hour's arrival vector (``arrivals[0]`` the initial count, ``arrivals[k]``
+the batch landing at step k) it returns the sorted steps at which the
+coordinator fires.  A fire empties the hub into one platoon and restarts
+the episode clock, so fires on an empty hub are listed too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
+
+import numpy as np
 
 from .stopping import RewardParams, release_reward
 
@@ -22,6 +30,18 @@ class ThresholdPolicy:
         if self.n_star is not None and self.n_star < 1:
             raise ValueError(f"n_star must be >= 1, got {self.n_star!r}")
 
+    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+        # Jump from release to release: the next fire is the first step whose
+        # cumulative arrivals exceed the last release's by n_star.
+        cumulative = np.cumsum(arrivals)
+        steps = []
+        if self.n_star is not None:
+            step = int(np.searchsorted(cumulative, self.n_star))
+            while step < cumulative.size:
+                steps.append(step)
+                step = int(np.searchsorted(cumulative, cumulative[step] + self.n_star))
+        return np.array(steps, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class PeriodicPolicy:
@@ -33,81 +53,57 @@ class PeriodicPolicy:
         if self.period_steps < 1:
             raise ValueError(f"period_steps must be >= 1, got {self.period_steps!r}")
 
+    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+        # Steps period-1, 2*period-1, ...: each interval keeps every vehicle
+        # that arrived within it, including same-step arrivals.
+        return np.arange(self.period_steps - 1, len(arrivals), self.period_steps)
+
 
 @dataclass(frozen=True)
 class SpontaneousPolicy:
     """Release at every step: vehicles depart the moment they arrive."""
+
+    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+        return np.arange(len(arrivals))
 
 
 @dataclass(frozen=True)
 class NonCausalPolicy:
     """Clairvoyant per-episode optimum; an upper bound for causal rules."""
 
+    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+        # Each episode releases at the step, among those with a nonempty hub,
+        # that maximizes the episode reward; argmax keeps the earliest of
+        # tied steps.  An episode that stays empty to the horizon never fires.
+        cumulative = np.cumsum(arrivals)
+        steps = []
+        start, released = 0, 0
+        while True:
+            first = int(np.searchsorted(cumulative, released + 1))
+            if first == cumulative.size:
+                break
+            counts = cumulative[first:] - released
+            waited = np.arange(first - start, cumulative.size - start)
+            step = first + int(np.argmax(release_reward(counts, waited, params)))
+            steps.append(step)
+            start, released = step + 1, cumulative[step]
+        return np.array(steps, dtype=np.int64)
+
 
 PolicyKind = Union[ThresholdPolicy, PeriodicPolicy, SpontaneousPolicy, NonCausalPolicy]
 
-POLICY_NAMES = ("threshold", "periodic", "spontaneous", "non_causal")
+_BUILDERS = {
+    "threshold": lambda n_star, period_steps: ThresholdPolicy(n_star),
+    "periodic": lambda n_star, period_steps: PeriodicPolicy(period_steps),
+    "spontaneous": lambda n_star, period_steps: SpontaneousPolicy(),
+    "non_causal": lambda n_star, period_steps: NonCausalPolicy(),
+}
+
+POLICY_NAMES = tuple(_BUILDERS)
 
 
-def policy_name(policy: PolicyKind) -> str:
-    if isinstance(policy, ThresholdPolicy):
-        return "threshold"
-    if isinstance(policy, PeriodicPolicy):
-        return "periodic"
-    if isinstance(policy, SpontaneousPolicy):
-        return "spontaneous"
-    if isinstance(policy, NonCausalPolicy):
-        return "non_causal"
-    raise TypeError(f"unknown policy {policy!r}")
-
-
-def decide_threshold(count: int, n_star: int | None) -> bool:
-    """Release iff the hub count has reached the threshold."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if n_star is None:
-        return False
-    return count >= n_star
-
-
-def decide_periodic(step: int, period_steps: int) -> bool:
-    """Release at steps period-1, 2*period-1, ... so each interval keeps
-    every vehicle that arrived within it, including same-step arrivals."""
-    if step < 0:
-        raise ValueError(f"step must be nonnegative, got {step}")
-    if period_steps < 1:
-        raise ValueError(f"period_steps must be >= 1, got {period_steps}")
-    return (step + 1) % period_steps == 0
-
-
-def decide_spontaneous() -> bool:
-    """Release unconditionally."""
-    return True
-
-
-def decide_non_causal(
-    episode_start: int, counts: Sequence[int], params: RewardParams
-) -> int:
-    """Reward-maximizing release step given the episode's full trajectory.
-
-    ``counts[i]`` is the hub count at absolute step episode_start + i; the
-    waiting cost is charged relative to the episode start.  Ties go to the
-    earliest step.  A trajectory that stays empty forces a no-op release
-    at its last step.
-    """
-    if episode_start < 0:
-        raise ValueError(f"episode_start must be nonnegative, got {episode_start}")
-    if not counts:
-        raise ValueError("counts must cover at least one step")
-    best_i: int | None = None
-    best_reward = 0.0
-    for i, n in enumerate(counts):
-        if n < 1:
-            continue
-        reward = release_reward(n, i, params)
-        if best_i is None or reward > best_reward:
-            best_i = i
-            best_reward = reward
-    if best_i is None:
-        return episode_start + len(counts) - 1
-    return episode_start + best_i
+def make_policy(name: str, n_star: int | None, period_steps: int) -> PolicyKind:
+    """The policy called ``name`` for a cell whose optimal threshold is n_star."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown policy name {name!r}")
+    return _BUILDERS[name](n_star, period_steps)

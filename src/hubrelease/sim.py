@@ -9,7 +9,6 @@ vehicles still waiting at the final step are force-released.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,17 +23,7 @@ from .arrival import (
     substream,
     zero_truncated_poisson,
 )
-from .policies import (
-    NonCausalPolicy,
-    PeriodicPolicy,
-    PolicyKind,
-    SpontaneousPolicy,
-    ThresholdPolicy,
-    decide_non_causal,
-    decide_periodic,
-    decide_spontaneous,
-    decide_threshold,
-)
+from .policies import PolicyKind, make_policy
 from .stopping import RewardParams, compute_threshold, release_reward
 
 Z_95 = 1.96  # normal-approximation 95% interval
@@ -48,7 +37,6 @@ class SimConfig:
     params: RewardParams
     policy: PolicyKind
     horizon_steps: int = 720
-    step_seconds: float = 5.0
     samples: int = 1000
     master_seed: int = 0
     # Rate for the initial-count draw; defaults to the per-step rate lam.
@@ -64,41 +52,30 @@ class SimConfig:
             raise ValueError(f"initial_lam must be nonnegative, got {self.initial_lam!r}")
         if self.horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        if self.step_seconds <= 0:
-            raise ValueError(f"step_seconds must be positive, got {self.step_seconds!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.master_seed < 0 or self.cell_index < 0:
             raise ValueError("master_seed and cell_index must be nonnegative")
 
 
-@dataclass(frozen=True, slots=True)
-class VehicleRecord:
-    arrival_step: int
-    release_step: int
-    is_lead: bool
+@dataclass(frozen=True, eq=False)
+class HourResult:
+    """One simulated hour as columns.
 
+    Platoon columns are in release order.  Vehicle columns are in arrival
+    order, which is also release order: a release takes everyone waiting.
+    """
 
-@dataclass(frozen=True, slots=True)
-class PlatoonRecord:
-    release_step: int
-    member_arrival_steps: tuple[int, ...]
-    episode_start: int
+    # arrivals[0] is the initial count, arrivals[k] the batch landing at step k.
+    arrivals: np.ndarray
+    platoon_release_step: np.ndarray
+    platoon_size: np.ndarray
+    platoon_episode_start: np.ndarray
     # True when the horizon-end cleanup released vehicles the policy
     # would have kept waiting.
-    forced: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.member_arrival_steps)
-
-
-@dataclass(frozen=True)
-class HourResult:
-    platoons: tuple[PlatoonRecord, ...]
-    vehicles: tuple[VehicleRecord, ...]
-    # arrivals[0] is the initial count, arrivals[k] the batch landing at step k.
-    arrivals: tuple[int, ...]
+    platoon_forced: np.ndarray
+    vehicle_wait: np.ndarray
+    vehicle_is_lead: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,23 +122,6 @@ def _initial_dist(rate: float) -> InitialCountDistribution:
     return zero_truncated_poisson(rate)
 
 
-def _non_causal_fire_steps(
-    arrivals: Sequence[int], params: RewardParams
-) -> frozenset[int]:
-    """Greedy chain of per-episode optimal release steps over one hour."""
-    horizon = len(arrivals)
-    fires: set[int] = set()
-    start = 0
-    while start < horizon:
-        counts = list(itertools.accumulate(arrivals[start:]))
-        if counts[-1] == 0:
-            break
-        release = decide_non_causal(start, counts, params)
-        fires.add(release)
-        start = release + 1
-    return frozenset(fires)
-
-
 def run_episode_hour(config: SimConfig, sample_index: int) -> HourResult:
     """Simulate one sampled hour under the configured policy.
 
@@ -173,71 +133,35 @@ def run_episode_hour(config: SimConfig, sample_index: int) -> HourResult:
     rng = substream(config.master_seed, config.cell_index, sample_index)
     horizon = config.horizon_steps
     init_rate = config.lam if config.initial_lam is None else config.initial_lam
-    initial = _initial_dist(init_rate).sample(rng)
-    arrivals = [initial]
-    if horizon > 1:
-        arrivals.extend(_arrival_dist(config.lam).sample_many(rng, horizon - 1).tolist())
+    arrivals = np.empty(horizon, dtype=np.int64)
+    arrivals[0] = _initial_dist(init_rate).sample(rng)
+    arrivals[1:] = _arrival_dist(config.lam).sample_many(rng, horizon - 1)
 
-    policy = config.policy
-    fire_plan: frozenset[int] = frozenset()
-    mode = 0
-    n_star: int | None = None
-    period = 1
-    if isinstance(policy, ThresholdPolicy):
-        n_star = policy.n_star
-    elif isinstance(policy, PeriodicPolicy):
-        mode, period = 1, policy.period_steps
-    elif isinstance(policy, SpontaneousPolicy):
-        mode = 2
-    elif isinstance(policy, NonCausalPolicy):
-        mode = 3
-        fire_plan = _non_causal_fire_steps(arrivals, config.params)
-    else:
-        raise TypeError(f"unknown policy {policy!r}")
-
-    pending: list[int] = []
-    episode_start = 0
-    platoons: list[PlatoonRecord] = []
-    vehicles: list[VehicleRecord] = []
-    for k in range(horizon):
-        x = arrivals[k]
-        if x:
-            pending.extend([k] * x)
-        if mode == 0:
-            fire = decide_threshold(len(pending), n_star)
-        elif mode == 1:
-            fire = decide_periodic(k, period)
-        elif mode == 2:
-            fire = decide_spontaneous()
-        else:
-            fire = k in fire_plan
-        last = k == horizon - 1
-        if fire or last:
-            if pending:
-                members = tuple(pending)
-                platoons.append(
-                    PlatoonRecord(k, members, episode_start, forced=last and not fire)
-                )
-                vehicles.append(VehicleRecord(members[0], k, True))
-                for a in members[1:]:
-                    vehicles.append(VehicleRecord(a, k, False))
-                pending.clear()
-            if fire:
-                episode_start = k + 1
-    return HourResult(tuple(platoons), tuple(vehicles), tuple(arrivals))
-
-
-def per_vehicle_utility(vehicle: VehicleRecord, params: RewardParams) -> float:
-    """Follower benefit (leads get none) minus the vehicle's own waiting cost."""
-    benefit = 0.0 if vehicle.is_lead else params.benefit
-    return benefit - params.step_cost * (vehicle.release_step - vehicle.arrival_step)
-
-
-def platoon_episode_reward(platoon: PlatoonRecord, params: RewardParams) -> float:
-    """Episode-level reward of a release, waiting charged from episode start."""
-    return release_reward(
-        platoon.size, platoon.release_step - platoon.episode_start, params
+    # A release takes everyone waiting, so platoon sizes are differences of
+    # the cumulative arrivals at the releases; the last step releases what
+    # is left.  Empty releases (fires on an empty hub) form no platoon.
+    fires = config.policy.release_steps(arrivals, config.params)
+    forced = fires.size == 0 or fires[-1] != horizon - 1
+    releases = np.append(fires, horizon - 1) if forced else fires
+    size = np.diff(np.cumsum(arrivals)[releases], prepend=0)
+    episode_start = np.concatenate(([0], releases[:-1] + 1))
+    is_forced = np.zeros(releases.size, dtype=bool)
+    is_forced[-1] = forced
+    kept = size > 0
+    release_step, size = releases[kept], size[kept]
+    wait = np.repeat(release_step, size) - np.repeat(np.arange(horizon), arrivals)
+    is_lead = np.zeros(wait.size, dtype=bool)
+    is_lead[np.cumsum(size) - size] = True
+    return HourResult(
+        arrivals, release_step, size, episode_start[kept], is_forced[kept], wait, is_lead
     )
+
+
+def per_vehicle_utility(
+    wait: np.ndarray, is_lead: np.ndarray, params: RewardParams
+) -> np.ndarray:
+    """Follower benefit (leads get none) minus each vehicle's own waiting cost."""
+    return np.where(is_lead, 0.0, params.benefit) - params.step_cost * wait
 
 
 def _half_width(per_sample: np.ndarray) -> float:
@@ -261,29 +185,39 @@ def monte_carlo(config: SimConfig) -> MetricsSummary:
     vehicles_total = 0
     platoons_total = 0
     length_count = 0
+    params = config.params
     for i in range(n_samples):
-        result = run_episode_hour(config, i)
-        utilities = [per_vehicle_utility(v, config.params) for v in result.vehicles]
-        waits = [v.release_step - v.arrival_step for v in result.vehicles]
-        lengths = [
-            p.size
-            for p in result.platoons
-            if config.include_forced_in_length or not p.forced
-        ]
-        sample_utility[i] = sum(utilities) / len(utilities)
-        sample_wait[i] = sum(waits) / len(waits)
-        sample_length[i] = sum(lengths) / len(lengths) if lengths else np.nan
-        utility_sum += sum(utilities)
-        wait_sum += sum(waits)
-        length_sum += sum(lengths)
-        vehicles_total += len(result.vehicles)
-        platoons_total += len(result.platoons)
-        length_count += len(lengths)
-        episode_rewards = sum(
-            platoon_episode_reward(p, config.params) for p in result.platoons
+        hour = run_episode_hour(config, i)
+        vehicles = hour.vehicle_wait.size
+        lengths = hour.platoon_size
+        if not config.include_forced_in_length:
+            lengths = lengths[~hour.platoon_forced]
+        # Float totals are folded by the builtin sum in arrival (vehicles) and
+        # release (platoons) order, so results do not move with numpy's
+        # pairwise summation.
+        utility = sum(
+            per_vehicle_utility(hour.vehicle_wait, hour.vehicle_is_lead, params).tolist()
         )
-        sample_episode[i] = episode_rewards / len(result.vehicles)
-        episode_utility_sum += episode_rewards
+        episode_reward = sum(
+            release_reward(
+                hour.platoon_size,
+                hour.platoon_release_step - hour.platoon_episode_start,
+                params,
+            ).tolist()
+        )
+        wait = int(hour.vehicle_wait.sum())
+        length = int(lengths.sum())
+        sample_utility[i] = utility / vehicles
+        sample_wait[i] = wait / vehicles
+        sample_length[i] = length / lengths.size if lengths.size else np.nan
+        sample_episode[i] = episode_reward / vehicles
+        utility_sum += utility
+        wait_sum += wait
+        length_sum += length
+        episode_utility_sum += episode_reward
+        vehicles_total += vehicles
+        platoons_total += hour.platoon_size.size
+        length_count += lengths.size
     return MetricsSummary(
         mean_utility=utility_sum / vehicles_total,
         ci_utility=_half_width(sample_utility),
@@ -299,18 +233,6 @@ def monte_carlo(config: SimConfig) -> MetricsSummary:
     )
 
 
-def _policy_for(name: str, n_star: int | None, period_steps: int) -> PolicyKind:
-    if name == "threshold":
-        return ThresholdPolicy(n_star)
-    if name == "periodic":
-        return PeriodicPolicy(period_steps)
-    if name == "spontaneous":
-        return SpontaneousPolicy()
-    if name == "non_causal":
-        return NonCausalPolicy()
-    raise ValueError(f"unknown policy name {name!r}")
-
-
 def sweep(
     lambda_grid: Sequence[float],
     policy_names: Sequence[str],
@@ -319,7 +241,6 @@ def sweep(
     samples: int = 1000,
     horizon_steps: int = 720,
     master_seed: int = 0,
-    step_seconds: float = 5.0,
     initial_lam: float | None = None,
     include_forced_in_length: bool = True,
     period_steps: int = 60,
@@ -341,9 +262,8 @@ def sweep(
             config = SimConfig(
                 lam=lam,
                 params=params,
-                policy=_policy_for(name, threshold.n_star, period_steps),
+                policy=make_policy(name, threshold.n_star, period_steps),
                 horizon_steps=horizon_steps,
-                step_seconds=step_seconds,
                 samples=samples,
                 master_seed=master_seed,
                 initial_lam=initial_lam,

@@ -19,6 +19,7 @@ the cost-benefit ratio.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arrival import ArrivalDistribution
@@ -26,16 +27,18 @@ from .arrival import ArrivalDistribution
 
 @dataclass(frozen=True)
 class RewardParams:
-    """Per-follower benefit (> 0) and per-step waiting cost (>= 0)."""
+    """Per-follower benefit (> 0) and per-step waiting cost (>= 0), both finite."""
 
     benefit: float
     step_cost: float
 
     def __post_init__(self) -> None:
-        if not self.benefit > 0:
-            raise ValueError(f"benefit must be positive, got {self.benefit!r}")
-        if self.step_cost < 0:
-            raise ValueError(f"step_cost must be nonnegative, got {self.step_cost!r}")
+        if not 0 < self.benefit < math.inf:
+            raise ValueError(f"benefit must be positive and finite, got {self.benefit!r}")
+        if not 0 <= self.step_cost < math.inf:
+            raise ValueError(
+                f"step_cost must be nonnegative and finite, got {self.step_cost!r}"
+            )
 
     @property
     def ratio(self) -> float:
@@ -66,8 +69,12 @@ class Threshold:
 
 
 def release_reward(n: int, k: int, params: RewardParams) -> float:
-    """Per-vehicle value of releasing n vehicles at step k of an episode."""
-    if n < 1:
+    """Per-vehicle value of releasing n vehicles at step k of an episode.
+
+    Also evaluates elementwise over integer arrays ``n`` and ``k``, with the
+    same float operations; array counts are not checked and must be >= 1.
+    """
+    if isinstance(n, int) and n < 1:
         raise ValueError(f"cannot release an empty platoon (n={n})")
     return params.benefit * (n - 1) / n - params.step_cost * k
 
@@ -89,7 +96,7 @@ def release_condition(n: int, dist: ArrivalDistribution, ratio: float) -> bool:
     """
     if n < 1:
         raise ValueError(f"occupancy must be >= 1, got {n}")
-    if ratio < 0:
+    if not ratio >= 0:
         raise ValueError(f"ratio must be nonnegative, got {ratio!r}")
     return ratio >= _waiting_gain(n, dist)
 
@@ -101,7 +108,7 @@ def compute_threshold(dist: ArrivalDistribution, ratio: float) -> Threshold:
     condition can only ever hold when the arrival mean is 0, so a positive
     mean yields the never-release result instead of an infinite scan.
     """
-    if ratio < 0:
+    if not ratio >= 0:
         raise ValueError(f"ratio must be nonnegative, got {ratio!r}")
     if ratio == 0.0 and dist.mean > 0.0:
         return Threshold(None, ratio, dist)

@@ -7,7 +7,6 @@ ordering checks at 200 samples with 95% confidence-interval slack.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from hubrelease.policies import (
     PeriodicPolicy,
     SpontaneousPolicy,
     ThresholdPolicy,
-    decide_non_causal,
 )
 from hubrelease.sim import SimConfig, run_episode_hour, sweep
 from hubrelease.stopping import (
@@ -233,7 +231,8 @@ def test_criterion_06_clairvoyant_pathwise_dominance():
         reached = np.nonzero(counts >= n_star)[0]
         release_step = int(reached[0]) if reached.size else HORIZON - 1
         rule_reward = release_reward(int(counts[release_step]), release_step, PARAMS)
-        best_step = decide_non_causal(0, [int(c) for c in counts], PARAMS)
+        arrivals = np.concatenate(([first], batches))
+        best_step = int(NonCausalPolicy().release_steps(arrivals, PARAMS)[0])
         best_reward = release_reward(int(counts[best_step]), best_step, PARAMS)
         if best_reward >= rule_reward:
             dominated += 1
@@ -319,24 +318,31 @@ def test_criterion_08_conservation_across_the_sweep():
             for sample_index in range(SAMPLES):
                 result = run_episode_hour(config, sample_index)
                 hours += 1
-                arrived = sum(result.arrivals)
-                sizes = Counter(v.release_step for v in result.vehicles)
-                leads = Counter(
-                    v.release_step for v in result.vehicles if v.is_lead
+                arrivals = result.arrivals
+                sizes = result.platoon_size
+                releases = result.platoon_release_step
+                starts = result.platoon_episode_start
+                # Vehicles are listed in arrival order; rebuild each one's
+                # platoon from the lead flags and its arrival step from the
+                # arrival vector, independently of the platoon columns.
+                platoon = np.cumsum(result.vehicle_is_lead) - 1
+                arrival_steps = np.repeat(np.arange(arrivals.size), arrivals)
+                window = np.cumsum(arrivals)
+                window_arrivals = window[releases] - np.where(
+                    starts > 0, window[starts - 1], 0
                 )
                 conserved = (
-                    len(result.vehicles) == arrived
-                    and sum(p.size for p in result.platoons) == arrived
-                    and all(
-                        sizes[p.release_step] == p.size
-                        and leads[p.release_step] == 1
-                        and p.member_arrival_steps[0]
-                        == min(p.member_arrival_steps)
-                        for p in result.platoons
+                    result.vehicle_wait.size == arrivals.sum()
+                    and sizes.sum() == arrivals.sum()
+                    and bool(result.vehicle_is_lead[0])
+                    and np.array_equal(np.bincount(platoon, minlength=sizes.size), sizes)
+                    and np.array_equal(
+                        result.vehicle_wait, releases[platoon] - arrival_steps
                     )
-                    and all(
-                        v.arrival_step <= v.release_step for v in result.vehicles
-                    )
+                    and np.all(result.vehicle_wait >= 0)
+                    and np.all(np.diff(releases) > 0)
+                    and np.all(starts <= releases)
+                    and np.array_equal(window_arrivals, sizes)
                 )
                 if not conserved:
                     violations += 1

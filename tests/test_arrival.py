@@ -45,7 +45,7 @@ class TestPoissonTruncated:
         assert sp_poisson.sf(dist.support_max, LAM) < 1e-12
         assert sp_poisson.sf(dist.support_max - 1, LAM) >= 1e-12
 
-    @pytest.mark.parametrize("bad", [-0.1, -5.0])
+    @pytest.mark.parametrize("bad", [-0.1, -5.0, math.nan, math.inf])
     def test_negative_rate_rejected(self, bad):
         with pytest.raises(ValueError, match="nonnegative"):
             poisson_truncated(bad)
@@ -70,7 +70,7 @@ class TestZeroTruncatedPoisson:
             expected = lam / -math.expm1(-lam)
             assert zero_truncated_poisson(lam).mean == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.2])
+    @pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
     def test_nonpositive_rate_rejected(self, bad):
         with pytest.raises(ValueError, match="positive"):
             zero_truncated_poisson(bad)

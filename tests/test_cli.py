@@ -1,7 +1,11 @@
 """End-to-end runs of the command-line interface, in process."""
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,10 +56,27 @@ class TestThreshold:
         code, _, _ = run(capsys, "threshold", "--lambda", "0.1")
         assert code == 2
 
-    def test_negative_rate_is_domain_error(self, capsys):
+    def test_negative_rate_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "threshold", "--lambda", "-1", "--ratio", "0.005")
         assert code == 1
         assert err.startswith("error:")
+        # Non-finite values are refused up front instead of looping forever.
+        for argv, word in (
+            (["threshold", "--lambda", "0.1", "--ratio", "nan"], "ratio"),
+            (["threshold", "--lambda", "inf", "--ratio", "0.005"], "rate"),
+            (["threshold", "--lambda", "nan", "--ratio", "0.005"], "rate"),
+            (["dp-verify", "--lambda", "0.1", "--ratio", "nan"], "step_cost"),
+            (["dp-verify", "--lambda", "0.1", "--ratio", "inf"], "step_cost"),
+            (["sweep", "--lambda-max", "inf", "--out", str(tmp_path / "a.csv")],
+             "lambda-max"),
+            (["sweep", "--lambda-min", "nan", "--out", str(tmp_path / "b.csv")],
+             "lambda-min"),
+            (["sweep", "--initial-lambda", "nan", "--points", "1",
+              "--out", str(tmp_path / "c.csv")], "rate"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith("error:") and word in err, argv
 
     def test_missing_pmf_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -112,6 +133,21 @@ class TestDpVerify:
         manifest = json.loads((tmp_path / "actions.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "dp-verify"
         assert manifest["parameters"]["horizon"] == 30
+
+    # Rates 0.01-1 by ratios 1e-6-1e-3 by horizons 30/90/360.  With only the
+    # overflow-safe cap, 27 of these had n_star above the cap, where the
+    # solver's clamp made it disagree with the rule.
+    @pytest.mark.parametrize("lam", ["0.01", "0.05", "0.2", "1"])
+    @pytest.mark.parametrize("ratio", ["1e-6", "1e-5", "1e-4", "1e-3"])
+    @pytest.mark.parametrize("horizon", ["30", "90", "360"])
+    def test_default_cap_leaves_room_above_n_star(self, capsys, lam, ratio, horizon):
+        code, out, _ = run(
+            capsys, "dp-verify", "--lambda", lam, "--ratio", ratio, "--horizon", horizon
+        )
+        assert code == 0, out
+        n_star = int(out.split("n_star=")[1].split()[0])
+        cap = int(out.split("x")[-1])
+        assert cap > n_star
 
     def test_disagreement_reporting(self, capsys, tmp_path, monkeypatch):
         # The solver and the rule genuinely agree, so fake a disagreement to
@@ -206,6 +242,36 @@ class TestSweep:
         assert len(report[start + 1:]) == 3
         assert all(line.split(",")[1] == "periodic" for line in report[start + 1:])
 
+    # sha256 of the CSV and of the episode-utility report, recorded before the
+    # simulator was rewritten on arrays; any change to a simulated bit fails.
+    PINNED_SWEEPS = [
+        (
+            ["--exclude-forced-length"],
+            "c0857cdb625c029d5b5098b1d1302642898c729362102a0a389df63e458620f2",
+            "74c5210cc0fdef6909e97e68939ed8d7ddd206dbb63a3b6543a75fbfd65464db",
+        ),
+        (
+            ["--initial-lambda", "0"],
+            "74b199bdefaa8effccf1252dd95adde3867e0b362d43b0df497c41a3529862d0",
+            "f99ae5a0adda74a4d154470d64631fe909beeec8960983effb989529ddc6f679",
+        ),
+    ]
+
+    @pytest.mark.parametrize("extra,csv_sha,report_sha", PINNED_SWEEPS,
+                             ids=["exclude-forced-length", "initial-lambda-0"])
+    def test_output_bytes_are_pinned(self, capsys, tmp_path, extra, csv_sha, report_sha):
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run(
+            capsys, "sweep", "--lambda-min", "0", "--lambda-max", "2",
+            "--points", "5", "--policies", "threshold,periodic,spontaneous,non_causal",
+            "--period", "7", "--horizon", "120", "--samples", "12", "--seed", "31",
+            "--report-episode-utility", *extra, "--out", str(out_path),
+        )
+        assert code == 0
+        report = out[out.index("lambda,policy,mean_episode_utility"):]
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(report.encode()).hexdigest() == report_sha
+
 
 class TestIngest:
     def test_stdout_output(self, capsys, tmp_path):
@@ -255,6 +321,18 @@ class TestParser:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    def test_module_runs_as_a_program(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "hubrelease", "threshold",
+             "--lambda", str(1.0 / 6.0), "--ratio", "0.005"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "n_star,6\n"
 
     def test_entrypoint_propagates_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -1,39 +1,45 @@
-"""Per-policy decision functions, including the clairvoyant benchmark."""
+"""Per-policy release steps, including the clairvoyant benchmark."""
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubrelease.policies import (
+    POLICY_NAMES,
+    NonCausalPolicy,
     PeriodicPolicy,
+    SpontaneousPolicy,
     ThresholdPolicy,
-    decide_non_causal,
-    decide_periodic,
-    decide_spontaneous,
-    decide_threshold,
-    policy_name,
+    make_policy,
 )
 from hubrelease.stopping import RewardParams, release_reward
 
 PARAMS = RewardParams(1.0, 0.01)
 
 
+def fires(policy, arrivals, params=PARAMS) -> list[int]:
+    steps = policy.release_steps(np.array(arrivals, dtype=np.int64), params)
+    assert np.all(np.diff(steps) > 0)
+    return steps.tolist()
+
+
 class TestThresholdDecision:
     def test_releases_at_or_above_threshold(self):
-        assert not decide_threshold(5, 6)
-        assert decide_threshold(6, 6)
-        assert decide_threshold(9, 6)
+        # Hub counts 3, 5, 6 | 2, 4, 9: fires once 6 is reached, counting afresh.
+        assert fires(ThresholdPolicy(6), [3, 2, 1, 2, 2, 5]) == [2, 5]
+        assert fires(ThresholdPolicy(6), [3, 2, 0, 0]) == []
+
+    def test_one_batch_can_overshoot_the_threshold(self):
+        assert fires(ThresholdPolicy(2), [1, 4, 0, 1, 1]) == [1, 4]
 
     def test_empty_hub_never_releases(self):
-        assert not decide_threshold(0, 1)
+        assert fires(ThresholdPolicy(1), [0, 0, 0]) == []
+        assert fires(ThresholdPolicy(1), [1, 0, 0, 1]) == [0, 3]
 
     def test_never_release_sentinel(self):
-        assert not decide_threshold(10_000, None)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            decide_threshold(-1, 6)
+        assert fires(ThresholdPolicy(None), [10_000, 5, 5]) == []
 
     def test_policy_validates_threshold(self):
         with pytest.raises(ValueError, match="n_star"):
@@ -42,78 +48,83 @@ class TestThresholdDecision:
 
 class TestPeriodicDecision:
     def test_fires_at_interval_ends(self):
-        fired = [k for k in range(240) if decide_periodic(k, 60)]
-        assert fired == [59, 119, 179, 239]
+        assert fires(PeriodicPolicy(60), [0] * 240) == [59, 119, 179, 239]
 
     def test_last_step_of_the_hour_fires_with_default_grid(self):
-        assert decide_periodic(719, 60)
+        assert fires(PeriodicPolicy(60), [1] * 720)[-1] == 719
 
     def test_period_one_fires_every_step(self):
-        assert all(decide_periodic(k, 1) for k in range(10))
+        assert fires(PeriodicPolicy(1), [0] * 10) == list(range(10))
+
+    def test_period_longer_than_the_hour_never_fires(self):
+        assert fires(PeriodicPolicy(60), [1] * 59) == []
 
     def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError, match="step"):
-            decide_periodic(-1, 60)
-        with pytest.raises(ValueError, match="period"):
-            decide_periodic(3, 0)
-        with pytest.raises(ValueError, match="period"):
-            PeriodicPolicy(0)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="period"):
+                PeriodicPolicy(bad)
 
 
 def test_spontaneous_always_releases():
-    assert decide_spontaneous()
+    # Every step fires, an empty hub included: each fire restarts the clock.
+    assert fires(SpontaneousPolicy(), [1, 0, 0, 3]) == [0, 1, 2, 3]
 
 
 class TestNonCausalDecision:
     def test_waits_for_the_late_arrival(self):
         # One vehicle present, arrivals 1,0,1: per-step rewards are
         # 0, 0.49, 0.48, 0.63667; the last step wins.
-        counts = [1, 2, 2, 3]
-        assert decide_non_causal(0, counts, PARAMS) == 3
+        assert fires(NonCausalPolicy(), [1, 1, 0, 1]) == [3]
 
     def test_quits_while_ahead(self):
-        # Same trajectory, but a 60x waiting cost: rewards 0, -0.1, -0.7, -1.13.
+        # Same trajectory, but a 60x waiting cost: rewards 0, -0.1, -0.7, -1.13,
+        # so the first episode releases at once and the next ones do the same.
         expensive = RewardParams(1.0, 0.6)
-        assert decide_non_causal(0, [1, 2, 2, 3], expensive) == 0
+        assert fires(NonCausalPolicy(), [1, 1, 0, 1], expensive) == [0, 1, 3]
 
     def test_no_arrivals_releases_at_once(self):
         # Constant count 1: reward 0 at step 0 beats -c*t everywhere after.
-        assert decide_non_causal(0, [1, 1, 1, 1], PARAMS) == 0
+        assert fires(NonCausalPolicy(), [1, 0, 0, 0]) == [0]
 
     def test_free_waiting_rides_to_the_horizon(self):
         free = RewardParams(1.0, 0.0)
-        assert decide_non_causal(0, [1, 2, 3, 4], free) == 3
+        assert fires(NonCausalPolicy(), [1, 1, 1, 1], free) == [3]
 
     def test_ties_release_earliest(self):
         free = RewardParams(1.0, 0.0)
         # Count stops growing: rewards tie from step 1 on.
-        assert decide_non_causal(0, [1, 2, 2, 2], free) == 1
+        assert fires(NonCausalPolicy(), [1, 1, 0, 0], free) == [1]
 
     def test_empty_trajectory_forces_horizon_end(self):
-        assert decide_non_causal(5, [0, 0, 0], PARAMS) == 7
+        # An episode that stays empty never fires; the simulator's forced
+        # release at the last step has nothing left to take.
+        assert fires(NonCausalPolicy(), [0, 0, 0]) == []
+        assert fires(NonCausalPolicy(), [1, 0, 0]) == [0]
 
     def test_skips_empty_prefix(self):
-        assert decide_non_causal(2, [0, 0, 1, 1], PARAMS) == 4
+        assert fires(NonCausalPolicy(), [0, 0, 1, 0]) == [2]
 
     def test_result_is_offset_by_episode_start(self):
-        counts = [1, 2, 2, 3]
-        base = decide_non_causal(0, counts, PARAMS)
-        assert decide_non_causal(11, counts, PARAMS) == base + 11
+        # An empty prefix charges every candidate step the same extra wait,
+        # so the choice only shifts by the prefix length.
+        base = fires(NonCausalPolicy(), [1, 1, 0, 1])[0]
+        assert fires(NonCausalPolicy(), [0] * 11 + [1, 1, 0, 1])[0] == base + 11
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="episode_start"):
-            decide_non_causal(-1, [1], PARAMS)
-        with pytest.raises(ValueError, match="at least one"):
-            decide_non_causal(0, [], PARAMS)
+    def test_each_episode_is_scored_on_its_own_clock(self):
+        # Step 0 releases (waiting for the pair at step 3 costs more than the
+        # benefit); the second episode starts at step 1 and waits for its pair.
+        params = RewardParams(1.0, 0.2)
+        assert fires(NonCausalPolicy(), [1, 0, 0, 1, 1, 0], params) == [0, 4]
 
 
 def test_policy_names_are_stable():
-    from hubrelease.policies import NonCausalPolicy, SpontaneousPolicy
-
-    assert policy_name(ThresholdPolicy(6)) == "threshold"
-    assert policy_name(PeriodicPolicy(60)) == "periodic"
-    assert policy_name(SpontaneousPolicy()) == "spontaneous"
-    assert policy_name(NonCausalPolicy()) == "non_causal"
+    assert POLICY_NAMES == ("threshold", "periodic", "spontaneous", "non_causal")
+    assert make_policy("threshold", 6, 60) == ThresholdPolicy(6)
+    assert make_policy("periodic", 6, 60) == PeriodicPolicy(60)
+    assert make_policy("spontaneous", 6, 60) == SpontaneousPolicy()
+    assert make_policy("non_causal", 6, 60) == NonCausalPolicy()
+    with pytest.raises(ValueError, match="unknown policy"):
+        make_policy("optimal", 6, 60)
 
 
 @given(
@@ -126,7 +137,7 @@ def test_clairvoyant_choice_dominates_every_single_release(arrivals, n0, ratio):
     """Whatever step any causal rule picks, the clairvoyant reward is >= its reward."""
     params = RewardParams(1.0, ratio)
     counts = list(itertools.accumulate([n0] + arrivals))
-    best_step = decide_non_causal(0, counts, params)
+    best_step = fires(NonCausalPolicy(), [n0] + arrivals, params)[0]
     best = release_reward(counts[best_step], best_step, params)
     for step, count in enumerate(counts):
         assert best >= release_reward(count, step, params)

@@ -12,14 +12,13 @@ from hubrelease.policies import (
     ThresholdPolicy,
 )
 from hubrelease.sim import (
+    HourResult,
     SimConfig,
     monte_carlo,
     per_vehicle_utility,
-    platoon_episode_reward,
     run_episode_hour,
     sweep,
 )
-from hubrelease.sim import PlatoonRecord, VehicleRecord
 from hubrelease.stopping import RewardParams, release_reward
 
 PARAMS = RewardParams(1.0, 0.005)
@@ -33,89 +32,99 @@ def config(policy, lam=1.0 / 6.0, **kwargs):
     return SimConfig(lam=lam, params=PARAMS, policy=policy, **kwargs)
 
 
+def same_hour(a: HourResult, b: HourResult) -> bool:
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(HourResult)
+    )
+
+
 class TestHourSemantics:
     def test_conservation_every_vehicle_released_once(self):
         for policy in (ThresholdPolicy(6), PeriodicPolicy(60), SpontaneousPolicy(),
                        NonCausalPolicy()):
             result = run_episode_hour(config(policy), 0)
-            assert len(result.vehicles) == sum(result.arrivals)
-            assert sum(p.size for p in result.platoons) == sum(result.arrivals)
+            assert result.vehicle_wait.size == result.arrivals.sum()
+            assert result.platoon_size.sum() == result.arrivals.sum()
 
     def test_exactly_one_lead_per_platoon_and_it_arrived_first(self):
         result = run_episode_hour(OPERATING, 3)
-        by_release: dict[int, list] = {}
-        for v in result.vehicles:
-            by_release.setdefault(v.release_step, []).append(v)
-        assert len(by_release) == len(result.platoons)
-        for platoon in result.platoons:
-            members = by_release[platoon.release_step]
-            leads = [v for v in members if v.is_lead]
-            assert len(leads) == 1
-            assert leads[0].arrival_step == min(v.arrival_step for v in members)
+        # Vehicles are in arrival order, so each platoon's members are one
+        # run whose first vehicle must be its only lead.
+        starts = np.cumsum(result.platoon_size) - result.platoon_size
+        assert np.flatnonzero(result.vehicle_is_lead).tolist() == starts.tolist()
+        members = np.cumsum(result.vehicle_is_lead) - 1
+        release = result.platoon_release_step[members]
+        arrival = np.repeat(np.arange(result.arrivals.size), result.arrivals)
+        assert np.array_equal(release - result.vehicle_wait, arrival)
+        assert np.all(np.diff(release) >= 0)
 
     def test_release_never_precedes_arrival(self):
         result = run_episode_hour(OPERATING, 1)
-        assert all(v.release_step >= v.arrival_step for v in result.vehicles)
+        assert np.all(result.vehicle_wait >= 0)
 
     def test_zero_rate_single_forced_release_at_the_last_step(self):
         cfg = config(ThresholdPolicy(6), lam=0.0)
         result = run_episode_hour(cfg, 0)
-        assert result.arrivals[0] == 1 and sum(result.arrivals) == 1
-        assert len(result.platoons) == 1
-        platoon = result.platoons[0]
-        assert platoon.release_step == cfg.horizon_steps - 1
-        assert platoon.size == 1
-        assert platoon.forced
+        assert result.arrivals[0] == 1 and result.arrivals.sum() == 1
+        assert result.platoon_release_step.tolist() == [cfg.horizon_steps - 1]
+        assert result.platoon_size.tolist() == [1]
+        assert result.platoon_forced.tolist() == [True]
 
     def test_threshold_crossing_sets_platoon_size(self):
         result = run_episode_hour(OPERATING, 7)
         hour_max_batch = max(result.arrivals[1:])
-        for platoon in result.platoons:
-            if platoon.forced or platoon.release_step == 0:
-                continue
-            assert 6 <= platoon.size <= 5 + hour_max_batch
+        crossing = ~result.platoon_forced & (result.platoon_release_step != 0)
+        assert crossing.any()
+        assert np.all(6 <= result.platoon_size[crossing])
+        assert np.all(result.platoon_size[crossing] <= 5 + hour_max_batch)
 
     def test_spontaneous_releases_vehicles_the_step_they_arrive(self):
         result = run_episode_hour(config(SpontaneousPolicy()), 2)
-        assert all(v.release_step == v.arrival_step for v in result.vehicles)
+        assert np.all(result.vehicle_wait == 0)
 
     def test_periodic_wait_stays_below_the_period(self):
         result = run_episode_hour(config(PeriodicPolicy(60)), 4)
-        assert all(v.release_step - v.arrival_step < 60 for v in result.vehicles)
+        assert np.all(result.vehicle_wait < 60)
 
     def test_periodic_release_count_fills_the_hour(self):
         # With lam = 1 every 60-step interval is occupied almost surely.
         result = run_episode_hour(config(PeriodicPolicy(60), lam=1.0), 0)
-        assert len(result.platoons) == 12
-        assert [p.release_step for p in result.platoons] == list(range(59, 720, 60))
-        assert not any(p.forced for p in result.platoons)
+        assert result.platoon_release_step.tolist() == list(range(59, 720, 60))
+        assert not result.platoon_forced.any()
 
     def test_episode_clock_resets_after_each_release(self):
         result = run_episode_hour(OPERATING, 5)
         previous_release = -1
-        for platoon in result.platoons:
-            assert platoon.episode_start == previous_release + 1
-            assert platoon.release_step >= platoon.episode_start
-            previous_release = platoon.release_step
+        for start, release in zip(result.platoon_episode_start,
+                                  result.platoon_release_step):
+            assert start == previous_release + 1
+            assert release >= start
+            previous_release = release
+
+    def test_empty_fires_restart_the_episode_clock(self):
+        # Periodic fires on an empty hub still start a new episode.
+        result = run_episode_hour(config(PeriodicPolicy(60), lam=0.01), 0)
+        assert np.all(result.platoon_episode_start % 60 == 0)
+        assert np.all(result.platoon_release_step - result.platoon_episode_start < 60)
 
     def test_never_release_threshold_forces_one_end_platoon(self):
         result = run_episode_hour(config(ThresholdPolicy(None)), 0)
-        assert len(result.platoons) == 1
-        assert result.platoons[0].forced
-        assert result.platoons[0].size == sum(result.arrivals)
+        assert result.platoon_forced.tolist() == [True]
+        assert result.platoon_size.tolist() == [result.arrivals.sum()]
 
     def test_bitwise_deterministic_under_fixed_seed(self):
         a = run_episode_hour(OPERATING, 11)
         b = run_episode_hour(OPERATING, 11)
-        assert a == b
+        assert same_hour(a, b)
 
     def test_samples_differ(self):
-        assert run_episode_hour(OPERATING, 0) != run_episode_hour(OPERATING, 1)
+        assert not same_hour(run_episode_hour(OPERATING, 0), run_episode_hour(OPERATING, 1))
 
     def test_cell_index_separates_streams(self):
         base = run_episode_hour(OPERATING, 0)
         other = run_episode_hour(dataclasses.replace(OPERATING, cell_index=5), 0)
-        assert base != other
+        assert not same_hour(base, other)
 
     def test_initial_rate_override(self):
         # Forcing the zero-rate limit pins the initial count to one vehicle.
@@ -124,18 +133,76 @@ class TestHourSemantics:
             assert run_episode_hour(cfg, i).arrivals[0] == 1
 
 
+def _best_release(arrivals, start, params):
+    """Earliest reward-maximizing step of the episode from `start`, by scan."""
+    best, best_reward, count = None, 0.0, 0
+    for step in range(start, len(arrivals)):
+        count += arrivals[step]
+        if count >= 1:
+            reward = release_reward(count, step - start, params)
+            if best is None or reward > best_reward:
+                best, best_reward = step, reward
+    return best
+
+
+def step_loop_hour(arrivals, policy, params):
+    """Reference: decide step by step and record every platoon and vehicle."""
+    horizon = len(arrivals)
+    target = _best_release(arrivals, 0, params)
+    pending, episode_start, platoons, vehicles = [], 0, [], []
+    for k in range(horizon):
+        pending.extend([k] * arrivals[k])
+        if isinstance(policy, ThresholdPolicy):
+            fire = policy.n_star is not None and len(pending) >= policy.n_star
+        elif isinstance(policy, PeriodicPolicy):
+            fire = (k + 1) % policy.period_steps == 0
+        elif isinstance(policy, SpontaneousPolicy):
+            fire = True
+        else:
+            fire = k == target
+        last = k == horizon - 1
+        if (fire or last) and pending:
+            platoons.append((k, len(pending), episode_start, not fire))
+            vehicles.extend((k - a, i == 0) for i, a in enumerate(pending))
+            pending = []
+        if fire:
+            episode_start = k + 1
+            target = _best_release(arrivals, k + 1, params)
+    return platoons, vehicles
+
+
+class TestAgainstStepLoop:
+    @pytest.mark.parametrize("policy", [
+        ThresholdPolicy(3), ThresholdPolicy(1), ThresholdPolicy(None),
+        PeriodicPolicy(7), PeriodicPolicy(1), SpontaneousPolicy(), NonCausalPolicy(),
+    ])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 2.0])
+    def test_columns_match_the_per_step_simulation(self, policy, lam):
+        cfg = config(policy, lam=lam, horizon_steps=90)
+        for i in range(5):
+            hour = run_episode_hour(cfg, i)
+            platoons, vehicles = step_loop_hour(hour.arrivals.tolist(), policy, PARAMS)
+            assert list(zip(hour.platoon_release_step.tolist(),
+                            hour.platoon_size.tolist(),
+                            hour.platoon_episode_start.tolist(),
+                            hour.platoon_forced.tolist())) == platoons
+            assert list(zip(hour.vehicle_wait.tolist(),
+                            hour.vehicle_is_lead.tolist())) == vehicles
+
+
 class TestNonCausalHour:
     def test_every_episode_beats_the_threshold_rule_pathwise(self):
         cfg = config(NonCausalPolicy())
         for i in range(10):
             result = run_episode_hour(cfg, i)
-            arrivals = result.arrivals
-            for platoon in result.platoons:
-                start = platoon.episode_start
-                chosen = platoon_episode_reward(platoon, PARAMS)
+            arrivals = result.arrivals.tolist()
+            for start, release, size in zip(result.platoon_episode_start.tolist(),
+                                            result.platoon_release_step.tolist(),
+                                            result.platoon_size.tolist()):
+                chosen = release_reward(size, release - start, PARAMS)
                 # Any feasible single release in the episode window scores <= chosen.
                 count = 0
-                for step in range(start, platoon.release_step + 1):
+                for step in range(start, release + 1):
                     count += arrivals[step]
                     if count >= 1:
                         alternative = release_reward(count, step - start, PARAMS)
@@ -143,29 +210,39 @@ class TestNonCausalHour:
 
     def test_kept_vehicles_match_episode_arrivals(self):
         result = run_episode_hour(config(NonCausalPolicy()), 6)
-        for platoon in result.platoons:
-            window = range(platoon.episode_start, platoon.release_step + 1)
-            expected = sum(result.arrivals[k] for k in window)
-            assert platoon.size == expected
+        for start, release, size in zip(result.platoon_episode_start,
+                                        result.platoon_release_step,
+                                        result.platoon_size):
+            assert size == result.arrivals[start:release + 1].sum()
 
 
 class TestUtilityAccounting:
     def test_lead_gets_no_benefit(self):
-        lead = VehicleRecord(arrival_step=3, release_step=10, is_lead=True)
-        assert per_vehicle_utility(lead, PARAMS) == pytest.approx(-0.035)
+        utility = per_vehicle_utility(np.array([7]), np.array([True]), PARAMS)
+        assert utility.tolist() == [pytest.approx(-0.035)]
 
     def test_follower_gets_full_benefit_minus_wait(self):
-        v = VehicleRecord(arrival_step=0, release_step=40, is_lead=False)
-        assert per_vehicle_utility(v, PARAMS) == pytest.approx(1.0 - 0.2)
+        utility = per_vehicle_utility(np.array([40]), np.array([False]), PARAMS)
+        assert utility.tolist() == [pytest.approx(1.0 - 0.2)]
 
     def test_instant_release_is_free(self):
-        v = VehicleRecord(arrival_step=5, release_step=5, is_lead=False)
-        assert per_vehicle_utility(v, PARAMS) == pytest.approx(1.0)
+        utility = per_vehicle_utility(np.array([0]), np.array([False]), PARAMS)
+        assert utility.tolist() == [1.0]
 
     def test_platoon_episode_reward_uses_episode_clock(self):
-        platoon = PlatoonRecord(release_step=30, member_arrival_steps=(10, 20, 30),
-                                episode_start=10, forced=False)
-        assert platoon_episode_reward(platoon, PARAMS) == pytest.approx(2 / 3 - 0.1)
+        # Three vehicles released at step 30 of an episode that began at step 10.
+        assert release_reward(3, 30 - 10, PARAMS) == pytest.approx(2 / 3 - 0.1)
+        cfg = config(PeriodicPolicy(60), lam=0.05, samples=1)
+        hour = run_episode_hour(cfg, 0)
+        assert hour.platoon_episode_start[1:].min() > 0
+        rewards = [
+            release_reward(int(size), int(release - start), PARAMS)
+            for size, release, start in zip(hour.platoon_size,
+                                            hour.platoon_release_step,
+                                            hour.platoon_episode_start)
+        ]
+        expected = sum(rewards) / hour.vehicle_wait.size
+        assert monte_carlo(cfg).mean_episode_utility == expected
 
 
 class TestMonteCarlo:
@@ -223,7 +300,7 @@ class TestMonteCarlo:
         cfg = config(ThresholdPolicy(6), samples=12)
         metrics = monte_carlo(cfg)
         direct_vehicles = sum(
-            len(run_episode_hour(cfg, i).vehicles) for i in range(12)
+            run_episode_hour(cfg, i).vehicle_wait.size for i in range(12)
         )
         assert metrics.vehicles == direct_vehicles
         assert metrics.samples == 12
@@ -271,7 +348,7 @@ class TestSweep:
         b = run_episode_hour(
             SimConfig(lam=lam, params=PARAMS, policy=PeriodicPolicy(60),
                       samples=1, master_seed=5, cell_index=2), 0)
-        assert a.arrivals == b.arrivals
+        assert np.array_equal(a.arrivals, b.arrivals)
 
     def test_invalid_policy_name_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):

@@ -26,14 +26,16 @@ class TestRewardParams:
         params = RewardParams(benefit=2.0, step_cost=0.01)
         assert params.ratio == 0.005
 
-    @pytest.mark.parametrize("benefit", [0.0, -1.0])
+    @pytest.mark.parametrize("benefit", [0.0, -1.0, math.nan, math.inf])
     def test_benefit_must_be_positive(self, benefit):
         with pytest.raises(ValueError, match="benefit"):
             RewardParams(benefit=benefit, step_cost=0.1)
 
     def test_cost_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="step_cost"):
-            RewardParams(benefit=1.0, step_cost=-0.1)
+        # A non-finite cost would turn inf * 0 into NaN inside the solver.
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step_cost"):
+                RewardParams(benefit=1.0, step_cost=bad)
 
 
 class TestReleaseReward:
@@ -75,8 +77,9 @@ class TestReleaseCondition:
             release_condition(0, BERNOULLI, 0.05)
 
     def test_negative_ratio_rejected(self):
-        with pytest.raises(ValueError, match="ratio"):
-            release_condition(1, BERNOULLI, -0.01)
+        for bad in (-0.01, math.nan):
+            with pytest.raises(ValueError, match="ratio"):
+                release_condition(1, BERNOULLI, bad)
 
 
 class TestComputeThreshold:
@@ -102,8 +105,10 @@ class TestComputeThreshold:
         assert compute_threshold(EMPTY_STEPS, 0.0).n_star == 1
 
     def test_negative_ratio_rejected(self):
-        with pytest.raises(ValueError, match="ratio"):
-            compute_threshold(BERNOULLI, -0.005)
+        # NaN compares false with everything, so the scan would never stop.
+        for bad in (-0.005, math.nan):
+            with pytest.raises(ValueError, match="ratio"):
+                compute_threshold(BERNOULLI, bad)
 
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError, match="n_star"):
