@@ -21,6 +21,10 @@ PMF_NORMALIZE_TOL = 1e-9
 # Default relative mass discarded when truncating an infinite support.
 DEFAULT_TAIL_MASS = 1e-12
 MAX_TAIL_MASS = 1e-6
+# Largest accepted Poisson rate.  A hub never sees anywhere near this many
+# vehicles per step, and every truncated pmf stays a few tens of thousands
+# of entries long.
+MAX_RATE = 2e4
 
 
 @dataclass(frozen=True)
@@ -104,17 +108,30 @@ def _validate_tail_mass(tail_mass: float) -> None:
         raise ValueError(f"tail_mass must be in (0, {MAX_TAIL_MASS}], got {tail_mass!r}")
 
 
+def _truncation_point(lam: float, tail_mass: float, start: int, scale: float) -> int:
+    """Smallest x >= start with poisson.sf(x, lam) / scale < tail_mass.
+
+    Evaluates sf over a bracket at a time, from start upward, so the first
+    hit is the one a count-by-count scan would stop at; the first bracket
+    already holds it unless tail_mass is far below the default.
+    """
+    lo, hi = start, int(lam + 10.0 * math.sqrt(lam)) + 40
+    while True:
+        below = np.flatnonzero(poisson.sf(np.arange(lo, hi + 1), lam) / scale < tail_mass)
+        if below.size:
+            return lo + int(below[0])
+        lo, hi = hi + 1, 2 * hi
+
+
 def poisson_truncated(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> ArrivalDistribution:
     """Poisson(lam) truncated at the smallest x_max with tail < tail_mass, renormalized.
 
     lam = 0 degenerates to a point mass at zero arrivals.
     """
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"rate must be nonnegative and finite, got {lam!r}")
+    if not 0 <= lam <= MAX_RATE:
+        raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
     _validate_tail_mass(tail_mass)
-    x_max = 0
-    while poisson.sf(x_max, lam) >= tail_mass:
-        x_max += 1
+    x_max = _truncation_point(lam, tail_mass, 0, 1.0)
     probs = poisson.pmf(np.arange(x_max + 1), lam)
     probs /= probs.sum()
     return ArrivalDistribution(tuple(probs))
@@ -128,16 +145,13 @@ def zero_truncated_poisson(
     Requires lam > 0; the lam -> 0 limit (a guaranteed single vehicle) must be
     requested explicitly via ``InitialCountDistribution.degenerate()``.
     """
-    if not 0 < lam < math.inf:
+    if not 0 < lam <= MAX_RATE:
         raise ValueError(
-            f"rate must be positive and finite, got {lam!r}; "
+            f"rate must be positive and at most {MAX_RATE:g}, got {lam!r}; "
             "use InitialCountDistribution.degenerate() for the zero-rate limit"
         )
     _validate_tail_mass(tail_mass)
-    nonzero_mass = -math.expm1(-lam)
-    n_max = 1
-    while poisson.sf(n_max, lam) / nonzero_mass >= tail_mass:
-        n_max += 1
+    n_max = _truncation_point(lam, tail_mass, 1, -math.expm1(-lam))
     probs = poisson.pmf(np.arange(n_max + 1), lam)
     probs[0] = 0.0
     probs /= probs.sum()

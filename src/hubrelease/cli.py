@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .arrival import ArrivalDistribution, from_pmf, poisson_truncated
+from .arrival import MAX_RATE, ArrivalDistribution, from_pmf, poisson_truncated
 from .dp import DpConfig, compare_with_threshold, solve, suggest_max_count, write_action_table
 from .ingest import parse_counts_csv, parse_pmf_csv, to_lambda
 from .policies import POLICY_NAMES
@@ -143,8 +142,8 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    if not 0 <= args.lambda_min <= args.lambda_max < math.inf:
-        raise ValueError("need 0 <= lambda-min <= lambda-max, both finite")
+    if not 0 <= args.lambda_min <= args.lambda_max <= MAX_RATE:
+        raise ValueError(f"need 0 <= lambda-min <= lambda-max <= {MAX_RATE:g}")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for name in policies:
         if name not in POLICY_NAMES:

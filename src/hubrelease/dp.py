@@ -6,8 +6,8 @@ kept independent on purpose so the two can be checked against each other.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,19 +21,34 @@ from .stopping import RewardParams, Threshold
 CAP_TOLERANCE = 1e-9
 
 
-def _absorbing_convolution(
-    pmf: np.ndarray, horizon: int, cap: int
-) -> tuple[np.ndarray, float]:
-    """Count pmf on 0..cap after `horizon` arrival draws on top of one vehicle,
-    with the mass that passed the cap absorbed into a separate overflow total."""
-    probs = np.zeros(cap + 1)
+def _search_bound(dist: ArrivalDistribution, horizon: int) -> int:
+    # Generous upper bound: mean growth plus a 12-sigma cushion is far past
+    # any 1e-9 quantile of a sum of bounded i.i.d. counts.
+    spread = 12.0 * np.sqrt(max(horizon * dist.variance, 1.0))
+    return int(np.ceil(1 + horizon * dist.mean + spread)) + dist.support_max + 2
+
+
+@lru_cache(maxsize=1)
+def _final_count_tail(dist: ArrivalDistribution, horizon: int, bound: int) -> np.ndarray:
+    """tail[c] = P(final count >= c) for c in 0..bound+1, after `horizon`
+    arrival draws on top of one vehicle.
+
+    Counts past `bound` are absorbed into one overflow total, which is
+    tail[bound + 1] and is added to every entry.  One dp-verify run asks for
+    the same tail twice (cap suggestion, then the config's cap check), so
+    the last one is kept.  The array is read-only.
+    """
+    pmf = np.asarray(dist.probabilities)
+    probs = np.zeros(bound + 2)
     probs[1] = 1.0
-    absorbed = 0.0
+    escaped = 0.0
     for _ in range(horizon):
-        full = np.convolve(probs, pmf)
-        absorbed += float(full[cap + 1 :].sum())
-        probs = full[: cap + 1]
-    return probs, absorbed
+        full = np.convolve(probs[: bound + 1], pmf)
+        escaped += float(full[bound + 1 :].sum())
+        probs[: bound + 1] = full[: bound + 1]
+    tail = np.cumsum(probs[::-1])[::-1] + escaped
+    tail.flags.writeable = False
+    return tail
 
 
 def cap_violation_probability(
@@ -42,7 +57,7 @@ def cap_violation_probability(
     """P(count exceeds max_count within `horizon` steps, starting from one vehicle).
 
     The un-released count is nondecreasing, so this is the chance that one
-    initial vehicle plus `horizon` i.i.d. arrival draws ever pass the cap.
+    initial vehicle plus `horizon` i.i.d. arrival draws end past the cap.
     Computed exactly by repeated convolution with an absorbing overflow bin.
     """
     if horizon < 1:
@@ -51,7 +66,8 @@ def cap_violation_probability(
         raise ValueError(f"max_count must be >= 1, got {max_count}")
     if dist.support_max == 0:
         return 0.0
-    return _absorbing_convolution(np.asarray(dist.probabilities), horizon, max_count)[1]
+    bound = max(_search_bound(dist, horizon), max_count)
+    return float(_final_count_tail(dist, horizon, bound)[max_count + 1])
 
 
 def suggest_max_count(
@@ -62,18 +78,10 @@ def suggest_max_count(
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     if dist.support_max == 0:
         return 1
-    # Generous upper bound: mean growth plus a 12-sigma cushion is far past
-    # any 1e-9 quantile of a sum of bounded i.i.d. counts.
-    spread = 12.0 * np.sqrt(max(horizon * dist.variance, 1.0))
-    bound = int(np.ceil(1 + horizon * dist.mean + spread)) + dist.support_max + 2
-    probs, escaped = _absorbing_convolution(np.asarray(dist.probabilities), horizon, bound)
-    if escaped >= tol:
+    tail = _final_count_tail(dist, horizon, _search_bound(dist, horizon))
+    if tail[-1] >= tol:
         raise ValueError("search cushion too small for the requested tolerance")
-    tail = np.cumsum(probs[::-1])[::-1]  # tail[c] = P(final count >= c)
-    caps = np.nonzero(tail + escaped < tol)[0]
-    if caps.size == 0:
-        raise ValueError("no cap within the search bound satisfies the tolerance")
-    return max(int(caps[0]) - 1, 1)
+    return max(int(np.flatnonzero(tail < tol)[0]) - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -174,8 +182,9 @@ def compare_with_threshold(
 def write_action_table(solution: DpSolution, path: str) -> None:
     """Dump the action table as CSV rows (k, n, action) for inspection."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n", "action"])
-        for k in range(solution.config.horizon + 1):
-            for n in range(1, solution.config.max_count + 1):
-                writer.writerow([k, n, "release" if solution.actions[k, n] else "wait"])
+        fh.write("k,n,action\r\n")
+        for k, row in enumerate(solution.actions[:, 1:]):
+            fh.write("".join(
+                f"{k},{n},{'release' if act else 'wait'}\r\n"
+                for n, act in enumerate(row.tolist(), 1)
+            ))

@@ -76,14 +76,22 @@ class NonCausalPolicy:
         # that maximizes the episode reward; argmax keeps the earliest of
         # tied steps.  An episode that stays empty to the horizon never fires.
         cumulative = np.cumsum(arrivals)
+        # A step d steps after the first nonempty one gains less than benefit
+        # and loses d * step_cost, so past d = benefit/step_cost + 1 it is
+        # worse than releasing at once by more than step_cost, far above the
+        # rounding error; the argmax window stops there.
+        reach = cumulative.size
+        if params.step_cost > 0 and params.benefit / params.step_cost < reach:
+            reach = int(params.benefit / params.step_cost) + 3
         steps = []
         start, released = 0, 0
         while True:
             first = int(np.searchsorted(cumulative, released + 1))
             if first == cumulative.size:
                 break
-            counts = cumulative[first:] - released
-            waited = np.arange(first - start, cumulative.size - start)
+            end = min(first + reach, cumulative.size)
+            counts = cumulative[first:end] - released
+            waited = np.arange(first - start, end - start)
             step = first + int(np.argmax(release_reward(counts, waited, params)))
             steps.append(step)
             start, released = step + 1, cumulative[step]

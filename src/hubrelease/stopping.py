@@ -24,6 +24,10 @@ from dataclasses import dataclass
 
 from .arrival import ArrivalDistribution
 
+# compute_threshold rejects ratios whose bracket end sqrt(mean / ratio) is
+# past 1e150: a few doublings of it must keep n^2 + n*x a finite float.
+_MAX_SQUARED_BOUND = 1e300
+
 
 @dataclass(frozen=True)
 class RewardParams:
@@ -104,18 +108,34 @@ def release_condition(n: int, dist: ArrivalDistribution, ratio: float) -> bool:
 def compute_threshold(dist: ArrivalDistribution, ratio: float) -> Threshold:
     """Smallest n >= 1 satisfying the release condition.
 
-    Terminates for ratio > 0 because g(n) <= mean / n^2; at ratio 0 the
-    condition can only ever hold when the arrival mean is 0, so a positive
-    mean yields the never-release result instead of an infinite scan.
+    g(n) <= mean / n^2 puts n_star in [1, ceil(sqrt(mean / ratio))], and the
+    float g is nonincreasing in n (every term is), so bisection over that
+    bracket finds the n a scan from 1 would stop at with O(log n_star)
+    evaluations of g.  At ratio 0 the condition can only ever hold when the
+    arrival mean is 0, so a positive mean yields the never-release result.
     """
     if not ratio >= 0:
         raise ValueError(f"ratio must be nonnegative, got {ratio!r}")
-    if ratio == 0.0 and dist.mean > 0.0:
-        return Threshold(None, ratio, dist)
-    n = 1
-    while not release_condition(n, dist, ratio):
-        n += 1
-    return Threshold(n, ratio, dist)
+    if ratio == 0.0:
+        return Threshold(None if dist.mean > 0.0 else 1, ratio, dist)
+    squared_bound = dist.mean / ratio
+    if not squared_bound <= _MAX_SQUARED_BOUND:
+        raise ValueError(
+            f"ratio {ratio!r} is too small: n_star would be near "
+            f"sqrt(mean / ratio) = {math.sqrt(squared_bound):.3g}, past float range"
+        )
+    # Rounding can leave g(hi) a hair above ratio; doubling quarters g.
+    hi = max(1, math.ceil(math.sqrt(squared_bound)))
+    while not release_condition(hi, dist, ratio):
+        hi *= 2
+    lo = 0  # the condition fails at every n <= lo and holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if release_condition(mid, dist, ratio):
+            hi = mid
+        else:
+            lo = mid
+    return Threshold(hi, ratio, dist)
 
 
 def one_step_lookahead(

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson as sp_poisson
 
 from hubrelease.arrival import (
+    MAX_RATE,
     ArrivalDistribution,
     InitialCountDistribution,
     from_pmf,
@@ -83,6 +85,60 @@ class TestZeroTruncatedPoisson:
     def test_initial_distribution_rejects_mass_at_zero(self):
         with pytest.raises(ValueError, match="zero mass at 0"):
             InitialCountDistribution((0.5, 0.5))
+
+
+def scalar_truncation(lam, tail_mass, start, scale):
+    """Reference: the count-by-count scan with one scalar sf call per count."""
+    x = start
+    while sp_poisson.sf(x, lam) / scale >= tail_mass:
+        x += 1
+    return x
+
+
+def scalar_poisson_truncated(lam, tail_mass):
+    probs = sp_poisson.pmf(np.arange(scalar_truncation(lam, tail_mass, 0, 1.0) + 1), lam)
+    return tuple(probs / probs.sum())
+
+
+def scalar_zero_truncated_poisson(lam, tail_mass):
+    x_max = scalar_truncation(lam, tail_mass, 1, -math.expm1(-lam))
+    probs = sp_poisson.pmf(np.arange(x_max + 1), lam)
+    probs[0] = 0.0
+    return tuple(probs / probs.sum())
+
+
+_RANDOM = np.random.default_rng(20240611)
+REFERENCE_RATES = [0.0, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 1000.0] + [
+    float(r) for r in 10.0 ** _RANDOM.uniform(-6.0, 3.0, size=12)
+]
+
+
+class TestTruncationAgainstScalarLoop:
+    """The bracketed array search stops where the scalar scan stops."""
+
+    @pytest.mark.parametrize("lam", REFERENCE_RATES)
+    @pytest.mark.parametrize("tail_mass", [1e-12, 1e-6, 1e-40])
+    def test_poisson_pmf_is_bit_identical(self, lam, tail_mass):
+        got = poisson_truncated(lam, tail_mass).probabilities
+        assert got == scalar_poisson_truncated(lam, tail_mass)
+
+    @pytest.mark.parametrize("lam", [r for r in REFERENCE_RATES if r > 0])
+    @pytest.mark.parametrize("tail_mass", [1e-12, 1e-6, 1e-40])
+    def test_zero_truncated_pmf_is_bit_identical(self, lam, tail_mass):
+        got = zero_truncated_poisson(lam, tail_mass).probabilities
+        assert got == scalar_zero_truncated_poisson(lam, tail_mass)
+
+
+@pytest.mark.parametrize("bad", [MAX_RATE * (1 + 1e-12), 1e6, 1e300])
+def test_rate_above_limit_rejected_before_any_array(bad):
+    with pytest.raises(ValueError, match="at most"):
+        poisson_truncated(bad)
+    with pytest.raises(ValueError, match="at most"):
+        zero_truncated_poisson(bad)
+
+
+def test_rate_at_limit_accepted():
+    assert poisson_truncated(MAX_RATE).mean == pytest.approx(MAX_RATE, rel=1e-9)
 
 
 class TestFromPmf:

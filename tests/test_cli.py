@@ -78,6 +78,41 @@ class TestThreshold:
             assert code == 1, argv
             assert err.startswith("error:") and word in err, argv
 
+    def test_huge_rates_and_tiny_ratios_exit_1_promptly(self, tmp_path):
+        cases = [
+            (["threshold", "--lambda", "1e300", "--ratio", "0.005"], "rate"),
+            (["threshold", "--lambda", "20000.5", "--ratio", "0.005"], "rate"),
+            (["dp-verify", "--lambda", "1e300", "--ratio", "0.005"], "rate"),
+            (["threshold", "--lambda", "0.1", "--ratio", "5e-324"], "too small"),
+            (["dp-verify", "--lambda", "1", "--ratio", "1e-305"], "too small"),
+            (["sweep", "--lambda-max", "1e300", "--out", "never.csv"], "lambda-max"),
+        ]
+        # One child process runs every case, so that a regression to a hang
+        # or a huge allocation fails on the timeout instead of stalling the
+        # suite.
+        child = (
+            "import contextlib, io, json, sys\n"
+            "from hubrelease.cli import main\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        out.append([main(argv), err.getvalue()])\n"
+            "print(json.dumps(out))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", child, json.dumps([argv for argv, _ in cases])],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        for (argv, word), (code, err) in zip(cases, json.loads(done.stdout)):
+            assert code == 1, argv
+            assert err.startswith("error:") and word in err, argv
+        assert not (tmp_path / "never.csv").exists()
+
     def test_missing_pmf_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "threshold", "--pmf-file", str(tmp_path / "nope.csv"),

@@ -1,9 +1,11 @@
 """Backward-induction solver against brute force, invariants, and the threshold rule."""
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+import hubrelease.dp as dp
 from hubrelease.arrival import from_pmf, poisson_truncated
 from hubrelease.dp import (
     CAP_TOLERANCE,
@@ -185,6 +187,68 @@ class TestOccupancyCap:
         cap = suggest_max_count(dist, 720)
         config = DpConfig(720, cap, dist, RewardParams(1.0, 0.005))
         assert config.max_count == cap
+
+
+def absorbed_past_cap(dist, horizon, cap):
+    """Reference: the mass that passes `cap`, absorbed step by step."""
+    pmf = np.asarray(dist.probabilities)
+    probs = np.zeros(cap + 1)
+    probs[1] = 1.0
+    absorbed = 0.0
+    for _ in range(horizon):
+        full = np.convolve(probs, pmf)
+        absorbed += float(full[cap + 1 :].sum())
+        probs = full[: cap + 1]
+    return absorbed
+
+
+class TestSharedCapTail:
+    @pytest.mark.parametrize("lam,horizon", [(1.0 / 6.0, 720), (2.0, 90), (0.01, 30)])
+    def test_violation_matches_absorbing_reference(self, lam, horizon):
+        dist = poisson_truncated(lam)
+        suggested = suggest_max_count(dist, horizon)
+        for cap in (1, max(suggested - 5, 1), suggested, suggested + 3, 5 * suggested):
+            expected = absorbed_past_cap(dist, horizon, cap)
+            got = cap_violation_probability(dist, horizon, cap)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), cap
+
+    def test_cap_past_the_search_bound_widens_it(self):
+        dist = poisson_truncated(0.5)
+        cap = 10 * dp._search_bound(dist, 20)
+        assert cap_violation_probability(dist, 20, cap) == absorbed_past_cap(dist, 20, cap)
+        single = from_pmf([(1, 1.0)])
+        assert cap_violation_probability(single, 5000, 5000) == 1.0
+        assert cap_violation_probability(single, 5000, 5001) == 0.0
+
+    def test_cap_suggestion_and_config_check_share_one_pass(self, monkeypatch):
+        calls = []
+        convolve = np.convolve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return convolve(*args, **kwargs)
+
+        dist = poisson_truncated(0.5)
+        dp._final_count_tail.cache_clear()
+        monkeypatch.setattr(dp.np, "convolve", counting)
+        cap = suggest_max_count(dist, 200)
+        DpConfig(200, cap, dist, RewardParams(1.0, 0.005))
+        assert len(calls) == 200
+
+
+# sha256 of `dp-verify --lambda 1/6 --ratio 0.005 --horizon 720 --dump-actions`,
+# recorded before the table writer stopped going through the csv module.
+REFERENCE_ACTIONS_SHA256 = "9d3f06e025999b515daab334ca1efcf82fcc4a7a80a0812621a9c4f58e849125"
+
+
+def test_reference_action_table_bytes_are_pinned(tmp_path):
+    dist = poisson_truncated(1.0 / 6.0)
+    params = RewardParams(1.0, 0.005)
+    threshold = compute_threshold(dist, 0.005)
+    cap = max(suggest_max_count(dist, 720), threshold.n_star + dist.support_max)
+    path = tmp_path / "actions.csv"
+    write_action_table(solve(DpConfig(720, cap, dist, params)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE_ACTIONS_SHA256
 
 
 def test_action_table_dump_round_trips(tmp_path):

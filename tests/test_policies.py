@@ -117,6 +117,45 @@ class TestNonCausalDecision:
         assert fires(NonCausalPolicy(), [1, 0, 0, 1, 1, 0], params) == [0, 4]
 
 
+def full_window_non_causal(arrivals, params):
+    """Reference: each episode's argmax over every remaining step of the hour."""
+    cumulative = np.cumsum(arrivals)
+    steps = []
+    start, released = 0, 0
+    while True:
+        first = int(np.searchsorted(cumulative, released + 1))
+        if first == cumulative.size:
+            return steps
+        counts = cumulative[first:] - released
+        waited = np.arange(first - start, cumulative.size - start)
+        step = first + int(np.argmax(release_reward(counts, waited, params)))
+        steps.append(step)
+        start, released = step + 1, int(cumulative[step])
+
+
+@pytest.mark.parametrize("step_cost", [0.0, 1e-15, 0.005, 0.05, 0.4, 3.0])
+@pytest.mark.parametrize("benefit", [1.0, 250.0, 1e300])
+def test_bounded_window_matches_full_window(step_cost, benefit):
+    params = RewardParams(benefit, step_cost)
+    rng = np.random.default_rng(11)
+    for rate in (0.01, 1.0 / 6.0, 0.5, 2.0):
+        for horizon in (1, 2, 5, 60, 720):
+            arrivals = rng.poisson(rate, size=horizon)
+            arrivals[0] = max(arrivals[0], int(rng.integers(0, 2)))
+            assert fires(NonCausalPolicy(), arrivals, params) == full_window_non_causal(
+                arrivals, params
+            ), (rate, horizon)
+
+
+def test_subnormal_step_cost_keeps_the_full_window():
+    # benefit / step_cost overflows to inf; the window must not be cut.
+    params = RewardParams(1e300, 5e-324)
+    arrivals = np.array([1, 0, 0, 2, 0, 1], dtype=np.int64)
+    assert fires(NonCausalPolicy(), arrivals, params) == full_window_non_causal(
+        arrivals, params
+    )
+
+
 def test_policy_names_are_stable():
     assert POLICY_NAMES == ("threshold", "periodic", "spontaneous", "non_causal")
     assert make_policy("threshold", 6, 60) == ThresholdPolicy(6)

@@ -10,6 +10,7 @@ from hubrelease.arrival import from_pmf, poisson_truncated
 from hubrelease.stopping import (
     RewardParams,
     Threshold,
+    _waiting_gain,
     compute_threshold,
     one_step_lookahead,
     release_condition,
@@ -113,6 +114,65 @@ class TestComputeThreshold:
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError, match="n_star"):
             Threshold(0, 0.005, BERNOULLI)
+
+
+def linear_scan_threshold(dist, ratio):
+    """Reference: the scan from n = 1 that the bisection replaces."""
+    n = 1
+    while not release_condition(n, dist, ratio):
+        n += 1
+    return n
+
+
+_RANDOM = np.random.default_rng(7)
+SCAN_RATES = [0.0, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 1000.0] + [
+    float(r) for r in 10.0 ** _RANDOM.uniform(-6.0, 3.0, size=6)
+]
+SCAN_RATIOS = [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 0.1, 0.5, 1.0]
+# Keeps each reference scan (about n_star * support float terms) short.
+SCAN_BUDGET = 3e5
+
+
+class TestThresholdAgainstLinearScan:
+    @pytest.mark.parametrize("lam", SCAN_RATES)
+    def test_bisection_stops_where_the_scan_stops(self, lam):
+        dist = poisson_truncated(lam)
+        for ratio in SCAN_RATIOS:
+            n_star = compute_threshold(dist, ratio).n_star
+            if math.sqrt(dist.mean / ratio) * (dist.support_max + 1) <= SCAN_BUDGET:
+                assert n_star == linear_scan_threshold(dist, ratio), ratio
+            # Past the budget, the scan's stopping rule is checked locally.
+            assert release_condition(n_star, dist, ratio)
+            assert n_star == 1 or not release_condition(n_star - 1, dist, ratio)
+
+    @pytest.mark.parametrize("dist", [poisson_truncated(1.0 / 6.0), poisson_truncated(30.0),
+                                      BERNOULLI, SINGLE, from_pmf([(0, 0.9), (7, 0.1)])])
+    def test_exact_tie_releases_at_that_occupancy(self, dist):
+        for n in (*range(1, 41), 97, 1000, 123457):
+            assert compute_threshold(dist, _waiting_gain(n, dist)).n_star == n
+
+    def test_tiny_ratio_at_the_reference_rate(self):
+        # The scan takes about a second to get here; the bisection, microseconds.
+        dist = poisson_truncated(1.0 / 6.0)
+        n_star = compute_threshold(dist, 1e-12).n_star
+        assert n_star == 408248
+        assert release_condition(n_star, dist, 1e-12)
+        assert not release_condition(n_star - 1, dist, 1e-12)
+
+    @pytest.mark.parametrize("ratio", [5e-324, 1e-310, 1e-301])
+    def test_ratio_past_float_range_rejected(self, ratio):
+        with pytest.raises(ValueError, match="too small"):
+            compute_threshold(poisson_truncated(1.0), ratio)
+
+    def test_tiny_ratio_without_arrivals_releases_at_once(self):
+        assert compute_threshold(EMPTY_STEPS, 5e-324).n_star == 1
+
+    def test_smallest_accepted_ratio_terminates(self):
+        dist = poisson_truncated(1.0)
+        ratio = dist.mean / 1e300
+        n_star = compute_threshold(dist, ratio).n_star
+        assert release_condition(n_star, dist, ratio)
+        assert not release_condition(n_star - 1, dist, ratio)
 
 
 class TestOneStepLookahead:
