@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 # Absolute tolerance on an already-constructed pmf summing to 1.
 PMF_SUM_TOL = 1e-12
@@ -108,8 +108,22 @@ def _validate_tail_mass(tail_mass: float) -> None:
         raise ValueError(f"tail_mass must be in (0, {MAX_TAIL_MASS}], got {tail_mass!r}")
 
 
+# The Poisson pmf and tail are the expressions scipy.stats.poisson evaluates
+# (its _logpmf and _sf, clipped to [0, 1] as its public pmf and sf do), so
+# they give the same bits without importing scipy.stats, which would double
+# the start-up time and memory of every process.
+def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
+    """P(X = k) for X ~ Poisson(lam), for integer arrays k >= 0."""
+    return np.clip(np.exp(xlogy(k, lam) - gammaln(k + 1) - lam), 0.0, 1.0)
+
+
+def _poisson_sf(k: np.ndarray, lam: float) -> np.ndarray:
+    """P(X > k) for X ~ Poisson(lam), for integer arrays k >= 0."""
+    return np.clip(pdtrc(k, lam), 0.0, 1.0)
+
+
 def _truncation_point(lam: float, tail_mass: float, start: int, scale: float) -> int:
-    """Smallest x >= start with poisson.sf(x, lam) / scale < tail_mass.
+    """Smallest x >= start with P(X > x) / scale < tail_mass, X ~ Poisson(lam).
 
     Evaluates sf over a bracket at a time, from start upward, so the first
     hit is the one a count-by-count scan would stop at; the first bracket
@@ -117,7 +131,7 @@ def _truncation_point(lam: float, tail_mass: float, start: int, scale: float) ->
     """
     lo, hi = start, int(lam + 10.0 * math.sqrt(lam)) + 40
     while True:
-        below = np.flatnonzero(poisson.sf(np.arange(lo, hi + 1), lam) / scale < tail_mass)
+        below = np.flatnonzero(_poisson_sf(np.arange(lo, hi + 1), lam) / scale < tail_mass)
         if below.size:
             return lo + int(below[0])
         lo, hi = hi + 1, 2 * hi
@@ -132,7 +146,7 @@ def poisson_truncated(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> Arriv
         raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
     _validate_tail_mass(tail_mass)
     x_max = _truncation_point(lam, tail_mass, 0, 1.0)
-    probs = poisson.pmf(np.arange(x_max + 1), lam)
+    probs = _poisson_pmf(np.arange(x_max + 1), lam)
     probs /= probs.sum()
     return ArrivalDistribution(tuple(probs))
 
@@ -152,7 +166,7 @@ def zero_truncated_poisson(
         )
     _validate_tail_mass(tail_mass)
     n_max = _truncation_point(lam, tail_mass, 1, -math.expm1(-lam))
-    probs = poisson.pmf(np.arange(n_max + 1), lam)
+    probs = _poisson_pmf(np.arange(n_max + 1), lam)
     probs[0] = 0.0
     probs /= probs.sum()
     return InitialCountDistribution(tuple(probs))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -152,8 +153,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     grid = [float(v) for v in np.linspace(args.lambda_min, args.lambda_max, args.points)]
     params = RewardParams(benefit=1.0, step_cost=args.ratio)
-    if args.step_seconds <= 0:
-        raise ValueError(f"step_seconds must be positive, got {args.step_seconds!r}")
+    if not 0 < args.step_seconds < math.inf:
+        raise ValueError(
+            f"step_seconds must be positive and finite, got {args.step_seconds!r}"
+        )
     rows = sweep(
         grid,
         policies,
@@ -285,10 +288,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--opt -1e-3`` into ``--opt=-1e-3``, also for -inf and -nan.
+
+    argparse reads a token that starts with "-" as an option name unless it
+    looks like -1 or -.5, so ``--ratio -1e-3`` would stop at "expected one
+    argument".  No option name parses as a number, so a token that does is
+    a value, and joined to its option it reaches the option's range check.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and len(prev) > 2 and "=" not in prev
+                and token.startswith("-") and _is_number(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -19,6 +19,23 @@ from .stopping import RewardParams, Threshold
 # unless the probability of exceeding the cap within the horizon stays
 # below this bound.
 CAP_TOLERANCE = 1e-9
+# Largest grid the cap search may sweep or the solver may tabulate: (step,
+# count) states, or the solver's (count, batch size) transitions.  The
+# solver's value and action tables then take about 270 MB.  It is over
+# twenty times the largest grid of the benchmarked settings (rate 2,
+# horizon 720: 721 x 1750 solver states), leaves room for a 5000-step cap
+# check of certain growth (5000 x 5003), and turns a tiny ratio, a huge
+# horizon or a huge rate into an error before anything is allocated.
+MAX_STATES = 30_000_000
+
+
+def _check_states(rows: int, cols: int, what: str) -> None:
+    if rows * cols > MAX_STATES:
+        raise ValueError(
+            f"{what} needs {rows} x {cols} = {rows * cols:.3g} states, "
+            f"more than MAX_STATES = {MAX_STATES:.3g}; use a shorter horizon, "
+            f"a larger ratio, a lower rate or a smaller occupancy cap"
+        )
 
 
 def _search_bound(dist: ArrivalDistribution, horizon: int) -> int:
@@ -67,6 +84,7 @@ def cap_violation_probability(
     if dist.support_max == 0:
         return 0.0
     bound = max(_search_bound(dist, horizon), max_count)
+    _check_states(horizon, bound + 2, "the cap check")
     return float(_final_count_tail(dist, horizon, bound)[max_count + 1])
 
 
@@ -78,7 +96,9 @@ def suggest_max_count(
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     if dist.support_max == 0:
         return 1
-    tail = _final_count_tail(dist, horizon, _search_bound(dist, horizon))
+    bound = _search_bound(dist, horizon)
+    _check_states(horizon, bound + 2, "the occupancy-cap search")
+    tail = _final_count_tail(dist, horizon, bound)
     if tail[-1] >= tol:
         raise ValueError("search cushion too small for the requested tolerance")
     return max(int(np.flatnonzero(tail < tol)[0]) - 1, 1)
@@ -103,6 +123,10 @@ class DpConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {self.max_count}")
+        _check_states(self.horizon + 1, self.max_count + 1, "the solver")
+        _check_states(
+            self.max_count, self.dist.support_max + 1, "the solver's transition table"
+        )
         violation = cap_violation_probability(self.dist, self.horizon, self.max_count)
         if violation >= CAP_TOLERANCE:
             raise ValueError(

@@ -8,6 +8,7 @@ at the hub.  With a step of ``step_seconds`` the per-step Poisson rate is
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 SECONDS_PER_HOUR = 3600.0
@@ -25,9 +26,10 @@ class HourlyCounts:
     def __post_init__(self) -> None:
         if not 0 <= self.hour_of_day <= 23:
             raise ValueError(f"hour_of_day must be in 0..23, got {self.hour_of_day!r}")
-        if self.vehicles_per_hour < 0:
+        if not 0 <= self.vehicles_per_hour < math.inf:
             raise ValueError(
-                f"vehicles_per_hour must be nonnegative, got {self.vehicles_per_hour!r}"
+                f"vehicles_per_hour must be nonnegative and finite, "
+                f"got {self.vehicles_per_hour!r}"
             )
 
 
@@ -35,8 +37,8 @@ def to_lambda(counts: HourlyCounts, stop_fraction: float, step_seconds: float) -
     """Expected hub arrivals per step for one hour of the day."""
     if not 0.0 <= stop_fraction <= 1.0:
         raise ValueError(f"stop_fraction must be in [0, 1], got {stop_fraction!r}")
-    if step_seconds <= 0:
-        raise ValueError(f"step_seconds must be positive, got {step_seconds!r}")
+    if not 0 < step_seconds < math.inf:
+        raise ValueError(f"step_seconds must be positive and finite, got {step_seconds!r}")
     return counts.vehicles_per_hour * stop_fraction * step_seconds / SECONDS_PER_HOUR
 
 

@@ -145,11 +145,15 @@ def one_step_lookahead(
 
     Evaluates the definition directly, as the expected next-step reward
     over the arrival pmf; it must agree with ``release_condition`` for all
-    inputs even though the two share no code path.
+    inputs even though the two share no code path.  The cost ``step_cost*k``
+    of the steps already waited is common to both sides and cancels, so
+    both rewards are taken relative to the current step: the result is the
+    same for every k, also in floating point, where ``step_cost*k`` and
+    ``step_cost*(k+1)`` would round differently.
     """
-    now = release_reward(n, k, params)
+    now = release_reward(n, 0, params)
     later = 0.0
     probs = dist.probabilities
     for x in range(dist.support_max, -1, -1):
-        later += probs[x] * release_reward(n + x, k + 1, params)
+        later += probs[x] * release_reward(n + x, 1, params)
     return now >= later

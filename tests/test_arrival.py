@@ -11,6 +11,8 @@ from hubrelease.arrival import (
     MAX_RATE,
     ArrivalDistribution,
     InitialCountDistribution,
+    _poisson_pmf,
+    _poisson_sf,
     from_pmf,
     poisson_truncated,
     substream,
@@ -127,6 +129,28 @@ class TestTruncationAgainstScalarLoop:
     def test_zero_truncated_pmf_is_bit_identical(self, lam, tail_mass):
         got = zero_truncated_poisson(lam, tail_mass).probabilities
         assert got == scalar_zero_truncated_poisson(lam, tail_mass)
+
+
+def assert_matches_scipy_stats(lam):
+    k = np.arange(int(lam + 12.0 * math.sqrt(lam)) + 201)
+    assert _poisson_pmf(k, lam).tobytes() == sp_poisson.pmf(k, lam).tobytes(), lam
+    assert _poisson_sf(k, lam).tobytes() == sp_poisson.sf(k, lam).tobytes(), lam
+
+
+class TestPoissonUfuncs:
+    """The pmf and tail taken from scipy.special are scipy.stats.poisson's bytes."""
+
+    @pytest.mark.parametrize(
+        "lam", [0.0, 1e-300, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 1000.0, MAX_RATE]
+    )
+    def test_bit_identical_at_landmark_rates(self, lam):
+        assert_matches_scipy_stats(lam)
+
+    def test_bit_identical_at_log_uniform_rates(self):
+        rates = np.exp(np.random.default_rng(410).uniform(
+            math.log(1e-12), math.log(MAX_RATE), size=400))
+        for lam in rates:
+            assert_matches_scipy_stats(float(lam))
 
 
 @pytest.mark.parametrize("bad", [MAX_RATE * (1 + 1e-12), 1e6, 1e300])

@@ -19,6 +19,39 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_in_child(argvs: list[list[str]], cwd, prelude: str = "") -> list:
+    """[exit code, stderr] of each argv, run by ``main`` in one fresh process.
+
+    The timeout turns a regression to a hang or a huge allocation into a
+    test failure instead of a stalled suite.  ``prelude`` runs first, after
+    ``hubrelease.cli`` is imported as ``cli``.
+    """
+    child = (
+        "import contextlib, io, json, sys\n"
+        "import hubrelease.cli as cli\n"
+        + prelude +
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        out.append([cli.main(argv), err.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(argvs)],
+        capture_output=True, text=True, env=child_env(), cwd=cwd, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 BERNOULLI_PMF = "count,probability\n0,0.5\n1,0.5\n"
 
 
@@ -87,31 +120,40 @@ class TestThreshold:
             (["dp-verify", "--lambda", "1", "--ratio", "1e-305"], "too small"),
             (["sweep", "--lambda-max", "1e300", "--out", "never.csv"], "lambda-max"),
         ]
-        # One child process runs every case, so that a regression to a hang
-        # or a huge allocation fails on the timeout instead of stalling the
-        # suite.
-        child = (
-            "import contextlib, io, json, sys\n"
-            "from hubrelease.cli import main\n"
-            "out = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    err = io.StringIO()\n"
-            "    with contextlib.redirect_stderr(err):\n"
-            "        out.append([main(argv), err.getvalue()])\n"
-            "print(json.dumps(out))\n"
-        )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", child, json.dumps([argv for argv, _ in cases])],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
-        )
-        assert done.returncode == 0, done.stderr
-        for (argv, word), (code, err) in zip(cases, json.loads(done.stdout)):
+        results = run_in_child([argv for argv, _ in cases], tmp_path)
+        for (argv, word), (code, err) in zip(cases, results):
             assert code == 1, argv
             assert err.startswith("error:") and word in err, argv
         assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan", "-1E5", "-1"])
+    def test_negative_values_reach_the_range_checks(self, capsys, tmp_path, value):
+        # argparse would take "-1e-3", "-inf" and "-nan" for option names.
+        out = str(tmp_path / "never.csv")
+        for argv, word in (
+            (["threshold", "--lambda", "0.1", "--ratio", value], "ratio"),
+            (["threshold", "--lambda", value, "--ratio", "0.005"], "rate"),
+            (["dp-verify", "--lambda", "0.1", "--ratio", value], "step_cost"),
+            (["dp-verify", "--lambda", value, "--ratio", "0.005"], "rate"),
+            (["sweep", "--lambda-min", value, "--out", out], "lambda-min"),
+            (["sweep", "--ratio", value, "--out", out], "step_cost"),
+            (["sweep", "--step-seconds", value, "--out", out], "step_seconds"),
+            # A nan initial rate passes the config and stops at the pmf.
+            (["sweep", "--initial-lambda", value, "--points", "1", "--out", out],
+             "initial_lam" if value != "-nan" else "rate must be positive"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith("error:") and word in err, argv
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_negative_value_after_a_flag_stays_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "sweep", "--exclude-forced-length", "-1e-3",
+            "--out", str(tmp_path / "never.csv"),
+        )
+        assert code == 2
+        assert "-1e-3" in err
 
     def test_missing_pmf_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -184,6 +226,42 @@ class TestDpVerify:
         cap = int(out.split("x")[-1])
         assert cap > n_star
 
+    def test_state_limit_is_checked_before_any_table(self, tmp_path):
+        cases = [
+            # n_star = 408248 at this ratio: 721 x 408257 solver states.
+            (["dp-verify", "--lambda", "0.16666666666666666", "--ratio", "1e-12"],
+             "the solver needs 721 x 408257"),
+            (["dp-verify", "--lambda", "1", "--ratio", "0.005",
+              "--horizon", "1000000000"], "the occupancy-cap search needs"),
+            (["dp-verify", "--lambda", "0", "--ratio", "0.005",
+              "--horizon", "100000000"], "the solver needs"),
+            # A one-step solve, but 21202 counts x 21004 batch sizes.
+            (["dp-verify", "--lambda", "20000", "--ratio", "0.005", "--horizon", "1"],
+             "the solver's transition table needs 21202 x 21004"),
+        ]
+        # The cap search and the solver are guarded in the child, so that a
+        # missing check fails the test before it allocates or loops over a
+        # grid past the limit.
+        guards = (
+            "import hubrelease.dp as dp\n"
+            "tail, solve = dp._final_count_tail, cli.solve\n"
+            "def guarded_tail(dist, horizon, bound):\n"
+            "    assert horizon * (bound + 2) <= dp.MAX_STATES, 'cap search past the limit'\n"
+            "    return tail(dist, horizon, bound)\n"
+            "def guarded_solve(config):\n"
+            "    assert (config.horizon + 1) * (config.max_count + 1) <= dp.MAX_STATES, "
+            "'solve past the limit'\n"
+            "    assert config.max_count * (config.dist.support_max + 1) <= dp.MAX_STATES, "
+            "'transitions past the limit'\n"
+            "    return solve(config)\n"
+            "dp._final_count_tail, cli.solve = guarded_tail, guarded_solve\n"
+        )
+        results = run_in_child([argv for argv, _ in cases], tmp_path, guards)
+        for (argv, words), (code, err) in zip(cases, results):
+            assert code == 1, argv
+            assert err.startswith("error:") and words in err, argv
+            assert "MAX_STATES" in err, argv
+
     def test_disagreement_reporting(self, capsys, tmp_path, monkeypatch):
         # The solver and the rule genuinely agree, so fake a disagreement to
         # pin the failure-path output contract.
@@ -206,6 +284,15 @@ class TestSweep:
             "--samples", "4", "--horizon", "40", "--seed", "7",
             "--out", str(out_path), *extra,
         ]
+
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    def test_step_label_must_be_positive_and_finite(self, capsys, tmp_path, value):
+        # The manifest must stay strict JSON, which has no NaN or Infinity.
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, *self.sweep_args(out_path, "--step-seconds", value))
+        assert code == 1
+        assert "step_seconds must be positive and finite" in err
+        assert not out_path.exists()
 
     def test_csv_schema_and_shape(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -337,6 +424,20 @@ class TestIngest:
         manifest = json.loads((tmp_path / "rates.csv.manifest.json").read_text())
         assert manifest["parameters"]["stop_fraction"] == 0.5
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan", "nan", "inf"])
+    def test_ingest_rejects_bad_step_and_fraction(self, capsys, tmp_path, value):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("hour,count\n0,100\n")
+        for argv, word in (
+            (["ingest", "--file", str(counts), "--stop-fraction", value],
+             "stop_fraction"),
+            (["ingest", "--file", str(counts), "--stop-fraction", "0.5",
+              "--step-seconds", value], "step_seconds"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith("error:") and word in err, argv
+
     def test_malformed_file_is_domain_error(self, capsys, tmp_path):
         counts = tmp_path / "counts.csv"
         counts.write_text("hour,count\nnoon,12\n")
@@ -358,16 +459,34 @@ class TestParser:
         assert code == 2
 
     def test_module_runs_as_a_program(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "hubrelease", "threshold",
              "--lambda", str(1.0 / 6.0), "--ratio", "0.005"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert done.returncode == 0
         assert done.stdout == "n_star,6\n"
+
+    def test_start_up_leaves_scipy_stats_unimported(self):
+        # scipy.stats alone would about double start-up time and memory;
+        # the Poisson pmf and tail come from scipy.special.
+        root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+        script = os.path.join(root, "scripts", "reproduce_figures.py")
+        child = (
+            "import importlib.util, sys\n"
+            "import hubrelease, hubrelease.cli\n"
+            "spec = importlib.util.spec_from_file_location('reproduce_figures', sys.argv[1])\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "assert hubrelease.cli.main(['threshold', '--lambda', '0.5', "
+            "'--ratio', '0.005']) == 0\n"
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, script],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_entrypoint_propagates_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

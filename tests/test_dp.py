@@ -189,6 +189,40 @@ class TestOccupancyCap:
         assert config.max_count == cap
 
 
+def never(what):
+    def refuse(*args):
+        raise AssertionError(f"{what} ran")
+
+    return refuse
+
+
+class TestStateLimit:
+    def test_cap_search_past_the_limit_is_refused_before_it_runs(self, monkeypatch):
+        monkeypatch.setattr(dp, "_final_count_tail", never("the cap search"))
+        single = from_pmf([(1, 1.0)])
+        with pytest.raises(ValueError, match="occupancy-cap search needs.*MAX_STATES"):
+            suggest_max_count(single, 10**6)
+        with pytest.raises(ValueError, match="cap check needs.*MAX_STATES"):
+            cap_violation_probability(single, 10, dp.MAX_STATES)
+
+    def test_solver_grid_is_bounded_at_construction(self):
+        # No arrivals: the cap check is free, so only the limit decides.
+        empty = from_pmf([(0, 1.0)])
+        params = RewardParams(1.0, 0.005)
+        at_limit = dp.MAX_STATES // 2 - 1
+        assert DpConfig(at_limit, 1, empty, params).horizon == at_limit
+        with pytest.raises(ValueError, match="solver needs.*MAX_STATES"):
+            DpConfig(at_limit + 1, 1, empty, params)
+
+    def test_transition_table_is_bounded_before_the_cap_check(self, monkeypatch):
+        # At rate 2e4 the default cap of a one-step solve is 21202 counts,
+        # each with 21004 batch sizes: 4.5e8 transitions, 3.6 GB of indices.
+        monkeypatch.setattr(dp, "cap_violation_probability", never("the cap check"))
+        dist = poisson_truncated(2e4)
+        with pytest.raises(ValueError, match="transition table needs 21202 x 21004"):
+            DpConfig(1, 21202, dist, RewardParams(1.0, 0.005))
+
+
 def absorbed_past_cap(dist, horizon, cap):
     """Reference: the mass that passes `cap`, absorbed step by step."""
     pmf = np.asarray(dist.probabilities)

@@ -43,6 +43,11 @@ class TestToLambda:
         with pytest.raises(ValueError):
             to_lambda(counts, 0.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="step_seconds"):
+            to_lambda(HourlyCounts(0, 100.0), 0.5, bad)
+
     @given(
         vph=st.floats(min_value=0.0, max_value=1e5),
         fraction=st.floats(min_value=0.0, max_value=1.0),
@@ -65,6 +70,11 @@ class TestToLambda:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             HourlyCounts(5, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HourlyCounts(5, bad)
 
 
 class TestParseCountsCsv:
@@ -94,6 +104,12 @@ class TestParseCountsCsv:
         path = tmp_path / "counts.csv"
         path.write_text("hour,count\n8,many\n")
         with pytest.raises(IngestError, match=r"line 2.*'many'"):
+            parse_counts_csv(str(path))
+
+    def test_non_finite_count_reports_line_number(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("hour,count\n0,10\n1,nan\n")
+        with pytest.raises(IngestError, match=r"line 3.*finite"):
             parse_counts_csv(str(path))
 
     def test_duplicate_hour_rejected(self, tmp_path):

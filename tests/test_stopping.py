@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hubrelease.arrival import from_pmf, poisson_truncated
@@ -226,6 +226,7 @@ def test_release_condition_monotone_in_occupancy(case):
 
 
 @given(pmf_and_ratio())
+@example((from_pmf([(1, 1.0)]), 0.49999999999999994))
 @settings(max_examples=100, deadline=None)
 def test_lookahead_is_step_invariant(case):
     dist, ratio = case
