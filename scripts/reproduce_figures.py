@@ -10,8 +10,8 @@ Writes under --out-dir (default results/):
 and first checks the threshold rule against the backward-induction solver
 at the reference operating point (rate 1/6, ratio 0.005, 720 steps).
 
-At the default 1000 samples the sweep takes a minute or two; pass
---samples 200 for a quick look.
+At the default 1000 samples the whole run takes about 8 s on a 2-core
+x86-64 host (Python 3.11, numpy 2.4); pass --samples 200 for a quick look.
 """
 from __future__ import annotations
 

@@ -83,7 +83,10 @@ class ArrivalDistribution:
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. counts by inverse-cdf lookup."""
-        u = rng.random(size)
+        return self.counts_at(rng.random(size))
+
+    def counts_at(self, u: np.ndarray) -> np.ndarray:
+        """The count drawn by each uniform in ``u`` (any shape): inverse-cdf lookup."""
         idx = np.searchsorted(self._cumulative, u, side="right")
         return np.minimum(idx, self.support_max)
 

@@ -11,6 +11,7 @@ mismatch), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -145,6 +146,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if not 0 <= args.lambda_min <= args.lambda_max <= MAX_RATE:
         raise ValueError(f"need 0 <= lambda-min <= lambda-max <= {MAX_RATE:g}")
+    if args.initial_lam is not None and not 0 <= args.initial_lam <= MAX_RATE:
+        raise ValueError(
+            f"--initial-lambda must be a rate in [0, {MAX_RATE:g}], got {args.initial_lam!r}"
+        )
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for name in policies:
         if name not in POLICY_NAMES:
@@ -220,6 +225,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: a parser costs more than a threshold call, and
+# parse_args leaves it unchanged.
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hubrelease",

@@ -27,6 +27,16 @@ CAP_TOLERANCE = 1e-9
 # check of certain growth (5000 x 5003), and turns a tiny ratio, a huge
 # horizon or a huge rate into an error before anything is allocated.
 MAX_STATES = 30_000_000
+# Largest number of multiply-adds the cap search may spend: each of its
+# horizon steps convolves (bound + 1) counts with the whole pmf, so a search
+# within MAX_STATES can still take minutes when the pmf is long (rate 2e4,
+# 37 steps: 6e11).  On a 2-core x86-64 host np.convolve does 5e8 to 4e9
+# multiply-adds per second, the low end with the longest pmfs, so the limit
+# keeps a search to a few seconds at most.  It is 76 times the largest
+# benchmarked search (rate 2, horizon 720: 2.6e7) and 40 times the 5000-step
+# cap check the tests run (5e7); rate 30 over 720 steps (1.3e9, 0.7 s) and
+# a one-step search at rate 2e4 (9e8, 1.6 s) stay inside it.
+MAX_CONVOLUTION_WORK = 2_000_000_000
 
 
 def _check_states(rows: int, cols: int, what: str) -> None:
@@ -35,6 +45,19 @@ def _check_states(rows: int, cols: int, what: str) -> None:
             f"{what} needs {rows} x {cols} = {rows * cols:.3g} states, "
             f"more than MAX_STATES = {MAX_STATES:.3g}; use a shorter horizon, "
             f"a larger ratio, a lower rate or a smaller occupancy cap"
+        )
+
+
+def _check_search(dist: ArrivalDistribution, horizon: int, bound: int, what: str) -> None:
+    """Refuse a cap search past MAX_STATES or MAX_CONVOLUTION_WORK before it runs."""
+    _check_states(horizon, bound + 2, what)
+    work = horizon * (bound + 1) * (dist.support_max + 1)
+    if work > MAX_CONVOLUTION_WORK:
+        raise ValueError(
+            f"{what} needs {horizon} steps x {bound + 1} counts x "
+            f"{dist.support_max + 1} batch sizes = {work:.3g} multiply-adds, more "
+            f"than MAX_CONVOLUTION_WORK = {MAX_CONVOLUTION_WORK:.3g}; use a shorter "
+            f"horizon or a lower rate"
         )
 
 
@@ -84,7 +107,7 @@ def cap_violation_probability(
     if dist.support_max == 0:
         return 0.0
     bound = max(_search_bound(dist, horizon), max_count)
-    _check_states(horizon, bound + 2, "the cap check")
+    _check_search(dist, horizon, bound, "the cap check")
     return float(_final_count_tail(dist, horizon, bound)[max_count + 1])
 
 
@@ -97,7 +120,7 @@ def suggest_max_count(
     if dist.support_max == 0:
         return 1
     bound = _search_bound(dist, horizon)
-    _check_states(horizon, bound + 2, "the occupancy-cap search")
+    _check_search(dist, horizon, bound, "the occupancy-cap search")
     tail = _final_count_tail(dist, horizon, bound)
     if tail[-1] >= tol:
         raise ValueError("search cushion too small for the requested tolerance")

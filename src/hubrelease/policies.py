@@ -4,11 +4,18 @@ Three causal rules (occupancy threshold, fixed period, release-on-sight)
 plus a non-causal benchmark that sees the whole future arrival trajectory
 of an episode and picks the reward-maximizing release step.
 
-Each policy has one method, ``release_steps(arrivals, params)``: given an
-hour's arrival vector (``arrivals[0]`` the initial count, ``arrivals[k]``
-the batch landing at step k) it returns the sorted steps at which the
-coordinator fires.  A fire empties the hub into one platoon and restarts
-the episode clock, so fires on an empty hub are listed too.
+Each policy has one method, ``fire_mask(cumulative, params)``.  It takes
+a rows x horizon matrix with one simulated hour per row, holding the
+running total of arrivals in row-major order: ``cumulative[r, k]`` counts
+the vehicles of every earlier row plus those of row r up to step k (its
+initial count is the step-0 batch).  It returns a new boolean matrix of
+the same shape, True where the coordinator fires.  A fire empties the hub
+into one platoon and restarts the episode clock, so fires on an empty hub
+are marked too.  The work loops over releases, never over steps: the
+running total never falls, so one search of the flattened matrix finds
+the next step of every row at once, and a result at or past the end of
+its row means that hour has no such step.  ``release_steps`` is the
+one-hour view: the sorted fire steps of one arrival vector.
 """
 from __future__ import annotations
 
@@ -20,8 +27,23 @@ import numpy as np
 from .stopping import RewardParams, release_reward
 
 
+class _OneHourView:
+    """``release_steps`` for a policy class that defines ``fire_mask``."""
+
+    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+        """Sorted fire steps of one hour (``arrivals[0]`` the initial count,
+        ``arrivals[k]`` the batch landing at step k)."""
+        cumulative = np.cumsum(arrivals)[None, :]
+        return np.flatnonzero(self.fire_mask(cumulative, params)[0])
+
+
+def _row_bases(cumulative: np.ndarray) -> np.ndarray:
+    """The running total just before each row: the vehicles of earlier rows."""
+    return np.concatenate(([0], cumulative[:-1, -1]))
+
+
 @dataclass(frozen=True)
-class ThresholdPolicy:
+class ThresholdPolicy(_OneHourView):
     """Release as soon as the hub count reaches n_star (None: never early)."""
 
     n_star: int | None
@@ -30,21 +52,31 @@ class ThresholdPolicy:
         if self.n_star is not None and self.n_star < 1:
             raise ValueError(f"n_star must be >= 1, got {self.n_star!r}")
 
-    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
-        # Jump from release to release: the next fire is the first step whose
-        # cumulative arrivals exceed the last release's by n_star.
-        cumulative = np.cumsum(arrivals)
-        steps = []
-        if self.n_star is not None:
-            step = int(np.searchsorted(cumulative, self.n_star))
-            while step < cumulative.size:
-                steps.append(step)
-                step = int(np.searchsorted(cumulative, cumulative[step] + self.n_star))
-        return np.array(steps, dtype=np.int64)
+    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
+        # A fire at step k is followed by one at the first step whose
+        # running total exceeds that at k by n_star.  Each round searches
+        # the flattened matrix for the next fire of every row still running,
+        # so the work grows with the releases, not with the steps.
+        rows, horizon = cumulative.shape
+        mask = np.zeros((rows, horizon), dtype=bool)
+        if self.n_star is None or self.n_star > cumulative[-1, -1]:
+            return mask
+        flat = cumulative.ravel()
+        fire = np.searchsorted(flat, _row_bases(cumulative) + self.n_star)
+        end = np.arange(1, rows + 1) * horizon
+        flat_mask = mask.ravel()
+        while True:
+            live = fire < end
+            if not live.all():
+                fire, end = fire[live], end[live]
+                if not fire.size:
+                    return mask
+            flat_mask[fire] = True
+            fire = np.searchsorted(flat, flat[fire] + self.n_star)
 
 
 @dataclass(frozen=True)
-class PeriodicPolicy:
+class PeriodicPolicy(_OneHourView):
     """Release at the last step of every fixed-length interval."""
 
     period_steps: int
@@ -53,49 +85,66 @@ class PeriodicPolicy:
         if self.period_steps < 1:
             raise ValueError(f"period_steps must be >= 1, got {self.period_steps!r}")
 
-    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
         # Steps period-1, 2*period-1, ...: each interval keeps every vehicle
         # that arrived within it, including same-step arrivals.
-        return np.arange(self.period_steps - 1, len(arrivals), self.period_steps)
+        mask = np.zeros(cumulative.shape, dtype=bool)
+        mask[:, self.period_steps - 1 :: self.period_steps] = True
+        return mask
 
 
 @dataclass(frozen=True)
-class SpontaneousPolicy:
+class SpontaneousPolicy(_OneHourView):
     """Release at every step: vehicles depart the moment they arrive."""
 
-    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
-        return np.arange(len(arrivals))
+    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
+        return np.ones(cumulative.shape, dtype=bool)
 
 
 @dataclass(frozen=True)
-class NonCausalPolicy:
+class NonCausalPolicy(_OneHourView):
     """Clairvoyant per-episode optimum; an upper bound for causal rules."""
 
-    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
         # Each episode releases at the step, among those with a nonempty hub,
         # that maximizes the episode reward; argmax keeps the earliest of
         # tied steps.  An episode that stays empty to the horizon never fires.
-        cumulative = np.cumsum(arrivals)
+        # One round places the next release of every row still running.
+        rows, horizon = cumulative.shape
         # A step d steps after the first nonempty one gains less than benefit
         # and loses d * step_cost, so past d = benefit/step_cost + 1 it is
         # worse than releasing at once by more than step_cost, far above the
         # rounding error; the argmax window stops there.
-        reach = cumulative.size
+        reach = horizon
         if params.step_cost > 0 and params.benefit / params.step_cost < reach:
-            reach = int(params.benefit / params.step_cost) + 3
-        steps = []
-        start, released = 0, 0
+            reach = min(int(params.benefit / params.step_cost) + 3, horizon)
+        window = np.arange(reach)
+        mask = np.zeros((rows, horizon), dtype=bool)
+        flat_mask = mask.ravel()
+        # A window may run past its row, into the next hour or, for the last
+        # row, into this padding; those columns are scored -inf below.
+        flat = np.concatenate((cumulative.ravel(), np.full(reach, cumulative[-1, -1])))
+        # Per running row: the flat index of its end and of its episode
+        # start, and the running total at its last release.
+        end = np.arange(1, rows + 1) * horizon
+        origin = end - horizon
+        level = _row_bases(cumulative)
         while True:
-            first = int(np.searchsorted(cumulative, released + 1))
-            if first == cumulative.size:
-                break
-            end = min(first + reach, cumulative.size)
-            counts = cumulative[first:end] - released
-            waited = np.arange(first - start, end - start)
-            step = first + int(np.argmax(release_reward(counts, waited, params)))
-            steps.append(step)
-            start, released = step + 1, cumulative[step]
-        return np.array(steps, dtype=np.int64)
+            # The first step whose hub is nonempty: past the last release.
+            first = np.searchsorted(flat, level + 1)
+            live = first < end
+            if not live.all():
+                first, end, origin, level = first[live], end[live], origin[live], level[live]
+                if not first.size:
+                    return mask
+            steps = first[:, None] + window
+            reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None],
+                                    params)
+            if (first + reach > end).any():
+                reward[steps >= end[:, None]] = -np.inf
+            fire = first + np.argmax(reward, axis=1)
+            flat_mask[fire] = True
+            origin, level = fire + 1, flat[fire]
 
 
 PolicyKind = Union[ThresholdPolicy, PeriodicPolicy, SpontaneousPolicy, NonCausalPolicy]

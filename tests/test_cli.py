@@ -105,7 +105,9 @@ class TestThreshold:
             (["sweep", "--lambda-min", "nan", "--out", str(tmp_path / "b.csv")],
              "lambda-min"),
             (["sweep", "--initial-lambda", "nan", "--points", "1",
-              "--out", str(tmp_path / "c.csv")], "rate"),
+              "--out", str(tmp_path / "c.csv")], "--initial-lambda must be a rate"),
+            (["sweep", "--initial-lambda", "inf", "--points", "1",
+              "--out", str(tmp_path / "d.csv")], "--initial-lambda must be a rate"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
@@ -138,9 +140,8 @@ class TestThreshold:
             (["sweep", "--lambda-min", value, "--out", out], "lambda-min"),
             (["sweep", "--ratio", value, "--out", out], "step_cost"),
             (["sweep", "--step-seconds", value, "--out", out], "step_seconds"),
-            # A nan initial rate passes the config and stops at the pmf.
             (["sweep", "--initial-lambda", value, "--points", "1", "--out", out],
-             "initial_lam" if value != "-nan" else "rate must be positive"),
+             "--initial-lambda must be a rate in [0, 20000]"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
@@ -261,6 +262,24 @@ class TestDpVerify:
             assert code == 1, argv
             assert err.startswith("error:") and words in err, argv
             assert "MAX_STATES" in err, argv
+
+    def test_convolution_work_is_checked_before_the_cap_search(self, tmp_path):
+        # Inside MAX_STATES (37 x 771331), but every step convolves with a
+        # 21004-entry pmf: minutes of work, refused before the first step.
+        guards = (
+            "import hubrelease.dp as dp\n"
+            "tail = dp._final_count_tail\n"
+            "def guarded_tail(dist, horizon, bound):\n"
+            "    work = horizon * (bound + 1) * (dist.support_max + 1)\n"
+            "    assert work <= dp.MAX_CONVOLUTION_WORK, 'cap search past the limit'\n"
+            "    return tail(dist, horizon, bound)\n"
+            "dp._final_count_tail = guarded_tail\n"
+        )
+        argv = ["dp-verify", "--lambda", "20000", "--ratio", "0.005", "--horizon", "37"]
+        [(code, err)] = run_in_child([argv], tmp_path, guards)
+        assert code == 1
+        assert err.startswith("error: the occupancy-cap search needs 37 steps")
+        assert "MAX_CONVOLUTION_WORK" in err
 
     def test_disagreement_reporting(self, capsys, tmp_path, monkeypatch):
         # The solver and the rule genuinely agree, so fake a disagreement to
@@ -449,6 +468,19 @@ class TestIngest:
 
 
 class TestParser:
+    def test_parser_is_built_once_and_reused(self, capsys, tmp_path):
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        assert run(capsys, "threshold", "--lambda", "0.5", "--ratio", "0.005")[0] == 0
+        assert run(capsys, "threshold", "--lambda", "0.1", "--ratio", "nan")[0] == 1
+        code, out, _ = run(capsys, "threshold", "--pmf-file", str(tmp_path / "no.csv"),
+                           "--ratio", "0.01")
+        assert code == 1
+        assert run(capsys, "threshold", "--lambda", "0.16666666666666666",
+                   "--ratio", "0.005")[1] == "n_star,6\n"
+        assert cli.build_parser() is parser
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0

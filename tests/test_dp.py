@@ -205,6 +205,27 @@ class TestStateLimit:
         with pytest.raises(ValueError, match="cap check needs.*MAX_STATES"):
             cap_violation_probability(single, 10, dp.MAX_STATES)
 
+    def test_convolution_work_past_the_limit_is_refused_before_it_runs(self, monkeypatch):
+        # Rate 2e4 over 37 steps: 37 x 771330 counts is inside MAX_STATES, but
+        # each step convolves with 21004 batch sizes, 6e11 multiply-adds.
+        monkeypatch.setattr(dp, "_final_count_tail", never("the cap search"))
+        dist = poisson_truncated(2e4)
+        with pytest.raises(ValueError,
+                           match="occupancy-cap search needs 37 steps.*MAX_CONVOLUTION_WORK"):
+            suggest_max_count(dist, 37)
+        with pytest.raises(ValueError, match="cap check needs 37 steps.*MAX_CONVOLUTION_WORK"):
+            cap_violation_probability(dist, 37, 800_000)
+
+    def test_largest_benchmarked_and_tested_searches_stay_inside_the_work_limit(self):
+        # perfbench's largest cap search (rate 2, 720 steps) and the 5000-step
+        # check of TestSharedCapTail, with the bounds the searches use.
+        dist = poisson_truncated(2.0)
+        bound = dp._search_bound(dist, 720)
+        assert 720 * (bound + 1) * (dist.support_max + 1) * 50 < dp.MAX_CONVOLUTION_WORK
+        single = from_pmf([(1, 1.0)])
+        bound = max(dp._search_bound(single, 5000), 5001)
+        assert 5000 * (bound + 1) * 2 * 20 < dp.MAX_CONVOLUTION_WORK
+
     def test_solver_grid_is_bounded_at_construction(self):
         # No arrivals: the cap check is free, so only the limit decides.
         empty = from_pmf([(0, 1.0)])

@@ -1,15 +1,19 @@
 """Hour simulation semantics, determinism, and Monte-Carlo aggregation."""
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from hubrelease import sim
 from hubrelease.policies import (
     NonCausalPolicy,
     PeriodicPolicy,
     SpontaneousPolicy,
     ThresholdPolicy,
+    make_policy,
 )
 from hubrelease.sim import (
     HourResult,
@@ -171,11 +175,51 @@ def step_loop_hour(arrivals, policy, params):
     return platoons, vehicles
 
 
+def row_hours(cfg, samples):
+    """Rows 0..samples-1 simulated together, split back into one tuple per row.
+
+    Each tuple is (platoons, vehicles) as ``step_loop_hour`` lists them, in
+    the row's own steps.
+    """
+    arrivals = sim._draw_arrivals(cfg, 0, samples)
+    cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
+    hours = sim._simulate(cfg.policy, arrivals, cumulative, cfg.params)
+    assert hours.platoons.sum() == hours.size.size
+    assert hours.vehicles.sum() == hours.vehicle_wait.size
+    out, platoon, vehicle = [], 0, 0
+    for r, (n_platoons, n_vehicles) in enumerate(
+            zip(hours.platoons.tolist(), hours.vehicles.tolist())):
+        p = slice(platoon, platoon + n_platoons)
+        v = slice(vehicle, vehicle + n_vehicles)
+        forced = [False] * (n_platoons - 1) + [bool(hours.forced[r])]
+        out.append((
+            list(zip((hours.release_step[p] - r * cfg.horizon_steps).tolist(),
+                     hours.size[p].tolist(),
+                     (hours.episode_start[p] - r * cfg.horizon_steps).tolist(),
+                     forced)),
+            list(zip(hours.vehicle_wait[v].tolist(), hours.vehicle_is_lead[v].tolist())),
+        ))
+        platoon, vehicle = platoon + n_platoons, vehicle + n_vehicles
+    return arrivals, out
+
+
+def one_hour(hour):
+    """An HourResult as (platoons, vehicles), as ``row_hours`` gives each row."""
+    return (
+        list(zip(hour.platoon_release_step.tolist(), hour.platoon_size.tolist(),
+                 hour.platoon_episode_start.tolist(), hour.platoon_forced.tolist())),
+        list(zip(hour.vehicle_wait.tolist(), hour.vehicle_is_lead.tolist())),
+    )
+
+
+STEP_LOOP_POLICIES = [
+    ThresholdPolicy(3), ThresholdPolicy(1), ThresholdPolicy(None),
+    PeriodicPolicy(7), PeriodicPolicy(1), SpontaneousPolicy(), NonCausalPolicy(),
+]
+
+
 class TestAgainstStepLoop:
-    @pytest.mark.parametrize("policy", [
-        ThresholdPolicy(3), ThresholdPolicy(1), ThresholdPolicy(None),
-        PeriodicPolicy(7), PeriodicPolicy(1), SpontaneousPolicy(), NonCausalPolicy(),
-    ])
+    @pytest.mark.parametrize("policy", STEP_LOOP_POLICIES)
     @pytest.mark.parametrize("lam", [0.05, 0.5, 2.0])
     def test_columns_match_the_per_step_simulation(self, policy, lam):
         cfg = config(policy, lam=lam, horizon_steps=90)
@@ -188,6 +232,159 @@ class TestAgainstStepLoop:
                             hour.platoon_forced.tolist())) == platoons
             assert list(zip(hour.vehicle_wait.tolist(),
                             hour.vehicle_is_lead.tolist())) == vehicles
+
+    @pytest.mark.parametrize("policy", STEP_LOOP_POLICIES)
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5, 2.0])
+    def test_every_row_of_a_matrix_matches_the_per_step_simulation(self, policy, lam):
+        cfg = config(policy, lam=lam, horizon_steps=90)
+        arrivals, rows = row_hours(cfg, 6)
+        for row_arrivals, hour in zip(arrivals.tolist(), rows):
+            assert step_loop_hour(row_arrivals, policy, PARAMS) == hour
+
+
+# (policy, rate, config overrides): the edges of the cell kernel.
+KERNEL_CASES = [
+    (ThresholdPolicy(6), 1.0 / 6.0, {}),
+    (ThresholdPolicy(2), 1.5, {"initial_lam": 0.0}),
+    (ThresholdPolicy(None), 0.3, {}),
+    (ThresholdPolicy(None), 0.3, {"include_forced_in_length": False}),
+    (ThresholdPolicy(40), 0.05, {"horizon_steps": 45, "include_forced_in_length": False}),
+    (PeriodicPolicy(60), 0.05, {"initial_lam": 3.0}),
+    (PeriodicPolicy(100), 0.5, {"horizon_steps": 45}),
+    (PeriodicPolicy(100), 0.5, {"horizon_steps": 45, "include_forced_in_length": False}),
+    (SpontaneousPolicy(), 0.7, {"include_forced_in_length": False}),
+    (NonCausalPolicy(), 1.0 / 6.0, {}),
+    (NonCausalPolicy(), 0.2, {"params": RewardParams(1.0, 0.0)}),
+    (NonCausalPolicy(), 0.5, {"params": RewardParams(2.0, 0.3), "initial_lam": 0.01}),
+] + [
+    (policy, lam, extra)
+    for policy in (ThresholdPolicy(6), PeriodicPolicy(7), SpontaneousPolicy(),
+                   NonCausalPolicy())
+    for lam, extra in ((0.0, {}), (0.4, {"horizon_steps": 1}),
+                       (0.4, {"horizon_steps": 1, "include_forced_in_length": False}))
+]
+
+
+def kernel_config(policy, lam, extra, samples=11):
+    return dataclasses.replace(config(policy, lam=lam, samples=samples), **extra)
+
+
+def per_hour_summary(cfg):
+    """Reference: the per-hour loop over run_episode_hour, with explicit left folds."""
+    fold = functools.partial(functools.reduce, operator.add)
+    params = cfg.params
+    utility, wait, length, episode = [], [], [], []
+    vehicles = platoons = length_count = 0
+    sample_utility, sample_wait, sample_length, sample_episode = [], [], [], []
+    for i in range(cfg.samples):
+        hour = run_episode_hour(cfg, i)
+        n = hour.vehicle_wait.size
+        lengths = hour.platoon_size
+        if not cfg.include_forced_in_length:
+            lengths = lengths[~hour.platoon_forced]
+        u = fold(per_vehicle_utility(hour.vehicle_wait, hour.vehicle_is_lead,
+                                     params).tolist(), 0.0)
+        e = fold(release_reward(hour.platoon_size,
+                                hour.platoon_release_step - hour.platoon_episode_start,
+                                params).tolist(), 0.0)
+        w, l = int(hour.vehicle_wait.sum()), int(lengths.sum())
+        utility.append(u)
+        wait.append(w)
+        length.append(l)
+        episode.append(e)
+        sample_utility.append(u / n)
+        sample_wait.append(w / n)
+        sample_length.append(l / lengths.size if lengths.size else math.nan)
+        sample_episode.append(e / n)
+        vehicles += n
+        platoons += hour.platoon_size.size
+        length_count += lengths.size
+    half = sim._half_width
+    return sim.MetricsSummary(
+        mean_utility=fold(utility, 0.0) / vehicles,
+        ci_utility=half(np.array(sample_utility)),
+        mean_platoon_len=fold(length, 0.0) / length_count if length_count else math.nan,
+        ci_platoon_len=half(np.array(sample_length)),
+        mean_wait_steps=fold(wait, 0.0) / vehicles,
+        ci_wait_steps=half(np.array(sample_wait)),
+        mean_episode_utility=fold(episode, 0.0) / vehicles,
+        ci_episode_utility=half(np.array(sample_episode)),
+        samples=cfg.samples,
+        vehicles=vehicles,
+        platoons=platoons,
+    )
+
+
+def chunk_items(cfg, rows):
+    """A value of sim._CHUNK_ITEMS that makes chunks of `rows` rows for cfg."""
+    per_row = (cfg.horizon_steps + sim._initial_dist(sim._initial_rate(cfg)).mean
+               + (cfg.horizon_steps - 1) * sim._arrival_dist(cfg.lam).mean)
+    return (rows + 0.5) * per_row
+
+
+class TestCellKernel:
+    @pytest.mark.parametrize("policy,lam,extra", KERNEL_CASES)
+    def test_rows_together_match_each_row_alone(self, policy, lam, extra):
+        cfg = kernel_config(policy, lam, extra)
+        arrivals, rows = row_hours(cfg, cfg.samples)
+        for i, hour in enumerate(rows):
+            alone = run_episode_hour(cfg, i)
+            assert np.array_equal(arrivals[i], alone.arrivals)
+            assert hour == one_hour(alone)
+
+    @pytest.mark.parametrize("policy,lam,extra", KERNEL_CASES)
+    def test_metrics_equal_the_per_hour_fold(self, policy, lam, extra):
+        cfg = kernel_config(policy, lam, extra)
+        assert repr(monte_carlo(cfg)) == repr(per_hour_summary(cfg))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("policy,lam,extra", KERNEL_CASES)
+    def test_chunking_leaves_every_bit(self, monkeypatch, rows, policy, lam, extra):
+        cfg = kernel_config(policy, lam, extra)
+        whole = repr(monte_carlo(cfg))
+        chunks = []
+        draw = sim._draw_arrivals
+
+        def spy(config, first, stop):
+            chunks.append(stop - first)
+            return draw(config, first, stop)
+
+        monkeypatch.setattr(sim, "_draw_arrivals", spy)
+        monkeypatch.setattr(sim, "_CHUNK_ITEMS", 1 if rows == 1 else chunk_items(cfg, rows))
+        assert repr(monte_carlo(cfg)) == whole
+        assert chunks == [rows] * (cfg.samples // rows) + [cfg.samples % rows] * (
+            cfg.samples % rows > 0)
+
+    def test_sweep_draws_each_rate_once_and_matches_single_cells(self, monkeypatch):
+        draws = []
+        draw = sim._draw_arrivals
+
+        def spy(config, first, stop):
+            draws.append(config.cell_index)
+            return draw(config, first, stop)
+
+        monkeypatch.setattr(sim, "_draw_arrivals", spy)
+        rows = sweep([0.0, 0.1, 0.4], ["threshold", "periodic", "spontaneous",
+                                        "non_causal"],
+                     params=PARAMS, samples=7, horizon_steps=50, master_seed=4,
+                     initial_lam=0.2, include_forced_in_length=False, period_steps=9)
+        assert draws == [0, 1, 2]
+        monkeypatch.setattr(sim, "_draw_arrivals", draw)
+        for row in rows:
+            cfg = SimConfig(
+                lam=row.lam, params=PARAMS,
+                policy=make_policy(row.policy, row.n_star, 9), horizon_steps=50,
+                samples=7, master_seed=4, initial_lam=0.2, include_forced_in_length=False,
+                cell_index=[0.0, 0.1, 0.4].index(row.lam),
+            )
+            assert repr(row.metrics) == repr(monte_carlo(cfg))
+
+    def test_rows_without_an_unforced_platoon_have_no_length(self):
+        cfg = kernel_config(ThresholdPolicy(None), 0.3, {"include_forced_in_length": False})
+        metrics = monte_carlo(cfg)
+        assert math.isnan(metrics.mean_platoon_len)
+        assert metrics.ci_platoon_len == 0.0
+        assert metrics.platoons == cfg.samples
 
 
 class TestNonCausalHour:
@@ -364,6 +561,12 @@ class TestConfigValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="lam"):
             SimConfig(lam=-0.1, params=PARAMS, policy=ThresholdPolicy(6))
+
+    @pytest.mark.parametrize("field", ["lam", "initial_lam"])
+    def test_nan_rate_rejected(self, field):
+        kwargs = {"lam": 0.1, field: math.nan}
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
+            SimConfig(params=PARAMS, policy=ThresholdPolicy(6), **kwargs)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
