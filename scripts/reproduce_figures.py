@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from hubrelease.arrival import poisson_truncated
+from hubrelease.atomic import atomic_writer
 from hubrelease.cli import main as cli_main
 from hubrelease.stopping import compute_threshold
 
@@ -31,7 +32,7 @@ REFERENCE_RATE = 1.0 / 6.0
 
 def write_threshold_curves(path: Path, points: int, ratios: tuple[float, ...]) -> None:
     grid = np.linspace(0.0, REFERENCE_RATE, points)
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(str(path)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "ratio", "n_star"])
         for ratio in ratios:

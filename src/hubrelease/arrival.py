@@ -18,9 +18,8 @@ from scipy.special import gammaln, pdtrc, xlogy
 PMF_SUM_TOL = 1e-12
 # from_pmf() accepts slightly off-normalized input and rescales it.
 PMF_NORMALIZE_TOL = 1e-9
-# Default relative mass discarded when truncating an infinite support.
-DEFAULT_TAIL_MASS = 1e-12
-MAX_TAIL_MASS = 1e-6
+# Relative mass discarded when truncating an infinite support.
+TAIL_MASS = 1e-12
 # Largest accepted Poisson rate.  A hub never sees anywhere near this many
 # vehicles per step, and every truncated pmf stays a few tens of thousands
 # of entries long.
@@ -106,11 +105,6 @@ class InitialCountDistribution(ArrivalDistribution):
         return cls((0.0, 1.0))
 
 
-def _validate_tail_mass(tail_mass: float) -> None:
-    if not (0.0 < tail_mass <= MAX_TAIL_MASS):
-        raise ValueError(f"tail_mass must be in (0, {MAX_TAIL_MASS}], got {tail_mass!r}")
-
-
 # The Poisson pmf and tail are the expressions scipy.stats.poisson evaluates
 # (its _logpmf and _sf, clipped to [0, 1] as its public pmf and sf do), so
 # they give the same bits without importing scipy.stats, which would double
@@ -125,38 +119,36 @@ def _poisson_sf(k: np.ndarray, lam: float) -> np.ndarray:
     return np.clip(pdtrc(k, lam), 0.0, 1.0)
 
 
-def _truncation_point(lam: float, tail_mass: float, start: int, scale: float) -> int:
-    """Smallest x >= start with P(X > x) / scale < tail_mass, X ~ Poisson(lam).
+def _truncation_point(lam: float, start: int, scale: float) -> int:
+    """Smallest x >= start with P(X > x) / scale < TAIL_MASS, X ~ Poisson(lam).
 
-    Evaluates sf over a bracket at a time, from start upward, so the first
-    hit is the one a count-by-count scan would stop at; the first bracket
-    already holds it unless tail_mass is far below the default.
+    Evaluates sf over one bracket from start upward, so the first hit is the
+    one a count-by-count scan would stop at.  The bracket always holds it:
+    by Bernstein's inequality P(X >= lam + t) <= exp(-t^2 / (2 (lam + t/3))),
+    and at its end, t = 10 sqrt(lam) + 40, the exponent stays above 51 for
+    every rate up to MAX_RATE, where -log(TAIL_MASS) = 27.7 is enough.  A
+    scale of P(X >= 1) >= 1 - 1/e costs under 0.5 of that from rate 1 up;
+    below it, P(X > 40) / P(X >= 1) < lam^40 / 40! is far smaller still.
     """
-    lo, hi = start, int(lam + 10.0 * math.sqrt(lam)) + 40
-    while True:
-        below = np.flatnonzero(_poisson_sf(np.arange(lo, hi + 1), lam) / scale < tail_mass)
-        if below.size:
-            return lo + int(below[0])
-        lo, hi = hi + 1, 2 * hi
+    stop = int(lam + 10.0 * math.sqrt(lam)) + 40
+    below = np.flatnonzero(_poisson_sf(np.arange(start, stop + 1), lam) / scale < TAIL_MASS)
+    return start + int(below[0])
 
 
-def poisson_truncated(lam: float, tail_mass: float = DEFAULT_TAIL_MASS) -> ArrivalDistribution:
-    """Poisson(lam) truncated at the smallest x_max with tail < tail_mass, renormalized.
+def poisson_truncated(lam: float) -> ArrivalDistribution:
+    """Poisson(lam) truncated at the smallest x_max with tail < TAIL_MASS, renormalized.
 
     lam = 0 degenerates to a point mass at zero arrivals.
     """
     if not 0 <= lam <= MAX_RATE:
         raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
-    _validate_tail_mass(tail_mass)
-    x_max = _truncation_point(lam, tail_mass, 0, 1.0)
+    x_max = _truncation_point(lam, 0, 1.0)
     probs = _poisson_pmf(np.arange(x_max + 1), lam)
     probs /= probs.sum()
     return ArrivalDistribution(tuple(probs))
 
 
-def zero_truncated_poisson(
-    lam: float, tail_mass: float = DEFAULT_TAIL_MASS
-) -> InitialCountDistribution:
+def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
     """Poisson(lam) conditioned on being >= 1, truncated and renormalized.
 
     Requires lam > 0; the lam -> 0 limit (a guaranteed single vehicle) must be
@@ -167,8 +159,7 @@ def zero_truncated_poisson(
             f"rate must be positive and at most {MAX_RATE:g}, got {lam!r}; "
             "use InitialCountDistribution.degenerate() for the zero-rate limit"
         )
-    _validate_tail_mass(tail_mass)
-    n_max = _truncation_point(lam, tail_mass, 1, -math.expm1(-lam))
+    n_max = _truncation_point(lam, 1, -math.expm1(-lam))
     probs = _poisson_pmf(np.arange(n_max + 1), lam)
     probs[0] = 0.0
     probs /= probs.sum()

@@ -21,10 +21,11 @@ import numpy as np
 
 from . import __version__
 from .arrival import MAX_RATE, ArrivalDistribution, from_pmf, poisson_truncated
+from .atomic import atomic_writer
 from .dp import DpConfig, compare_with_threshold, solve, suggest_max_count, write_action_table
 from .ingest import parse_counts_csv, parse_pmf_csv, to_lambda
 from .policies import POLICY_NAMES
-from .sim import SweepRow, sweep
+from .sim import SweepRow, check_sweep_size, sweep
 from .stopping import RewardParams, compute_threshold
 
 SWEEP_COLUMNS = (
@@ -49,7 +50,7 @@ def _write_manifest(out_path: str, subcommand: str, parameters: dict) -> None:
         "parameters": parameters,
         "output": out_path,
     }
-    with open(out_path + ".manifest.json", "w") as fh:
+    with atomic_writer(out_path + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -137,7 +138,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
                 ]
             )
         )
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -150,12 +151,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--initial-lambda must be a rate in [0, {MAX_RATE:g}], got {args.initial_lam!r}"
         )
+    check_sweep_size(args.points, args.samples, args.horizon, args.lambda_max,
+                     args.initial_lam)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {name!r}; choose from {', '.join(POLICY_NAMES)}"
-            )
     grid = [float(v) for v in np.linspace(args.lambda_min, args.lambda_max, args.points)]
     params = RewardParams(benefit=1.0, step_cost=args.ratio)
     if not 0 < args.step_seconds < math.inf:
@@ -210,7 +208,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="") as fh:
+        with atomic_writer(args.out) as fh:
             fh.write(text)
         _write_manifest(
             args.out,

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arrival import ArrivalDistribution
+from .atomic import atomic_writer
 from .stopping import RewardParams, Threshold
 
 # An occupancy cap makes the state space finite.  It is only sound when the
@@ -111,20 +112,16 @@ def cap_violation_probability(
     return float(_final_count_tail(dist, horizon, bound)[max_count + 1])
 
 
-def suggest_max_count(
-    dist: ArrivalDistribution, horizon: int, tol: float = CAP_TOLERANCE
-) -> int:
-    """Smallest occupancy cap whose violation probability is below tol."""
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
+    """Smallest occupancy cap whose violation probability is below CAP_TOLERANCE."""
     if dist.support_max == 0:
         return 1
     bound = _search_bound(dist, horizon)
     _check_search(dist, horizon, bound, "the occupancy-cap search")
     tail = _final_count_tail(dist, horizon, bound)
-    if tail[-1] >= tol:
-        raise ValueError("search cushion too small for the requested tolerance")
-    return max(int(np.flatnonzero(tail < tol)[0]) - 1, 1)
+    if tail[-1] >= CAP_TOLERANCE:
+        raise ValueError("search cushion too small for CAP_TOLERANCE")
+    return max(int(np.flatnonzero(tail < CAP_TOLERANCE)[0]) - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -198,15 +195,13 @@ def solve(config: DpConfig) -> DpSolution:
     return DpSolution(config, values, actions)
 
 
-def compare_with_threshold(
-    solution: DpSolution, threshold: Threshold, up_to_step: int | None = None
-) -> list[tuple[int, int]]:
+def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[tuple[int, int]]:
     """Mismatched (k, n) states between the solver and the threshold rule.
 
     The threshold rule releases iff n >= n_star (never, when n_star is
-    None).  Steps k < up_to_step are compared (default: every step before
-    the deadline, where both force release).  Empty result means the two
-    independently derived policies coincide.
+    None).  Every step before the deadline is compared; at the deadline
+    both force release.  Empty result means the two independently derived
+    policies coincide.
     """
     config = solution.config
     if threshold.distribution != config.dist:
@@ -216,19 +211,18 @@ def compare_with_threshold(
             f"threshold ratio {threshold.ratio!r} does not match "
             f"solver params ratio {config.params.ratio!r}"
         )
-    limit = config.horizon if up_to_step is None else min(up_to_step, config.horizon)
     n = np.arange(1, config.max_count + 1)
     if threshold.never_release:
         rule = np.zeros(n.size, dtype=bool)
     else:
         rule = n >= threshold.n_star
-    diff = solution.actions[:limit, 1:] != rule[None, :]
+    diff = solution.actions[:config.horizon, 1:] != rule[None, :]
     return [(int(k), int(i) + 1) for k, i in np.argwhere(diff)]
 
 
 def write_action_table(solution: DpSolution, path: str) -> None:
     """Dump the action table as CSV rows (k, n, action) for inspection."""
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(path) as fh:
         fh.write("k,n,action\r\n")
         for k, row in enumerate(solution.actions[:, 1:]):
             fh.write("".join(

@@ -121,9 +121,7 @@ class NonCausalPolicy(_OneHourView):
         window = np.arange(reach)
         mask = np.zeros((rows, horizon), dtype=bool)
         flat_mask = mask.ravel()
-        # A window may run past its row, into the next hour or, for the last
-        # row, into this padding; those columns are scored -inf below.
-        flat = np.concatenate((cumulative.ravel(), np.full(reach, cumulative[-1, -1])))
+        flat = cumulative.ravel()
         # Per running row: the flat index of its end and of its episode
         # start, and the running total at its last release.
         end = np.arange(1, rows + 1) * horizon
@@ -138,10 +136,12 @@ class NonCausalPolicy(_OneHourView):
                 if not first.size:
                     return mask
             steps = first[:, None] + window
+            if (first + reach > end).any():
+                # A window past its row's end repeats the row's last step,
+                # whose first column argmax prefers to every repeat.
+                steps = np.minimum(steps, end[:, None] - 1)
             reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None],
                                     params)
-            if (first + reach > end).any():
-                reward[steps >= end[:, None]] = -np.inf
             fire = first + np.argmax(reward, axis=1)
             flat_mask[fire] = True
             origin, level = fire + 1, flat[fire]
@@ -162,5 +162,5 @@ POLICY_NAMES = tuple(_BUILDERS)
 def make_policy(name: str, n_star: int | None, period_steps: int) -> PolicyKind:
     """The policy called ``name`` for a cell whose optimal threshold is n_star."""
     if name not in _BUILDERS:
-        raise ValueError(f"unknown policy name {name!r}")
+        raise ValueError(f"unknown policy {name!r}; choose from {', '.join(POLICY_NAMES)}")
     return _BUILDERS[name](n_star, period_steps)

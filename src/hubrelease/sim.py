@@ -34,6 +34,49 @@ from .stopping import RewardParams, compute_threshold, release_reward
 
 Z_95 = 1.96  # normal-approximation 95% interval
 
+# A sampled hour is one row of the arrival matrix: its horizon in (sample,
+# step) cells plus, once simulated, its vehicles in several columns.  A row
+# is simulated whole, so MAX_ROW_ITEMS bounds the memory of one: it admits
+# the 720-step hour at the top rate 2e4 (1.44e7 steps and vehicles, about
+# 0.5 GB of temporaries) and not much more.
+MAX_ROW_ITEMS = 15_000_000
+# A sweep simulates points x samples rows, so MAX_SWEEP_ITEMS bounds
+# points x samples x (row items + _SAMPLE_ITEMS).  On a 2-core x86-64 host
+# a four-policy sweep spends about 0.21 us per item, so at the limit it runs
+# about four minutes; the default reproduction (50 x 1000 rows) is 6% of it.
+# _SAMPLE_ITEMS charges each row for what it costs beyond its items: a stream
+# of its own (the time of some 120 items) and about 250 bytes of per-sample
+# totals, which are kept for the whole cell.  At 512 the totals of a sweep
+# within the limit stay under 0.5 GB even at a one-step horizon.
+_SAMPLE_ITEMS = 512
+MAX_SWEEP_ITEMS = 1_000_000_000
+
+
+def check_sweep_size(points: int, samples: int, horizon: int, lam: float,
+                     initial_lam: float | None) -> None:
+    """Refuse a sweep past MAX_ROW_ITEMS or MAX_SWEEP_ITEMS before it allocates.
+
+    ``lam`` is the sweep's largest rate.  A row's expected vehicles are taken
+    as initial rate + 1 (the zero-truncated mean is below it) plus ``lam``
+    per later step.
+    """
+    initial = lam if initial_lam is None else initial_lam
+    # A huge integer horizon is refused before it can meet a float.
+    row = horizon if horizon > MAX_ROW_ITEMS else horizon + initial + 1 + (horizon - 1) * lam
+    if row > MAX_ROW_ITEMS:
+        raise ValueError(
+            f"one sampled hour of {horizon} steps at rate {lam:g} holds more than "
+            f"MAX_ROW_ITEMS = {MAX_ROW_ITEMS:.3g} steps and vehicles; use a shorter "
+            f"horizon or a lower rate"
+        )
+    hours = points * samples
+    if hours > MAX_SWEEP_ITEMS or hours * (row + _SAMPLE_ITEMS) > MAX_SWEEP_ITEMS:
+        raise ValueError(
+            f"the sweep needs {points} points x {samples} samples x {row + _SAMPLE_ITEMS:.3g} "
+            f"items, more than MAX_SWEEP_ITEMS = {MAX_SWEEP_ITEMS:.3g}; use fewer points or "
+            f"samples or a shorter horizon"
+        )
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -62,23 +105,30 @@ class SimConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.master_seed < 0 or self.cell_index < 0:
             raise ValueError("master_seed and cell_index must be nonnegative")
+        check_sweep_size(1, self.samples, self.horizon_steps, self.lam, self.initial_lam)
 
 
 @dataclass(frozen=True, eq=False)
 class HourResult:
-    """One simulated hour as columns.
+    """Simulated hours as columns, one hour after another.
 
-    Platoon columns are in release order.  Vehicle columns are in arrival
-    order, which is also release order: a release takes everyone waiting.
+    Steps are flat indexes into the row-major samples x horizon arrival
+    matrix: step k of hour r is r * horizon + k, so for a single hour they
+    are its own steps.  Platoon columns are in release order.  Vehicle
+    columns are in arrival order, which is also release order: a release
+    takes everyone waiting.
     """
 
-    # arrivals[0] is the initial count, arrivals[k] the batch landing at step k.
+    # The arrival matrix flattened: each hour's initial count, then the
+    # batch landing at each of its later steps.
     arrivals: np.ndarray
+    vehicles: np.ndarray  # per hour
+    platoons: np.ndarray  # per hour
     platoon_release_step: np.ndarray
     platoon_size: np.ndarray
     platoon_episode_start: np.ndarray
     # True when the horizon-end cleanup released vehicles the policy
-    # would have kept waiting.
+    # would have kept waiting; only an hour's last platoon can be.
     platoon_forced: np.ndarray
     vehicle_wait: np.ndarray
     vehicle_is_lead: np.ndarray
@@ -116,7 +166,7 @@ class SweepRow:
     metrics: MetricsSummary
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _arrival_dist(lam: float) -> ArrivalDistribution:
     return poisson_truncated(lam)
 
@@ -125,7 +175,7 @@ def _initial_rate(config: SimConfig) -> float:
     return config.lam if config.initial_lam is None else config.initial_lam
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _initial_dist(rate: float) -> InitialCountDistribution:
     if rate == 0.0:
         return InitialCountDistribution.degenerate()
@@ -135,9 +185,8 @@ def _initial_dist(rate: float) -> InitialCountDistribution:
 # Rows are simulated a chunk at a time.  Each row costs its horizon in
 # (sample, step) cells plus its expected vehicles, and a chunk holds at most
 # this many of both together; at some 40 bytes of temporaries per cell or
-# vehicle that is about a megabyte.  One row is always allowed, whatever its
-# size: at 2e4 arrivals per step one hour holds 1.4e7 vehicles and about
-# 0.5 GB of temporaries.
+# vehicle that is about a megabyte.  One row is always allowed; its size is
+# bounded by MAX_ROW_ITEMS.
 _CHUNK_ITEMS = 1 << 15
 
 
@@ -158,27 +207,8 @@ def _draw_arrivals(config: SimConfig, first: int, stop: int) -> np.ndarray:
     return arrivals
 
 
-@dataclass(frozen=True, eq=False)
-class _Hours:
-    """Several simulated hours as HourResult's columns, one hour after another.
-
-    Steps are flat indexes into the row-major arrival matrix, which are the
-    hour's own steps for the first row.  ``forced`` is per row: whether the
-    row's last platoon was forced.
-    """
-
-    vehicles: np.ndarray  # per row
-    platoons: np.ndarray  # per row
-    forced: np.ndarray  # per row
-    release_step: np.ndarray
-    size: np.ndarray
-    episode_start: np.ndarray
-    vehicle_wait: np.ndarray
-    vehicle_is_lead: np.ndarray
-
-
 def _simulate(policy: PolicyKind, arrivals: np.ndarray, cumulative: np.ndarray,
-              params: RewardParams) -> _Hours:
+              params: RewardParams) -> HourResult:
     """Every row of the arrival matrix as one hour under ``policy``.
 
     ``cumulative`` is the running total of ``arrivals`` in row-major order.
@@ -203,13 +233,17 @@ def _simulate(policy: PolicyKind, arrivals: np.ndarray, cumulative: np.ndarray,
         episode_start[0] = 0
     ends = np.arange(1, rows + 1) * horizon
     platoons = np.diff(np.searchsorted(step, ends), prepend=0)
-    # A row's last platoon was forced if it left at the last step unfired.
-    forced = ~fired_last & (step[np.cumsum(platoons) - 1] == ends - 1)
-    wait = np.repeat(step, size) - np.repeat(np.arange(rows * horizon), arrivals.ravel())
+    # Every row has a platoon (its initial count is at least one vehicle),
+    # and its last was forced if it left at the last step unfired.
+    last = np.cumsum(platoons) - 1
+    forced = np.zeros(step.size, dtype=bool)
+    forced[last] = ~fired_last & (step[last] == ends - 1)
+    flat = arrivals.ravel()
+    wait = np.repeat(step, size) - np.repeat(np.arange(flat.size), flat)
     is_lead = np.zeros(wait.size, dtype=bool)
     is_lead[np.cumsum(size) - size] = True
-    return _Hours(arrivals.sum(axis=1), platoons, forced, step, size, episode_start,
-                  wait, is_lead)
+    return HourResult(flat, arrivals.sum(axis=1), platoons, step, size, episode_start,
+                      forced, wait, is_lead)
 
 
 def run_episode_hour(config: SimConfig, sample_index: int) -> HourResult:
@@ -223,11 +257,7 @@ def run_episode_hour(config: SimConfig, sample_index: int) -> HourResult:
         raise ValueError(f"sample_index must be nonnegative, got {sample_index}")
     arrivals = _draw_arrivals(config, sample_index, sample_index + 1)
     cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
-    hours = _simulate(config.policy, arrivals, cumulative, config.params)
-    is_forced = np.zeros(hours.size.size, dtype=bool)
-    is_forced[-1] = hours.forced[0]
-    return HourResult(arrivals[0], hours.release_step, hours.size, hours.episode_start,
-                      is_forced, hours.vehicle_wait, hours.vehicle_is_lead)
+    return _simulate(config.policy, arrivals, cumulative, config.params)
 
 
 def per_vehicle_utility(
@@ -268,12 +298,12 @@ class _CellTotals:
         self.utility = np.empty(n)
         self.episode = np.empty(n)
         self.wait = np.empty(n, dtype=np.int64)
-        self.length = np.empty(n, dtype=np.int64)
-        self.length_count = np.empty(n, dtype=np.int64)
+        # Size of the hour's forced platoon when length leaves it out, else 0.
+        self.forced = np.zeros(n, dtype=np.int64)
         self.vehicles = np.empty(n, dtype=np.int64)
         self.platoons = np.empty(n, dtype=np.int64)
 
-    def add(self, first: int, hours: _Hours) -> None:
+    def add(self, first: int, hours: HourResult) -> None:
         params = self.config.params
         rows = slice(first, first + hours.vehicles.size)
         # Float totals are folded in arrival (vehicles) and release
@@ -284,7 +314,8 @@ class _CellTotals:
             hours.vehicles,
         )
         self.episode[rows] = _row_folds(
-            release_reward(hours.size, hours.release_step - hours.episode_start, params),
+            release_reward(hours.platoon_size,
+                           hours.platoon_release_step - hours.platoon_episode_start, params),
             hours.platoons,
         )
         self.wait[rows] = np.add.reduceat(
@@ -292,27 +323,25 @@ class _CellTotals:
         )
         self.vehicles[rows] = hours.vehicles
         self.platoons[rows] = hours.platoons
-        self.length[rows] = hours.vehicles
-        self.length_count[rows] = hours.platoons
         if not self.config.include_forced_in_length:
-            # At most one platoon per hour is forced: the last.
-            last = hours.size[np.cumsum(hours.platoons) - 1]
-            self.length[rows] -= np.where(hours.forced, last, 0)
-            self.length_count[rows] -= hours.forced
+            last = np.cumsum(hours.platoons) - 1
+            self.forced[rows] = np.where(hours.platoon_forced[last], hours.platoon_size[last], 0)
 
     def summary(self) -> MetricsSummary:
         vehicles = self.vehicles
         n = vehicles.size
+        length = vehicles - self.forced
+        length_count = self.platoons - (self.forced > 0)
         # The pooled totals fold the per-sample totals in sample order.
         utility_sum, episode_sum, wait_sum, length_sum = _row_folds(
-            np.concatenate((self.utility, self.episode, self.wait, self.length)),
+            np.concatenate((self.utility, self.episode, self.wait, length)),
             np.full(4, n),
         ).tolist()
-        has_length = self.length_count > 0
+        has_length = length_count > 0
         sample_length = np.full(n, np.nan)
-        sample_length[has_length] = self.length[has_length] / self.length_count[has_length]
+        sample_length[has_length] = length[has_length] / length_count[has_length]
         vehicles_total = int(vehicles.sum())
-        length_count = int(self.length_count.sum())
+        length_count = int(length_count.sum())
         return MetricsSummary(
             mean_utility=utility_sum / vehicles_total,
             ci_utility=_half_width(self.utility / vehicles),

@@ -9,6 +9,7 @@ from scipy.stats import poisson as sp_poisson
 
 from hubrelease.arrival import (
     MAX_RATE,
+    TAIL_MASS,
     ArrivalDistribution,
     InitialCountDistribution,
     _poisson_pmf,
@@ -45,19 +46,14 @@ class TestPoissonTruncated:
     def test_support_covers_requested_tail(self):
         from scipy.stats import poisson as sp_poisson
 
-        dist = poisson_truncated(LAM, tail_mass=1e-12)
-        assert sp_poisson.sf(dist.support_max, LAM) < 1e-12
-        assert sp_poisson.sf(dist.support_max - 1, LAM) >= 1e-12
+        dist = poisson_truncated(LAM)
+        assert sp_poisson.sf(dist.support_max, LAM) < TAIL_MASS
+        assert sp_poisson.sf(dist.support_max - 1, LAM) >= TAIL_MASS
 
     @pytest.mark.parametrize("bad", [-0.1, -5.0, math.nan, math.inf])
     def test_negative_rate_rejected(self, bad):
         with pytest.raises(ValueError, match="nonnegative"):
             poisson_truncated(bad)
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-3, 1.0])
-    def test_tail_mass_bounds_enforced(self, bad):
-        with pytest.raises(ValueError, match="tail_mass"):
-            poisson_truncated(LAM, tail_mass=bad)
 
 
 class TestZeroTruncatedPoisson:
@@ -89,29 +85,32 @@ class TestZeroTruncatedPoisson:
             InitialCountDistribution((0.5, 0.5))
 
 
-def scalar_truncation(lam, tail_mass, start, scale):
+def scalar_truncation(lam, start, scale):
     """Reference: the count-by-count scan with one scalar sf call per count."""
     x = start
-    while sp_poisson.sf(x, lam) / scale >= tail_mass:
+    while sp_poisson.sf(x, lam) / scale >= TAIL_MASS:
         x += 1
     return x
 
 
-def scalar_poisson_truncated(lam, tail_mass):
-    probs = sp_poisson.pmf(np.arange(scalar_truncation(lam, tail_mass, 0, 1.0) + 1), lam)
+def scalar_poisson_truncated(lam):
+    probs = sp_poisson.pmf(np.arange(scalar_truncation(lam, 0, 1.0) + 1), lam)
     return tuple(probs / probs.sum())
 
 
-def scalar_zero_truncated_poisson(lam, tail_mass):
-    x_max = scalar_truncation(lam, tail_mass, 1, -math.expm1(-lam))
+def scalar_zero_truncated_poisson(lam):
+    x_max = scalar_truncation(lam, 1, -math.expm1(-lam))
     probs = sp_poisson.pmf(np.arange(x_max + 1), lam)
     probs[0] = 0.0
     return tuple(probs / probs.sum())
 
 
 _RANDOM = np.random.default_rng(20240611)
-REFERENCE_RATES = [0.0, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 1000.0] + [
-    float(r) for r in 10.0 ** _RANDOM.uniform(-6.0, 3.0, size=12)
+# Landmarks (subnormal and tiny rates divide the zero-truncated tail by a
+# tiny P(X >= 1)), then seeded log-uniform rates.
+REFERENCE_RATES = [0.0, 5e-324, 1e-300, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 1000.0,
+                   2000.0] + [
+    float(r) for r in 10.0 ** _RANDOM.uniform(-6.0, 3.0, size=44)
 ]
 
 
@@ -119,16 +118,27 @@ class TestTruncationAgainstScalarLoop:
     """The bracketed array search stops where the scalar scan stops."""
 
     @pytest.mark.parametrize("lam", REFERENCE_RATES)
-    @pytest.mark.parametrize("tail_mass", [1e-12, 1e-6, 1e-40])
-    def test_poisson_pmf_is_bit_identical(self, lam, tail_mass):
-        got = poisson_truncated(lam, tail_mass).probabilities
-        assert got == scalar_poisson_truncated(lam, tail_mass)
+    def test_poisson_pmf_is_bit_identical(self, lam):
+        assert poisson_truncated(lam).probabilities == scalar_poisson_truncated(lam)
 
     @pytest.mark.parametrize("lam", [r for r in REFERENCE_RATES if r > 0])
-    @pytest.mark.parametrize("tail_mass", [1e-12, 1e-6, 1e-40])
-    def test_zero_truncated_pmf_is_bit_identical(self, lam, tail_mass):
-        got = zero_truncated_poisson(lam, tail_mass).probabilities
-        assert got == scalar_zero_truncated_poisson(lam, tail_mass)
+    def test_zero_truncated_pmf_is_bit_identical(self, lam):
+        got = zero_truncated_poisson(lam).probabilities
+        assert got == scalar_zero_truncated_poisson(lam)
+
+    def test_the_one_bracket_holds_both_truncation_points(self):
+        # The bracket ends at lam + 10 sqrt(lam) + 40; its last count must
+        # already have a tail below TAIL_MASS, plain and zero-truncated, at
+        # every rate up to MAX_RATE.
+        lam = np.linspace(0.0, MAX_RATE, 200_001)
+        stop = (lam + 10.0 * np.sqrt(lam)).astype(np.int64) + 40
+        tail = _poisson_sf(stop, lam)
+        assert np.all(tail < TAIL_MASS)
+        positive = lam > 0
+        assert np.all(tail[positive] / -np.expm1(-lam[positive]) < TAIL_MASS)
+        for rate in (MAX_RATE, float(lam[1]), 5e-324):
+            poisson_truncated(rate)
+            zero_truncated_poisson(rate)
 
 
 def assert_matches_scipy_stats(lam):

@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line interface, in process."""
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -10,6 +12,8 @@ import sys
 import pytest
 
 import hubrelease.cli as cli
+import hubrelease.dp as dp
+from hubrelease.atomic import atomic_writer
 from hubrelease.cli import SWEEP_COLUMNS, main
 
 
@@ -26,12 +30,13 @@ def child_env() -> dict[str, str]:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_in_child(argvs: list[list[str]], cwd, prelude: str = "") -> list:
+def run_in_child(argvs: list[list[str]], cwd, prelude: str = "", timeout: float = 30) -> list:
     """[exit code, stderr] of each argv, run by ``main`` in one fresh process.
 
     The timeout turns a regression to a hang or a huge allocation into a
     test failure instead of a stalled suite.  ``prelude`` runs first, after
-    ``hubrelease.cli`` is imported as ``cli``.
+    ``hubrelease.cli`` is imported as ``cli``.  What ``main`` prints to
+    stdout is dropped.
     """
     child = (
         "import contextlib, io, json, sys\n"
@@ -40,17 +45,34 @@ def run_in_child(argvs: list[list[str]], cwd, prelude: str = "") -> list:
         "out = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    err = io.StringIO()\n"
-        "    with contextlib.redirect_stderr(err):\n"
+        "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
         "        out.append([cli.main(argv), err.getvalue()])\n"
         "print(json.dumps(out))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", child, json.dumps(argvs)],
-        capture_output=True, text=True, env=child_env(), cwd=cwd, timeout=30,
+        capture_output=True, text=True, env=child_env(), cwd=cwd, timeout=timeout,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
+
+# Prelude for run_in_child: an address-space limit of 2 GiB, so that a
+# missing size check fails with MemoryError instead of filling the machine,
+# and ``main`` reporting any error it lets through as exit code None with its
+# traceback on stderr.
+GUARDED_MAIN = (
+    "import resource, traceback\n"
+    "resource.setrlimit(resource.RLIMIT_AS,\n"
+    "                   (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+    "unguarded = cli.main\n"
+    "def guarded(argv):\n"
+    "    try:\n"
+    "        return unguarded(argv)\n"
+    "    except Exception:\n"
+    "        traceback.print_exc()\n"
+    "cli.main = guarded\n"
+)
 
 BERNOULLI_PMF = "count,probability\n0,0.5\n1,0.5\n"
 
@@ -362,6 +384,21 @@ class TestSweep:
         assert code == 1
         assert "psychic" in err
 
+    def test_oversize_sweeps_exit_1_before_allocating(self, tmp_path):
+        # Unchecked, these would ask numpy for 7.45 GiB of uniforms, 7.28 TiB
+        # of per-sample totals and a 74.5 GiB rate grid.
+        cases = [
+            (["--horizon", "1000000000"], "MAX_ROW_ITEMS"),
+            (["--samples", str(10**12)], "MAX_SWEEP_ITEMS"),
+            (["--points", str(10**10)], "MAX_SWEEP_ITEMS"),
+        ]
+        argvs = [["sweep", *extra, "--out", "never.csv"] for extra, _ in cases]
+        results = run_in_child(argvs, tmp_path, GUARDED_MAIN)
+        for (argv, word), (code, err) in zip(cases, results):
+            assert code == 1, (argv, err)
+            assert err.startswith("error:") and word in err, argv
+        assert not list(tmp_path.iterdir())
+
     def test_zero_points_rejected(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, _, err = run(
@@ -465,6 +502,101 @@ class TestIngest:
         )
         assert code == 1
         assert "line 2" in err
+
+
+def numeric_options() -> list[tuple[str, str]]:
+    """(subcommand, option) for every option the parser reads as a number."""
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action.option_strings[0])
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type in (int, float)
+    ]
+
+
+# Small settings for each subcommand; one numeric option at a time is
+# replaced by an edge value.
+SMALL_RUNS = {
+    "threshold": ["--lambda", "0.1", "--ratio", "0.005"],
+    "dp-verify": ["--lambda", "0.1", "--ratio", "0.005", "--horizon", "5"],
+    "sweep": ["--points", "2", "--samples", "2", "--horizon", "5", "--out", "sweep.csv"],
+    "ingest": ["--file", "counts.csv", "--stop-fraction", "0.5", "--out", "rates.csv"],
+}
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "5e-324", "1e308", "-1", str(10**18)]
+
+
+def test_every_numeric_option_ends_promptly_without_a_traceback(tmp_path):
+    options = numeric_options()
+    assert len(options) == 18
+    (tmp_path / "counts.csv").write_text("hour,count\n8,330\n")
+    argvs = []
+    for name, option in options:
+        for value in EDGE_VALUES:
+            small = dict(zip(SMALL_RUNS[name][::2], SMALL_RUNS[name][1::2]))
+            small[option] = value
+            argvs.append([name, *(token for pair in small.items() for token in pair)])
+    results = run_in_child(argvs, tmp_path, GUARDED_MAIN, timeout=60)
+    for argv, (code, err) in zip(argvs, results):
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+
+
+class TestAtomicOutput:
+    def test_a_completed_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with atomic_writer(str(path)) as fh:
+            fh.write("new\r\n")
+        assert path.read_bytes() == b"new\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_an_error_mid_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(str(path)) as fh:
+                fh.write("half a fi")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_a_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "out.csv").mkdir()
+        with pytest.raises(OSError):
+            with atomic_writer(str(tmp_path / "out.csv")) as fh:
+                fh.write("data\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_an_error_while_writing_the_action_table_keeps_the_old_one(
+            self, capsys, tmp_path, monkeypatch):
+        table = tmp_path / "actions.csv"
+        argv = ["dp-verify", "--lambda", "0.1", "--ratio", "0.005", "--horizon", "20",
+                "--dump-actions", str(table)]
+        assert run(capsys, *argv)[0] == 0
+        before = table.read_bytes()
+
+        @contextlib.contextmanager
+        def disk_fills_after_the_header(path):
+            with atomic_writer(path) as fh:
+                write = fh.write
+
+                def write_header_only(text):
+                    if text != "k,n,action\r\n":
+                        raise OSError("no space left on device")
+                    return write(text)
+
+                fh.write = write_header_only
+                yield fh
+
+        monkeypatch.setattr(dp, "atomic_writer", disk_fills_after_the_header)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "no space left" in err
+        assert table.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "actions.csv", "actions.csv.manifest.json"]
 
 
 class TestParser:

@@ -138,13 +138,6 @@ class TestThresholdComparison:
         assert {n for _, n in mismatches} == {6}
         assert {k for k, _ in mismatches} == set(range(60))
 
-    def test_comparison_window_limits_steps(self):
-        dist = poisson_truncated(1.0 / 6.0)
-        solution = solve(DpConfig(60, 80, dist, RewardParams(1.0, 0.005)))
-        corrupted = Threshold(7, 0.005, dist)
-        mismatches = compare_with_threshold(solution, corrupted, up_to_step=10)
-        assert {k for k, _ in mismatches} == set(range(10))
-
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
         solution = solve(DpConfig(30, 60, dist, RewardParams(1.0, 0.005)))

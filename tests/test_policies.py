@@ -147,6 +147,57 @@ def test_bounded_window_matches_full_window(step_cost, benefit):
             ), (rate, horizon)
 
 
+def padded_non_causal_mask(cumulative, params):
+    """Reference: ``NonCausalPolicy.fire_mask`` scoring a window -inf past its row.
+
+    Windows read a copy of the flat matrix padded with its last total, and
+    columns past the row's end can never win.  Also says whether any window
+    crossed its row's end.
+    """
+    rows, horizon = cumulative.shape
+    reach = horizon
+    if params.step_cost > 0 and params.benefit / params.step_cost < reach:
+        reach = min(int(params.benefit / params.step_cost) + 3, horizon)
+    mask = np.zeros((rows, horizon), dtype=bool)
+    flat_mask = mask.ravel()
+    flat = np.concatenate((cumulative.ravel(), np.full(reach, cumulative[-1, -1])))
+    end = np.arange(1, rows + 1) * horizon
+    origin = end - horizon
+    level = np.concatenate(([0], cumulative[:-1, -1]))
+    crossed = False
+    while True:
+        first = np.searchsorted(flat, level + 1)
+        live = first < end
+        first, end, origin, level = first[live], end[live], origin[live], level[live]
+        if not first.size:
+            return mask, crossed
+        steps = first[:, None] + np.arange(reach)
+        reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None], params)
+        past = steps >= end[:, None]
+        crossed = crossed or bool(past.any())
+        reward[past] = -np.inf
+        fire = first + np.argmax(reward, axis=1)
+        flat_mask[fire] = True
+        origin, level = fire + 1, flat[fire]
+
+
+@pytest.mark.parametrize("step_cost", [0.0, 0.005, 0.4])
+def test_rows_match_the_padded_window_reference(step_cost):
+    params = RewardParams(1.0, step_cost)
+    rng = np.random.default_rng(5)
+    crossings = 0
+    for rate, horizon, rows in ((0.05, 30, 40), (0.5, 12, 25), (1.0 / 6.0, 300, 12),
+                                (2.0, 720, 6)):
+        arrivals = rng.poisson(rate, size=(rows, horizon))
+        arrivals[::2, 0] += 1  # some rows open with a vehicle waiting, as simulated
+        cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
+        expected, crossed = padded_non_causal_mask(cumulative, params)
+        crossings += crossed
+        got = NonCausalPolicy().fire_mask(cumulative, params)
+        assert np.array_equal(got, expected), (rate, horizon)
+    assert crossings >= 2
+
+
 def test_subnormal_step_cost_keeps_the_full_window():
     # benefit / step_cost overflows to inf; the window must not be cut.
     params = RewardParams(1e300, 5e-324)

@@ -175,41 +175,37 @@ def step_loop_hour(arrivals, policy, params):
     return platoons, vehicles
 
 
-def row_hours(cfg, samples):
-    """Rows 0..samples-1 simulated together, split back into one tuple per row.
-
-    Each tuple is (platoons, vehicles) as ``step_loop_hour`` lists them, in
-    the row's own steps.
-    """
+def simulate_rows(cfg, samples):
+    """Rows 0..samples-1 of cfg's arrival matrix, simulated together."""
     arrivals = sim._draw_arrivals(cfg, 0, samples)
     cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
-    hours = sim._simulate(cfg.policy, arrivals, cumulative, cfg.params)
-    assert hours.platoons.sum() == hours.size.size
+    return arrivals, sim._simulate(cfg.policy, arrivals, cumulative, cfg.params)
+
+
+def split_hours(hours: HourResult) -> list:
+    """Each hour of an HourResult as (platoons, vehicles), in its own steps.
+
+    Platoons and vehicles are listed as ``step_loop_hour`` lists them.
+    """
+    rows = hours.vehicles.size
+    horizon = hours.arrivals.size // rows
+    assert np.array_equal(hours.vehicles, hours.arrivals.reshape(rows, horizon).sum(axis=1))
+    assert hours.platoons.sum() == hours.platoon_size.size
     assert hours.vehicles.sum() == hours.vehicle_wait.size
     out, platoon, vehicle = [], 0, 0
     for r, (n_platoons, n_vehicles) in enumerate(
             zip(hours.platoons.tolist(), hours.vehicles.tolist())):
         p = slice(platoon, platoon + n_platoons)
         v = slice(vehicle, vehicle + n_vehicles)
-        forced = [False] * (n_platoons - 1) + [bool(hours.forced[r])]
         out.append((
-            list(zip((hours.release_step[p] - r * cfg.horizon_steps).tolist(),
-                     hours.size[p].tolist(),
-                     (hours.episode_start[p] - r * cfg.horizon_steps).tolist(),
-                     forced)),
+            list(zip((hours.platoon_release_step[p] - r * horizon).tolist(),
+                     hours.platoon_size[p].tolist(),
+                     (hours.platoon_episode_start[p] - r * horizon).tolist(),
+                     hours.platoon_forced[p].tolist())),
             list(zip(hours.vehicle_wait[v].tolist(), hours.vehicle_is_lead[v].tolist())),
         ))
         platoon, vehicle = platoon + n_platoons, vehicle + n_vehicles
-    return arrivals, out
-
-
-def one_hour(hour):
-    """An HourResult as (platoons, vehicles), as ``row_hours`` gives each row."""
-    return (
-        list(zip(hour.platoon_release_step.tolist(), hour.platoon_size.tolist(),
-                 hour.platoon_episode_start.tolist(), hour.platoon_forced.tolist())),
-        list(zip(hour.vehicle_wait.tolist(), hour.vehicle_is_lead.tolist())),
-    )
+    return out
 
 
 STEP_LOOP_POLICIES = [
@@ -225,20 +221,15 @@ class TestAgainstStepLoop:
         cfg = config(policy, lam=lam, horizon_steps=90)
         for i in range(5):
             hour = run_episode_hour(cfg, i)
-            platoons, vehicles = step_loop_hour(hour.arrivals.tolist(), policy, PARAMS)
-            assert list(zip(hour.platoon_release_step.tolist(),
-                            hour.platoon_size.tolist(),
-                            hour.platoon_episode_start.tolist(),
-                            hour.platoon_forced.tolist())) == platoons
-            assert list(zip(hour.vehicle_wait.tolist(),
-                            hour.vehicle_is_lead.tolist())) == vehicles
+            assert split_hours(hour) == [step_loop_hour(hour.arrivals.tolist(), policy, PARAMS)]
 
     @pytest.mark.parametrize("policy", STEP_LOOP_POLICIES)
     @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5, 2.0])
     def test_every_row_of_a_matrix_matches_the_per_step_simulation(self, policy, lam):
         cfg = config(policy, lam=lam, horizon_steps=90)
-        arrivals, rows = row_hours(cfg, 6)
-        for row_arrivals, hour in zip(arrivals.tolist(), rows):
+        arrivals, hours = simulate_rows(cfg, 6)
+        assert np.array_equal(hours.arrivals, arrivals.ravel())
+        for row_arrivals, hour in zip(arrivals.tolist(), split_hours(hours)):
             assert step_loop_hour(row_arrivals, policy, PARAMS) == hour
 
 
@@ -326,11 +317,11 @@ class TestCellKernel:
     @pytest.mark.parametrize("policy,lam,extra", KERNEL_CASES)
     def test_rows_together_match_each_row_alone(self, policy, lam, extra):
         cfg = kernel_config(policy, lam, extra)
-        arrivals, rows = row_hours(cfg, cfg.samples)
-        for i, hour in enumerate(rows):
+        arrivals, hours = simulate_rows(cfg, cfg.samples)
+        for i, hour in enumerate(split_hours(hours)):
             alone = run_episode_hour(cfg, i)
             assert np.array_equal(arrivals[i], alone.arrivals)
-            assert hour == one_hour(alone)
+            assert [hour] == split_hours(alone)
 
     @pytest.mark.parametrize("policy,lam,extra", KERNEL_CASES)
     def test_metrics_equal_the_per_hour_fold(self, policy, lam, extra):
@@ -580,3 +571,43 @@ class TestConfigValidation:
     def test_negative_sample_index_rejected(self):
         with pytest.raises(ValueError, match="sample_index"):
             run_episode_hour(OPERATING, -1)
+
+    def test_the_top_rate_hour_is_one_accepted_row(self):
+        # 720 steps at rate 2e4: 1.44e7 steps and vehicles (not simulated here).
+        SimConfig(lam=2e4, params=PARAMS, policy=ThresholdPolicy(6), samples=1)
+        SimConfig(lam=2e4, params=PARAMS, policy=ThresholdPolicy(6), samples=1,
+                  initial_lam=2e4)
+
+    @pytest.mark.parametrize("horizon", [10**9, 10**400])
+    def test_oversize_row_rejected(self, horizon):
+        with pytest.raises(ValueError, match="MAX_ROW_ITEMS"):
+            SimConfig(lam=0.1, params=PARAMS, policy=ThresholdPolicy(6),
+                      horizon_steps=horizon, samples=1)
+        with pytest.raises(ValueError, match="MAX_ROW_ITEMS"):
+            SimConfig(lam=2e4, params=PARAMS, policy=ThresholdPolicy(6),
+                      horizon_steps=750, samples=1)
+
+    def test_sample_count_is_bounded_by_the_sweep_limit(self):
+        # One step at rate 0: a row of 1 step and at most 1 + 1 vehicles.
+        most = sim.MAX_SWEEP_ITEMS // (2 + sim._SAMPLE_ITEMS)
+        SimConfig(lam=0.0, params=PARAMS, policy=ThresholdPolicy(6), horizon_steps=1,
+                  samples=most)
+        for samples in (most + 1, 10**12, 10**400):
+            with pytest.raises(ValueError, match="MAX_SWEEP_ITEMS"):
+                SimConfig(lam=0.0, params=PARAMS, policy=ThresholdPolicy(6),
+                          horizon_steps=1, samples=samples)
+
+    def test_sweep_size_counts_every_point(self):
+        sim.check_sweep_size(50, 1000, 720, 1.0 / 6.0, None)
+        with pytest.raises(ValueError, match="MAX_SWEEP_ITEMS"):
+            sim.check_sweep_size(10**10, 1000, 720, 1.0 / 6.0, None)
+
+
+class TestDistributionCaches:
+    def test_a_sweep_keeps_one_distribution_of_each_kind(self):
+        # A pmf at a large rate takes megabytes, and a sweep needs one rate
+        # at a time.
+        sweep([0.1, 0.2, 0.3, 0.4], ["threshold"], params=PARAMS, samples=2,
+              horizon_steps=5)
+        assert sim._arrival_dist.cache_info().currsize == 1
+        assert sim._initial_dist.cache_info().currsize == 1
