@@ -45,7 +45,6 @@ from .sim import (
     sweep,
 )
 from .stopping import (
-    RewardParams,
     Threshold,
     compute_threshold,
     one_step_lookahead,
@@ -84,7 +83,6 @@ __all__ = [
     "per_vehicle_utility",
     "run_episode_hour",
     "sweep",
-    "RewardParams",
     "Threshold",
     "compute_threshold",
     "one_step_lookahead",

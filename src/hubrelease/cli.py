@@ -26,7 +26,7 @@ from .dp import DpConfig, compare_with_threshold, solve, suggest_max_count, writ
 from .ingest import parse_counts_csv, parse_pmf_csv, to_lambda
 from .policies import POLICY_NAMES
 from .sim import SweepRow, check_sweep_size, sweep
-from .stopping import RewardParams, compute_threshold
+from .stopping import compute_threshold
 
 SWEEP_COLUMNS = (
     "lambda,policy,n_star,mean_utility,ci_utility,mean_platoon_len,"
@@ -80,7 +80,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def cmd_dp_verify(args: argparse.Namespace) -> int:
     dist = _distribution(args)
-    params = RewardParams(benefit=1.0, step_cost=args.ratio)
     threshold = compute_threshold(dist, args.ratio)
     max_count = args.max_count
     if max_count is None:
@@ -89,7 +88,7 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
         max_count = suggest_max_count(dist, args.horizon)
         if threshold.n_star is not None:
             max_count = max(max_count, threshold.n_star + dist.support_max)
-    config = DpConfig(args.horizon, max_count, dist, params)
+    config = DpConfig(args.horizon, max_count, dist, args.ratio)
     solution = solve(config)
     mismatches = compare_with_threshold(solution, threshold)
     if args.dump_actions is not None:
@@ -155,7 +154,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      args.initial_lam)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     grid = [float(v) for v in np.linspace(args.lambda_min, args.lambda_max, args.points)]
-    params = RewardParams(benefit=1.0, step_cost=args.ratio)
     if not 0 < args.step_seconds < math.inf:
         raise ValueError(
             f"step_seconds must be positive and finite, got {args.step_seconds!r}"
@@ -163,7 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(
         grid,
         policies,
-        params=params,
+        ratio=args.ratio,
         samples=args.samples,
         horizon_steps=args.horizon,
         master_seed=args.seed,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .arrival import ArrivalDistribution
 from .atomic import atomic_writer
-from .stopping import RewardParams, Threshold
+from .stopping import Threshold, check_ratio
 
 # An occupancy cap makes the state space finite.  It is only sound when the
 # count has effectively no chance of reaching it, so configs are rejected
@@ -136,9 +136,10 @@ class DpConfig:
     horizon: int
     max_count: int
     dist: ArrivalDistribution
-    params: RewardParams
+    ratio: float
 
     def __post_init__(self) -> None:
+        check_ratio(self.ratio)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.max_count < 1:
@@ -172,23 +173,22 @@ class DpSolution:
 
 def solve(config: DpConfig) -> DpSolution:
     """Backward induction; release is forced at k = horizon."""
-    horizon, cap = config.horizon, config.max_count
-    params = config.params
+    horizon, cap, ratio = config.horizon, config.max_count, config.ratio
     probs = np.asarray(config.dist.probabilities)
     xs = np.arange(probs.size)
     n = np.arange(1, cap + 1)
-    benefit = params.benefit * (n - 1) / n
+    benefit = (n - 1) / n
 
     values = np.full((horizon + 1, cap + 1), np.nan)
     actions = np.zeros((horizon + 1, cap + 1), dtype=bool)
-    values[horizon, 1:] = benefit - params.step_cost * horizon
+    values[horizon, 1:] = benefit - ratio * horizon
     actions[horizon, 1:] = True
 
     # next_idx[i, j] = state reached from count n[i] after arrival xs[j].
     next_idx = np.minimum(n[:, None] + xs[None, :], cap)
     for k in range(horizon - 1, -1, -1):
         continuation = values[k + 1][next_idx] @ probs
-        release_value = benefit - params.step_cost * k
+        release_value = benefit - ratio * k
         release = release_value >= continuation
         actions[k, 1:] = release
         values[k, 1:] = np.where(release, release_value, continuation)
@@ -206,10 +206,9 @@ def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[t
     config = solution.config
     if threshold.distribution != config.dist:
         raise ValueError("threshold was computed for a different arrival distribution")
-    if threshold.ratio != config.params.ratio:
+    if threshold.ratio != config.ratio:
         raise ValueError(
-            f"threshold ratio {threshold.ratio!r} does not match "
-            f"solver params ratio {config.params.ratio!r}"
+            f"threshold ratio {threshold.ratio!r} does not match solver ratio {config.ratio!r}"
         )
     n = np.arange(1, config.max_count + 1)
     if threshold.never_release:

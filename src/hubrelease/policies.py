@@ -4,7 +4,7 @@ Three causal rules (occupancy threshold, fixed period, release-on-sight)
 plus a non-causal benchmark that sees the whole future arrival trajectory
 of an episode and picks the reward-maximizing release step.
 
-Each policy has one method, ``fire_mask(cumulative, params)``.  It takes
+Each policy has one method, ``fire_mask(cumulative, ratio)``.  It takes
 a rows x horizon matrix with one simulated hour per row, holding the
 running total of arrivals in row-major order: ``cumulative[r, k]`` counts
 the vehicles of every earlier row plus those of row r up to step k (its
@@ -24,17 +24,17 @@ from typing import Union
 
 import numpy as np
 
-from .stopping import RewardParams, release_reward
+from .stopping import release_reward
 
 
 class _OneHourView:
     """``release_steps`` for a policy class that defines ``fire_mask``."""
 
-    def release_steps(self, arrivals: np.ndarray, params: RewardParams) -> np.ndarray:
+    def release_steps(self, arrivals: np.ndarray, ratio: float) -> np.ndarray:
         """Sorted fire steps of one hour (``arrivals[0]`` the initial count,
         ``arrivals[k]`` the batch landing at step k)."""
         cumulative = np.cumsum(arrivals)[None, :]
-        return np.flatnonzero(self.fire_mask(cumulative, params)[0])
+        return np.flatnonzero(self.fire_mask(cumulative, ratio)[0])
 
 
 def _row_bases(cumulative: np.ndarray) -> np.ndarray:
@@ -52,7 +52,7 @@ class ThresholdPolicy(_OneHourView):
         if self.n_star is not None and self.n_star < 1:
             raise ValueError(f"n_star must be >= 1, got {self.n_star!r}")
 
-    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
+    def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         # A fire at step k is followed by one at the first step whose
         # running total exceeds that at k by n_star.  Each round searches
         # the flattened matrix for the next fire of every row still running,
@@ -85,7 +85,7 @@ class PeriodicPolicy(_OneHourView):
         if self.period_steps < 1:
             raise ValueError(f"period_steps must be >= 1, got {self.period_steps!r}")
 
-    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
+    def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         # Steps period-1, 2*period-1, ...: each interval keeps every vehicle
         # that arrived within it, including same-step arrivals.
         mask = np.zeros(cumulative.shape, dtype=bool)
@@ -97,7 +97,7 @@ class PeriodicPolicy(_OneHourView):
 class SpontaneousPolicy(_OneHourView):
     """Release at every step: vehicles depart the moment they arrive."""
 
-    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
+    def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         return np.ones(cumulative.shape, dtype=bool)
 
 
@@ -105,19 +105,19 @@ class SpontaneousPolicy(_OneHourView):
 class NonCausalPolicy(_OneHourView):
     """Clairvoyant per-episode optimum; an upper bound for causal rules."""
 
-    def fire_mask(self, cumulative: np.ndarray, params: RewardParams) -> np.ndarray:
+    def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         # Each episode releases at the step, among those with a nonempty hub,
         # that maximizes the episode reward; argmax keeps the earliest of
         # tied steps.  An episode that stays empty to the horizon never fires.
         # One round places the next release of every row still running.
         rows, horizon = cumulative.shape
-        # A step d steps after the first nonempty one gains less than benefit
-        # and loses d * step_cost, so past d = benefit/step_cost + 1 it is
-        # worse than releasing at once by more than step_cost, far above the
-        # rounding error; the argmax window stops there.
+        # A step d steps after the first nonempty one gains less than the
+        # benefit 1 and loses d * ratio, so past d = 1/ratio + 1 it is worse
+        # than releasing at once by more than ratio, far above the rounding
+        # error; the argmax window stops there.
         reach = horizon
-        if params.step_cost > 0 and params.benefit / params.step_cost < reach:
-            reach = min(int(params.benefit / params.step_cost) + 3, horizon)
+        if ratio > 0 and 1.0 / ratio < reach:
+            reach = min(int(1.0 / ratio) + 3, horizon)
         window = np.arange(reach)
         mask = np.zeros((rows, horizon), dtype=bool)
         flat_mask = mask.ravel()
@@ -140,8 +140,7 @@ class NonCausalPolicy(_OneHourView):
                 # A window past its row's end repeats the row's last step,
                 # whose first column argmax prefers to every repeat.
                 steps = np.minimum(steps, end[:, None] - 1)
-            reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None],
-                                    params)
+            reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None], ratio)
             fire = first + np.argmax(reward, axis=1)
             flat_mask[fire] = True
             origin, level = fire + 1, flat[fire]

@@ -30,7 +30,7 @@ from .arrival import (
     zero_truncated_poisson,
 )
 from .policies import PolicyKind, make_policy
-from .stopping import RewardParams, compute_threshold, release_reward
+from .stopping import check_ratio, compute_threshold, release_reward
 
 Z_95 = 1.96  # normal-approximation 95% interval
 
@@ -50,6 +50,13 @@ MAX_ROW_ITEMS = 15_000_000
 # within the limit stay under 0.5 GB even at a one-step horizon.
 _SAMPLE_ITEMS = 512
 MAX_SWEEP_ITEMS = 1_000_000_000
+# Rewards are in units of the benefit, so every per-sample mean utility lies
+# in [-ratio * (horizon - 1), 1].  _half_width sums the squared deviations of
+# at most MAX_SWEEP_ITEMS / _SAMPLE_ITEMS (about 2e6) such means, which stays
+# below the float maximum 1.8e308 while ratio * horizon is below
+# sqrt(1.8e308 / 2e6), about 9e150.  The sums of utilities over a row (at
+# most MAX_ROW_ITEMS vehicles) or over a sweep (MAX_SWEEP_ITEMS) are smaller.
+MAX_HOUR_COST = 1e150
 
 
 def check_sweep_size(points: int, samples: int, horizon: int, lam: float,
@@ -80,10 +87,10 @@ def check_sweep_size(points: int, samples: int, horizon: int, lam: float,
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One Monte-Carlo cell: arrival rate, reward parameters, policy."""
+    """One Monte-Carlo cell: arrival rate, cost-benefit ratio, policy."""
 
     lam: float
-    params: RewardParams
+    ratio: float
     policy: PolicyKind
     horizon_steps: int = 720
     samples: int = 1000
@@ -97,6 +104,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.lam >= 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam!r}")
+        check_ratio(self.ratio)
         if self.initial_lam is not None and not self.initial_lam >= 0:
             raise ValueError(f"initial_lam must be nonnegative, got {self.initial_lam!r}")
         if self.horizon_steps < 1:
@@ -106,6 +114,12 @@ class SimConfig:
         if self.master_seed < 0 or self.cell_index < 0:
             raise ValueError("master_seed and cell_index must be nonnegative")
         check_sweep_size(1, self.samples, self.horizon_steps, self.lam, self.initial_lam)
+        if self.ratio * self.horizon_steps > MAX_HOUR_COST:
+            raise ValueError(
+                f"ratio {self.ratio!r} x horizon_steps {self.horizon_steps} is more than "
+                f"MAX_HOUR_COST = {MAX_HOUR_COST:.3g}: the spread of the utilities "
+                f"would overflow; use a smaller ratio or a shorter horizon"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +222,7 @@ def _draw_arrivals(config: SimConfig, first: int, stop: int) -> np.ndarray:
 
 
 def _simulate(policy: PolicyKind, arrivals: np.ndarray, cumulative: np.ndarray,
-              params: RewardParams) -> HourResult:
+              ratio: float) -> HourResult:
     """Every row of the arrival matrix as one hour under ``policy``.
 
     ``cumulative`` is the running total of ``arrivals`` in row-major order.
@@ -219,7 +233,7 @@ def _simulate(policy: PolicyKind, arrivals: np.ndarray, cumulative: np.ndarray,
     # releases what is left, so a row's first platoon and episode follow
     # the last release of the row before it like any other.  Empty releases
     # (fires on an empty hub) form no platoon.
-    releases = policy.fire_mask(cumulative, params)
+    releases = policy.fire_mask(cumulative, ratio)
     fired_last = releases[:, -1].copy()
     releases[:, -1] = True
     fired = np.flatnonzero(releases)
@@ -257,14 +271,13 @@ def run_episode_hour(config: SimConfig, sample_index: int) -> HourResult:
         raise ValueError(f"sample_index must be nonnegative, got {sample_index}")
     arrivals = _draw_arrivals(config, sample_index, sample_index + 1)
     cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
-    return _simulate(config.policy, arrivals, cumulative, config.params)
+    return _simulate(config.policy, arrivals, cumulative, config.ratio)
 
 
-def per_vehicle_utility(
-    wait: np.ndarray, is_lead: np.ndarray, params: RewardParams
-) -> np.ndarray:
-    """Follower benefit (leads get none) minus each vehicle's own waiting cost."""
-    return np.where(is_lead, 0.0, params.benefit) - params.step_cost * wait
+def per_vehicle_utility(wait: np.ndarray, is_lead: np.ndarray, ratio: float) -> np.ndarray:
+    """Follower benefit 1 (leads get none) minus each vehicle's own waiting
+    cost, in units of the benefit."""
+    return np.where(is_lead, 0.0, 1.0) - ratio * wait
 
 
 def _row_folds(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -304,18 +317,18 @@ class _CellTotals:
         self.platoons = np.empty(n, dtype=np.int64)
 
     def add(self, first: int, hours: HourResult) -> None:
-        params = self.config.params
+        ratio = self.config.ratio
         rows = slice(first, first + hours.vehicles.size)
         # Float totals are folded in arrival (vehicles) and release
         # (platoons) order, so results do not move with numpy's pairwise
         # summation.
         self.utility[rows] = _row_folds(
-            per_vehicle_utility(hours.vehicle_wait, hours.vehicle_is_lead, params),
+            per_vehicle_utility(hours.vehicle_wait, hours.vehicle_is_lead, ratio),
             hours.vehicles,
         )
         self.episode[rows] = _row_folds(
             release_reward(hours.platoon_size,
-                           hours.platoon_release_step - hours.platoon_episode_start, params),
+                           hours.platoon_release_step - hours.platoon_episode_start, ratio),
             hours.platoons,
         )
         self.wait[rows] = np.add.reduceat(
@@ -374,7 +387,7 @@ def _simulate_cells(configs: Sequence[SimConfig]) -> list[MetricsSummary]:
         arrivals = _draw_arrivals(base, first, min(first + chunk, base.samples))
         cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
         for config, cell in zip(configs, totals):
-            cell.add(first, _simulate(config.policy, arrivals, cumulative, config.params))
+            cell.add(first, _simulate(config.policy, arrivals, cumulative, config.ratio))
     return [cell.summary() for cell in totals]
 
 
@@ -387,7 +400,7 @@ def sweep(
     lambda_grid: Sequence[float],
     policy_names: Sequence[str],
     *,
-    params: RewardParams,
+    ratio: float,
     samples: int = 1000,
     horizon_steps: int = 720,
     master_seed: int = 0,
@@ -407,11 +420,11 @@ def sweep(
         raise ValueError("policy_names must be non-empty")
     rows: list[SweepRow] = []
     for cell_index, lam in enumerate(lambda_grid):
-        threshold = compute_threshold(_arrival_dist(lam), params.ratio)
+        threshold = compute_threshold(_arrival_dist(lam), ratio)
         configs = [
             SimConfig(
                 lam=lam,
-                params=params,
+                ratio=ratio,
                 policy=make_policy(name, threshold.n_star, period_steps),
                 horizon_steps=horizon_steps,
                 samples=samples,

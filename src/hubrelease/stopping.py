@@ -1,15 +1,17 @@
 """Release reward, the release condition, and the optimal occupancy threshold.
 
 A coordinator watches vehicles accumulate at a hub and picks the step at
-which to release them as one platoon.  Releasing n vehicles after waiting
-k steps is worth
+which to release them as one platoon.  Rewards are measured in units of
+the platooning benefit R a follower earns, so with the cost-benefit ratio
+r = c / R of a step's waiting cost c, releasing n vehicles after waiting k
+steps is worth
 
-    benefit * (n - 1) / n  -  step_cost * k
+    (n - 1) / n  -  r * k
 
 per vehicle: the lead vehicle gains nothing, each follower gains the full
-platooning benefit, and every step of delay costs ``step_cost``.  Under
-i.i.d. arrivals the expected gain from waiting one more step, relative to
-the benefit, is
+benefit, and every step of delay costs r.  Other values of R scale every
+reward by R and change no decision.  Under i.i.d. arrivals the expected
+gain from waiting one more step is
 
     g(n) = sum_x  x * P(x) / (n^2 + n*x)
 
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arrival import ArrivalDistribution
 
 # compute_threshold rejects ratios whose bracket end sqrt(mean / ratio) is
@@ -29,25 +33,10 @@ from .arrival import ArrivalDistribution
 _MAX_SQUARED_BOUND = 1e300
 
 
-@dataclass(frozen=True)
-class RewardParams:
-    """Per-follower benefit (> 0) and per-step waiting cost (>= 0), both finite."""
-
-    benefit: float
-    step_cost: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.benefit < math.inf:
-            raise ValueError(f"benefit must be positive and finite, got {self.benefit!r}")
-        if not 0 <= self.step_cost < math.inf:
-            raise ValueError(
-                f"step_cost must be nonnegative and finite, got {self.step_cost!r}"
-            )
-
-    @property
-    def ratio(self) -> float:
-        """Cost-benefit ratio step_cost / benefit."""
-        return self.step_cost / self.benefit
+def check_ratio(ratio: float) -> None:
+    """Refuse a cost-benefit ratio that is negative, nan or infinite."""
+    if not 0 <= ratio < math.inf:
+        raise ValueError(f"ratio must be nonnegative and finite, got {ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +61,16 @@ class Threshold:
         return self.n_star is None
 
 
-def release_reward(n: int, k: int, params: RewardParams) -> float:
-    """Per-vehicle value of releasing n vehicles at step k of an episode.
+def release_reward(n: int, k: int, ratio: float) -> float:
+    """Per-vehicle value, in units of the benefit, of releasing n vehicles
+    at step k of an episode.
 
     Also evaluates elementwise over integer arrays ``n`` and ``k``, with the
     same float operations; array counts are not checked and must be >= 1.
     """
-    if isinstance(n, int) and n < 1:
+    if isinstance(n, (int, np.integer)) and n < 1:
         raise ValueError(f"cannot release an empty platoon (n={n})")
-    return params.benefit * (n - 1) / n - params.step_cost * k
+    return (n - 1) / n - ratio * k
 
 
 def _waiting_gain(n: int, dist: ArrivalDistribution) -> float:
@@ -138,22 +128,21 @@ def compute_threshold(dist: ArrivalDistribution, ratio: float) -> Threshold:
     return Threshold(hi, ratio, dist)
 
 
-def one_step_lookahead(
-    n: int, k: int, dist: ArrivalDistribution, params: RewardParams
-) -> bool:
+def one_step_lookahead(n: int, k: int, dist: ArrivalDistribution, ratio: float) -> bool:
     """True when releasing now is at least as good as one forced extra step.
 
     Evaluates the definition directly, as the expected next-step reward
     over the arrival pmf; it must agree with ``release_condition`` for all
-    inputs even though the two share no code path.  The cost ``step_cost*k``
+    inputs even though the two share no code path.  The cost ``ratio*k``
     of the steps already waited is common to both sides and cancels, so
     both rewards are taken relative to the current step: the result is the
-    same for every k, also in floating point, where ``step_cost*k`` and
-    ``step_cost*(k+1)`` would round differently.
+    same for every k, also in floating point, where ``ratio*k`` and
+    ``ratio*(k+1)`` would round differently.
     """
-    now = release_reward(n, 0, params)
+    check_ratio(ratio)
+    now = release_reward(n, 0, ratio)
     later = 0.0
     probs = dist.probabilities
     for x in range(dist.support_max, -1, -1):
-        later += probs[x] * release_reward(n + x, 1, params)
+        later += probs[x] * release_reward(n + x, 1, ratio)
     return now >= later

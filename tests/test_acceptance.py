@@ -28,7 +28,6 @@ from hubrelease.policies import (
 )
 from hubrelease.sim import SimConfig, run_episode_hour, sweep
 from hubrelease.stopping import (
-    RewardParams,
     compute_threshold,
     one_step_lookahead,
     release_condition,
@@ -36,7 +35,6 @@ from hubrelease.stopping import (
 )
 
 RATIO = 0.005
-PARAMS = RewardParams(benefit=1.0, step_cost=RATIO)
 HORIZON = 720
 SAMPLES = 200
 SEED = 2026
@@ -64,7 +62,7 @@ def comparison_rows():
     rows = sweep(
         COMPARISON_RATES,
         ALL_POLICIES,
-        params=PARAMS,
+        ratio=RATIO,
         samples=SAMPLES,
         horizon_steps=HORIZON,
         master_seed=SEED,
@@ -77,7 +75,7 @@ def shape_rows():
     rows = sweep(
         SHAPE_GRID,
         ["threshold", "spontaneous"],
-        params=PARAMS,
+        ratio=RATIO,
         samples=SAMPLES,
         horizon_steps=HORIZON,
         master_seed=SEED + 1,
@@ -106,8 +104,7 @@ def test_criterion_02_dp_oracle_equivalence():
         dist = poisson_truncated(lam)
         cap = suggest_max_count(dist, HORIZON)
         for ratio in ratios:
-            params = RewardParams(benefit=1.0, step_cost=ratio)
-            solution = solve(DpConfig(HORIZON, cap, dist, params))
+            solution = solve(DpConfig(HORIZON, cap, dist, ratio))
             threshold = compute_threshold(dist, ratio)
             mismatched += len(compare_with_threshold(solution, threshold))
             configurations += 1
@@ -137,7 +134,6 @@ def test_criterion_03_monotone_stopping_properties():
     for _ in range(200):
         dist = _random_distribution(rng)
         ratio = float(10.0 ** rng.uniform(-4.0, -0.5))
-        params = RewardParams(benefit=1.0, step_cost=ratio)
         released = False
         for n in range(1, 1001):
             now = release_condition(n, dist, ratio)
@@ -145,8 +141,8 @@ def test_criterion_03_monotone_stopping_properties():
                 violations += 1
             released = released or now
         for n in (1, 2, 3, 5, 9, 17, 33, 80, 250, 1000):
-            base = one_step_lookahead(n, 0, dist, params)
-            if any(one_step_lookahead(n, k, dist, params) != base for k in (7, 500)):
+            base = one_step_lookahead(n, 0, dist, ratio)
+            if any(one_step_lookahead(n, k, dist, ratio) != base for k in (7, 500)):
                 violations += 1
         checked += 1
     _report(
@@ -230,10 +226,10 @@ def test_criterion_06_clairvoyant_pathwise_dominance():
         counts = first + np.concatenate(([0], np.cumsum(batches)))
         reached = np.nonzero(counts >= n_star)[0]
         release_step = int(reached[0]) if reached.size else HORIZON - 1
-        rule_reward = release_reward(int(counts[release_step]), release_step, PARAMS)
+        rule_reward = release_reward(int(counts[release_step]), release_step, RATIO)
         arrivals = np.concatenate(([first], batches))
-        best_step = int(NonCausalPolicy().release_steps(arrivals, PARAMS)[0])
-        best_reward = release_reward(int(counts[best_step]), best_step, PARAMS)
+        best_step = int(NonCausalPolicy().release_steps(arrivals, RATIO)[0])
+        best_reward = release_reward(int(counts[best_step]), best_step, RATIO)
         if best_reward >= rule_reward:
             dominated += 1
     _report(
@@ -308,7 +304,7 @@ def test_criterion_08_conservation_across_the_sweep():
         for policy in policies:
             config = SimConfig(
                 lam=lam,
-                params=PARAMS,
+                ratio=RATIO,
                 policy=policy,
                 horizon_steps=HORIZON,
                 samples=SAMPLES,

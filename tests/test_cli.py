@@ -120,8 +120,10 @@ class TestThreshold:
             (["threshold", "--lambda", "0.1", "--ratio", "nan"], "ratio"),
             (["threshold", "--lambda", "inf", "--ratio", "0.005"], "rate"),
             (["threshold", "--lambda", "nan", "--ratio", "0.005"], "rate"),
-            (["dp-verify", "--lambda", "0.1", "--ratio", "nan"], "step_cost"),
-            (["dp-verify", "--lambda", "0.1", "--ratio", "inf"], "step_cost"),
+            (["dp-verify", "--lambda", "0.1", "--ratio", "nan"], "ratio"),
+            (["dp-verify", "--lambda", "0.1", "--ratio", "inf"], "ratio"),
+            (["sweep", "--ratio", "nan", "--out", str(tmp_path / "e.csv")], "ratio"),
+            (["sweep", "--ratio", "inf", "--out", str(tmp_path / "f.csv")], "ratio"),
             (["sweep", "--lambda-max", "inf", "--out", str(tmp_path / "a.csv")],
              "lambda-max"),
             (["sweep", "--lambda-min", "nan", "--out", str(tmp_path / "b.csv")],
@@ -143,6 +145,9 @@ class TestThreshold:
             (["threshold", "--lambda", "0.1", "--ratio", "5e-324"], "too small"),
             (["dp-verify", "--lambda", "1", "--ratio", "1e-305"], "too small"),
             (["sweep", "--lambda-max", "1e300", "--out", "never.csv"], "lambda-max"),
+            # An hour's waiting cost of 5e308 would overflow the utilities.
+            (["sweep", "--points", "2", "--samples", "2", "--horizon", "5",
+              "--ratio", "1e308", "--out", "never.csv"], "ratio 1e+308 x horizon_steps 5"),
         ]
         results = run_in_child([argv for argv, _ in cases], tmp_path)
         for (argv, word), (code, err) in zip(cases, results):
@@ -157,10 +162,10 @@ class TestThreshold:
         for argv, word in (
             (["threshold", "--lambda", "0.1", "--ratio", value], "ratio"),
             (["threshold", "--lambda", value, "--ratio", "0.005"], "rate"),
-            (["dp-verify", "--lambda", "0.1", "--ratio", value], "step_cost"),
+            (["dp-verify", "--lambda", "0.1", "--ratio", value], "ratio"),
             (["dp-verify", "--lambda", value, "--ratio", "0.005"], "rate"),
             (["sweep", "--lambda-min", value, "--out", out], "lambda-min"),
-            (["sweep", "--ratio", value, "--out", out], "step_cost"),
+            (["sweep", "--ratio", value, "--out", out], "ratio"),
             (["sweep", "--step-seconds", value, "--out", out], "step_seconds"),
             (["sweep", "--initial-lambda", value, "--points", "1", "--out", out],
              "--initial-lambda must be a rate in [0, 20000]"),
@@ -541,6 +546,7 @@ def test_every_numeric_option_ends_promptly_without_a_traceback(tmp_path):
     for argv, (code, err) in zip(argvs, results):
         assert code in (0, 1, 2), (argv, err)
         assert "Traceback" not in err, (argv, err)
+        assert "Warning" not in err, (argv, err)
 
 
 class TestAtomicOutput:

@@ -1,6 +1,7 @@
 """Backward-induction solver against brute force, invariants, and the threshold rule."""
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from hubrelease.dp import (
     suggest_max_count,
     write_action_table,
 )
-from hubrelease.stopping import RewardParams, Threshold, compute_threshold, release_reward
+from hubrelease.stopping import Threshold, compute_threshold, release_reward
 
 BERNOULLI = from_pmf([(0, 0.5), (1, 0.5)])
 
 
-def brute_force_value(dist, horizon, params, n0):
+def brute_force_value(dist, horizon, ratio, n0):
     """Max expected reward over every stop-or-wait assignment to reachable states.
 
     Exhaustive: enumerates all 2^(number of pre-deadline reachable states)
@@ -36,7 +37,7 @@ def brute_force_value(dist, horizon, params, n0):
 
     def value(policy, k, n):
         if k == horizon or policy[(k, n)]:
-            return release_reward(n, k, params)
+            return release_reward(n, k, ratio)
         return sum(p * value(policy, k + 1, n + x) for x, p in support)
 
     best = -np.inf
@@ -51,29 +52,28 @@ def brute_force_value(dist, horizon, params, n0):
 
 
 class TestSolveAgainstBruteForce:
-    PARAMS = RewardParams(1.0, 0.2)
+    RATIO = 0.2
 
     def test_matches_exhaustive_policy_enumeration(self):
-        config = DpConfig(3, 12, BERNOULLI, self.PARAMS)
+        config = DpConfig(3, 12, BERNOULLI, self.RATIO)
         solution = solve(config)
-        best, release_at_start = brute_force_value(BERNOULLI, 3, self.PARAMS, 1)
+        best, release_at_start = brute_force_value(BERNOULLI, 3, self.RATIO, 1)
         assert solution.values[0, 1] == pytest.approx(best, abs=1e-12)
         assert bool(solution.actions[0, 1]) == release_at_start
 
     def test_frozen_value_at_the_start_state(self):
         # Hand-computed backward induction for Bernoulli(1/2), R=1, c=0.2,
         # three steps, one vehicle present: the start value is 7/80.
-        solution = solve(DpConfig(3, 12, BERNOULLI, self.PARAMS))
+        solution = solve(DpConfig(3, 12, BERNOULLI, self.RATIO))
         assert solution.values[0, 1] == pytest.approx(7.0 / 80.0, abs=1e-12)
         assert not solution.actions[0, 1]
 
     def test_brute_force_agrees_on_asymmetric_pmf(self):
         dist = from_pmf([(0, 0.3), (2, 0.7)])
-        params = RewardParams(1.0, 0.09)
-        config = DpConfig(3, 12, dist, params)
+        config = DpConfig(3, 12, dist, 0.09)
         solution = solve(config)
         for n0 in (1, 2, 3):
-            best, release = brute_force_value(dist, 3, params, n0)
+            best, release = brute_force_value(dist, 3, 0.09, n0)
             assert solution.values[0, n0] == pytest.approx(best, abs=1e-12)
             assert bool(solution.actions[0, n0]) == release
 
@@ -82,7 +82,7 @@ class TestSolutionInvariants:
     def _solution(self, lam=1.0 / 6.0, ratio=0.005, horizon=80):
         dist = poisson_truncated(lam)
         cap = suggest_max_count(dist, horizon)
-        return solve(DpConfig(horizon, cap, dist, RewardParams(1.0, ratio)))
+        return solve(DpConfig(horizon, cap, dist, ratio))
 
     def test_terminal_values_equal_forced_release_reward(self):
         solution = self._solution()
@@ -119,18 +119,16 @@ class TestSolutionInvariants:
 class TestThresholdComparison:
     def test_matches_threshold_rule(self):
         dist = poisson_truncated(1.0 / 6.0)
-        params = RewardParams(1.0, 0.005)
         cap = suggest_max_count(dist, 120)
-        solution = solve(DpConfig(120, cap, dist, params))
+        solution = solve(DpConfig(120, cap, dist, 0.005))
         threshold = compute_threshold(dist, 0.005)
         assert threshold.n_star == 6
         assert compare_with_threshold(solution, threshold) == []
 
     def test_corrupted_threshold_reports_mismatches(self):
         dist = poisson_truncated(1.0 / 6.0)
-        params = RewardParams(1.0, 0.005)
         cap = suggest_max_count(dist, 60)
-        solution = solve(DpConfig(60, cap, dist, params))
+        solution = solve(DpConfig(60, cap, dist, 0.005))
         corrupted = Threshold(7, 0.005, dist)
         mismatches = compare_with_threshold(solution, corrupted)
         assert mismatches
@@ -140,14 +138,14 @@ class TestThresholdComparison:
 
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
-        solution = solve(DpConfig(30, 60, dist, RewardParams(1.0, 0.005)))
+        solution = solve(DpConfig(30, 60, dist, 0.005))
         other = compute_threshold(poisson_truncated(0.1), 0.005)
         with pytest.raises(ValueError, match="distribution"):
             compare_with_threshold(solution, other)
 
     def test_ratio_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
-        solution = solve(DpConfig(30, 60, dist, RewardParams(1.0, 0.005)))
+        solution = solve(DpConfig(30, 60, dist, 0.005))
         threshold = compute_threshold(dist, 0.01)
         with pytest.raises(ValueError, match="ratio"):
             compare_with_threshold(solution, threshold)
@@ -170,15 +168,20 @@ class TestOccupancyCap:
         assert cap_violation_probability(dist, 720, cap) < CAP_TOLERANCE
         assert cap_violation_probability(dist, 720, cap - 1) >= CAP_TOLERANCE
 
+    @pytest.mark.parametrize("ratio", [-0.1, math.nan, math.inf])
+    def test_config_rejects_a_bad_ratio(self, ratio):
+        with pytest.raises(ValueError, match="^ratio must be nonnegative and finite"):
+            DpConfig(3, 12, BERNOULLI, ratio)
+
     def test_config_rejects_reachable_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
         with pytest.raises(ValueError, match="exceeded"):
-            DpConfig(720, 60, dist, RewardParams(1.0, 0.005))
+            DpConfig(720, 60, dist, 0.005)
 
     def test_config_accepts_suggested_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
         cap = suggest_max_count(dist, 720)
-        config = DpConfig(720, cap, dist, RewardParams(1.0, 0.005))
+        config = DpConfig(720, cap, dist, 0.005)
         assert config.max_count == cap
 
 
@@ -222,11 +225,10 @@ class TestStateLimit:
     def test_solver_grid_is_bounded_at_construction(self):
         # No arrivals: the cap check is free, so only the limit decides.
         empty = from_pmf([(0, 1.0)])
-        params = RewardParams(1.0, 0.005)
         at_limit = dp.MAX_STATES // 2 - 1
-        assert DpConfig(at_limit, 1, empty, params).horizon == at_limit
+        assert DpConfig(at_limit, 1, empty, 0.005).horizon == at_limit
         with pytest.raises(ValueError, match="solver needs.*MAX_STATES"):
-            DpConfig(at_limit + 1, 1, empty, params)
+            DpConfig(at_limit + 1, 1, empty, 0.005)
 
     def test_transition_table_is_bounded_before_the_cap_check(self, monkeypatch):
         # At rate 2e4 the default cap of a one-step solve is 21202 counts,
@@ -234,7 +236,7 @@ class TestStateLimit:
         monkeypatch.setattr(dp, "cap_violation_probability", never("the cap check"))
         dist = poisson_truncated(2e4)
         with pytest.raises(ValueError, match="transition table needs 21202 x 21004"):
-            DpConfig(1, 21202, dist, RewardParams(1.0, 0.005))
+            DpConfig(1, 21202, dist, 0.005)
 
 
 def absorbed_past_cap(dist, horizon, cap):
@@ -280,7 +282,7 @@ class TestSharedCapTail:
         dp._final_count_tail.cache_clear()
         monkeypatch.setattr(dp.np, "convolve", counting)
         cap = suggest_max_count(dist, 200)
-        DpConfig(200, cap, dist, RewardParams(1.0, 0.005))
+        DpConfig(200, cap, dist, 0.005)
         assert len(calls) == 200
 
 
@@ -291,17 +293,16 @@ REFERENCE_ACTIONS_SHA256 = "9d3f06e025999b515daab334ca1efcf82fcc4a7a80a0812621a9
 
 def test_reference_action_table_bytes_are_pinned(tmp_path):
     dist = poisson_truncated(1.0 / 6.0)
-    params = RewardParams(1.0, 0.005)
     threshold = compute_threshold(dist, 0.005)
     cap = max(suggest_max_count(dist, 720), threshold.n_star + dist.support_max)
     path = tmp_path / "actions.csv"
-    write_action_table(solve(DpConfig(720, cap, dist, params)), str(path))
+    write_action_table(solve(DpConfig(720, cap, dist, 0.005)), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE_ACTIONS_SHA256
 
 
 def test_action_table_dump_round_trips(tmp_path):
     dist = poisson_truncated(0.1)
-    solution = solve(DpConfig(5, 40, dist, RewardParams(1.0, 0.005)))
+    solution = solve(DpConfig(5, 40, dist, 0.005))
     path = tmp_path / "actions.csv"
     write_action_table(solution, str(path))
     lines = path.read_text().strip().splitlines()

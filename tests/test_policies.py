@@ -14,13 +14,13 @@ from hubrelease.policies import (
     ThresholdPolicy,
     make_policy,
 )
-from hubrelease.stopping import RewardParams, release_reward
+from hubrelease.stopping import release_reward
 
-PARAMS = RewardParams(1.0, 0.01)
+RATIO = 0.01
 
 
-def fires(policy, arrivals, params=PARAMS) -> list[int]:
-    steps = policy.release_steps(np.array(arrivals, dtype=np.int64), params)
+def fires(policy, arrivals, ratio=RATIO) -> list[int]:
+    steps = policy.release_steps(np.array(arrivals, dtype=np.int64), ratio)
     assert np.all(np.diff(steps) > 0)
     return steps.tolist()
 
@@ -79,21 +79,18 @@ class TestNonCausalDecision:
     def test_quits_while_ahead(self):
         # Same trajectory, but a 60x waiting cost: rewards 0, -0.1, -0.7, -1.13,
         # so the first episode releases at once and the next ones do the same.
-        expensive = RewardParams(1.0, 0.6)
-        assert fires(NonCausalPolicy(), [1, 1, 0, 1], expensive) == [0, 1, 3]
+        assert fires(NonCausalPolicy(), [1, 1, 0, 1], 0.6) == [0, 1, 3]
 
     def test_no_arrivals_releases_at_once(self):
         # Constant count 1: reward 0 at step 0 beats -c*t everywhere after.
         assert fires(NonCausalPolicy(), [1, 0, 0, 0]) == [0]
 
     def test_free_waiting_rides_to_the_horizon(self):
-        free = RewardParams(1.0, 0.0)
-        assert fires(NonCausalPolicy(), [1, 1, 1, 1], free) == [3]
+        assert fires(NonCausalPolicy(), [1, 1, 1, 1], 0.0) == [3]
 
     def test_ties_release_earliest(self):
-        free = RewardParams(1.0, 0.0)
         # Count stops growing: rewards tie from step 1 on.
-        assert fires(NonCausalPolicy(), [1, 1, 0, 0], free) == [1]
+        assert fires(NonCausalPolicy(), [1, 1, 0, 0], 0.0) == [1]
 
     def test_empty_trajectory_forces_horizon_end(self):
         # An episode that stays empty never fires; the simulator's forced
@@ -113,11 +110,10 @@ class TestNonCausalDecision:
     def test_each_episode_is_scored_on_its_own_clock(self):
         # Step 0 releases (waiting for the pair at step 3 costs more than the
         # benefit); the second episode starts at step 1 and waits for its pair.
-        params = RewardParams(1.0, 0.2)
-        assert fires(NonCausalPolicy(), [1, 0, 0, 1, 1, 0], params) == [0, 4]
+        assert fires(NonCausalPolicy(), [1, 0, 0, 1, 1, 0], 0.2) == [0, 4]
 
 
-def full_window_non_causal(arrivals, params):
+def full_window_non_causal(arrivals, ratio):
     """Reference: each episode's argmax over every remaining step of the hour."""
     cumulative = np.cumsum(arrivals)
     steps = []
@@ -128,7 +124,7 @@ def full_window_non_causal(arrivals, params):
             return steps
         counts = cumulative[first:] - released
         waited = np.arange(first - start, cumulative.size - start)
-        step = first + int(np.argmax(release_reward(counts, waited, params)))
+        step = first + int(np.argmax(release_reward(counts, waited, ratio)))
         steps.append(step)
         start, released = step + 1, int(cumulative[step])
 
@@ -136,18 +132,20 @@ def full_window_non_causal(arrivals, params):
 @pytest.mark.parametrize("step_cost", [0.0, 1e-15, 0.005, 0.05, 0.4, 3.0])
 @pytest.mark.parametrize("benefit", [1.0, 250.0, 1e300])
 def test_bounded_window_matches_full_window(step_cost, benefit):
-    params = RewardParams(benefit, step_cost)
+    # Ratios of a cost and a benefit in any unit: from 0 and subnormal
+    # through windows of 86 and 628 steps to ones shorter than an episode.
+    ratio = step_cost / benefit
     rng = np.random.default_rng(11)
     for rate in (0.01, 1.0 / 6.0, 0.5, 2.0):
         for horizon in (1, 2, 5, 60, 720):
             arrivals = rng.poisson(rate, size=horizon)
             arrivals[0] = max(arrivals[0], int(rng.integers(0, 2)))
-            assert fires(NonCausalPolicy(), arrivals, params) == full_window_non_causal(
-                arrivals, params
+            assert fires(NonCausalPolicy(), arrivals, ratio) == full_window_non_causal(
+                arrivals, ratio
             ), (rate, horizon)
 
 
-def padded_non_causal_mask(cumulative, params):
+def padded_non_causal_mask(cumulative, ratio):
     """Reference: ``NonCausalPolicy.fire_mask`` scoring a window -inf past its row.
 
     Windows read a copy of the flat matrix padded with its last total, and
@@ -156,8 +154,8 @@ def padded_non_causal_mask(cumulative, params):
     """
     rows, horizon = cumulative.shape
     reach = horizon
-    if params.step_cost > 0 and params.benefit / params.step_cost < reach:
-        reach = min(int(params.benefit / params.step_cost) + 3, horizon)
+    if ratio > 0 and 1.0 / ratio < reach:
+        reach = min(int(1.0 / ratio) + 3, horizon)
     mask = np.zeros((rows, horizon), dtype=bool)
     flat_mask = mask.ravel()
     flat = np.concatenate((cumulative.ravel(), np.full(reach, cumulative[-1, -1])))
@@ -172,7 +170,7 @@ def padded_non_causal_mask(cumulative, params):
         if not first.size:
             return mask, crossed
         steps = first[:, None] + np.arange(reach)
-        reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None], params)
+        reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None], ratio)
         past = steps >= end[:, None]
         crossed = crossed or bool(past.any())
         reward[past] = -np.inf
@@ -181,9 +179,8 @@ def padded_non_causal_mask(cumulative, params):
         origin, level = fire + 1, flat[fire]
 
 
-@pytest.mark.parametrize("step_cost", [0.0, 0.005, 0.4])
-def test_rows_match_the_padded_window_reference(step_cost):
-    params = RewardParams(1.0, step_cost)
+@pytest.mark.parametrize("ratio", [0.0, 0.005, 0.4])
+def test_rows_match_the_padded_window_reference(ratio):
     rng = np.random.default_rng(5)
     crossings = 0
     for rate, horizon, rows in ((0.05, 30, 40), (0.5, 12, 25), (1.0 / 6.0, 300, 12),
@@ -191,19 +188,18 @@ def test_rows_match_the_padded_window_reference(step_cost):
         arrivals = rng.poisson(rate, size=(rows, horizon))
         arrivals[::2, 0] += 1  # some rows open with a vehicle waiting, as simulated
         cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
-        expected, crossed = padded_non_causal_mask(cumulative, params)
+        expected, crossed = padded_non_causal_mask(cumulative, ratio)
         crossings += crossed
-        got = NonCausalPolicy().fire_mask(cumulative, params)
+        got = NonCausalPolicy().fire_mask(cumulative, ratio)
         assert np.array_equal(got, expected), (rate, horizon)
     assert crossings >= 2
 
 
-def test_subnormal_step_cost_keeps_the_full_window():
-    # benefit / step_cost overflows to inf; the window must not be cut.
-    params = RewardParams(1e300, 5e-324)
+def test_subnormal_ratio_keeps_the_full_window():
+    # 1 / ratio overflows to inf; the window must not be cut.
     arrivals = np.array([1, 0, 0, 2, 0, 1], dtype=np.int64)
-    assert fires(NonCausalPolicy(), arrivals, params) == full_window_non_causal(
-        arrivals, params
+    assert fires(NonCausalPolicy(), arrivals, 5e-324) == full_window_non_causal(
+        arrivals, 5e-324
     )
 
 
@@ -225,9 +221,8 @@ def test_policy_names_are_stable():
 @settings(max_examples=200, deadline=None)
 def test_clairvoyant_choice_dominates_every_single_release(arrivals, n0, ratio):
     """Whatever step any causal rule picks, the clairvoyant reward is >= its reward."""
-    params = RewardParams(1.0, ratio)
     counts = list(itertools.accumulate([n0] + arrivals))
-    best_step = fires(NonCausalPolicy(), [n0] + arrivals, params)[0]
-    best = release_reward(counts[best_step], best_step, params)
+    best_step = fires(NonCausalPolicy(), [n0] + arrivals, ratio)[0]
+    best = release_reward(counts[best_step], best_step, ratio)
     for step, count in enumerate(counts):
-        assert best >= release_reward(count, step, params)
+        assert best >= release_reward(count, step, ratio)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -23,17 +24,17 @@ from hubrelease.sim import (
     run_episode_hour,
     sweep,
 )
-from hubrelease.stopping import RewardParams, release_reward
+from hubrelease.stopping import release_reward
 
-PARAMS = RewardParams(1.0, 0.005)
-OPERATING = SimConfig(lam=1.0 / 6.0, params=PARAMS, policy=ThresholdPolicy(6),
+RATIO = 0.005
+OPERATING = SimConfig(lam=1.0 / 6.0, ratio=RATIO, policy=ThresholdPolicy(6),
                       samples=20, master_seed=99)
 
 
 def config(policy, lam=1.0 / 6.0, **kwargs):
     kwargs.setdefault("samples", 20)
     kwargs.setdefault("master_seed", 99)
-    return SimConfig(lam=lam, params=PARAMS, policy=policy, **kwargs)
+    return SimConfig(lam=lam, ratio=RATIO, policy=policy, **kwargs)
 
 
 def same_hour(a: HourResult, b: HourResult) -> bool:
@@ -137,22 +138,22 @@ class TestHourSemantics:
             assert run_episode_hour(cfg, i).arrivals[0] == 1
 
 
-def _best_release(arrivals, start, params):
+def _best_release(arrivals, start, ratio):
     """Earliest reward-maximizing step of the episode from `start`, by scan."""
     best, best_reward, count = None, 0.0, 0
     for step in range(start, len(arrivals)):
         count += arrivals[step]
         if count >= 1:
-            reward = release_reward(count, step - start, params)
+            reward = release_reward(count, step - start, ratio)
             if best is None or reward > best_reward:
                 best, best_reward = step, reward
     return best
 
 
-def step_loop_hour(arrivals, policy, params):
+def step_loop_hour(arrivals, policy, ratio):
     """Reference: decide step by step and record every platoon and vehicle."""
     horizon = len(arrivals)
-    target = _best_release(arrivals, 0, params)
+    target = _best_release(arrivals, 0, ratio)
     pending, episode_start, platoons, vehicles = [], 0, [], []
     for k in range(horizon):
         pending.extend([k] * arrivals[k])
@@ -171,7 +172,7 @@ def step_loop_hour(arrivals, policy, params):
             pending = []
         if fire:
             episode_start = k + 1
-            target = _best_release(arrivals, k + 1, params)
+            target = _best_release(arrivals, k + 1, ratio)
     return platoons, vehicles
 
 
@@ -179,7 +180,7 @@ def simulate_rows(cfg, samples):
     """Rows 0..samples-1 of cfg's arrival matrix, simulated together."""
     arrivals = sim._draw_arrivals(cfg, 0, samples)
     cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
-    return arrivals, sim._simulate(cfg.policy, arrivals, cumulative, cfg.params)
+    return arrivals, sim._simulate(cfg.policy, arrivals, cumulative, cfg.ratio)
 
 
 def split_hours(hours: HourResult) -> list:
@@ -221,7 +222,7 @@ class TestAgainstStepLoop:
         cfg = config(policy, lam=lam, horizon_steps=90)
         for i in range(5):
             hour = run_episode_hour(cfg, i)
-            assert split_hours(hour) == [step_loop_hour(hour.arrivals.tolist(), policy, PARAMS)]
+            assert split_hours(hour) == [step_loop_hour(hour.arrivals.tolist(), policy, RATIO)]
 
     @pytest.mark.parametrize("policy", STEP_LOOP_POLICIES)
     @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5, 2.0])
@@ -230,7 +231,7 @@ class TestAgainstStepLoop:
         arrivals, hours = simulate_rows(cfg, 6)
         assert np.array_equal(hours.arrivals, arrivals.ravel())
         for row_arrivals, hour in zip(arrivals.tolist(), split_hours(hours)):
-            assert step_loop_hour(row_arrivals, policy, PARAMS) == hour
+            assert step_loop_hour(row_arrivals, policy, RATIO) == hour
 
 
 # (policy, rate, config overrides): the edges of the cell kernel.
@@ -245,8 +246,8 @@ KERNEL_CASES = [
     (PeriodicPolicy(100), 0.5, {"horizon_steps": 45, "include_forced_in_length": False}),
     (SpontaneousPolicy(), 0.7, {"include_forced_in_length": False}),
     (NonCausalPolicy(), 1.0 / 6.0, {}),
-    (NonCausalPolicy(), 0.2, {"params": RewardParams(1.0, 0.0)}),
-    (NonCausalPolicy(), 0.5, {"params": RewardParams(2.0, 0.3), "initial_lam": 0.01}),
+    (NonCausalPolicy(), 0.2, {"ratio": 0.0}),
+    (NonCausalPolicy(), 0.5, {"ratio": 0.15, "initial_lam": 0.01}),
 ] + [
     (policy, lam, extra)
     for policy in (ThresholdPolicy(6), PeriodicPolicy(7), SpontaneousPolicy(),
@@ -263,7 +264,7 @@ def kernel_config(policy, lam, extra, samples=11):
 def per_hour_summary(cfg):
     """Reference: the per-hour loop over run_episode_hour, with explicit left folds."""
     fold = functools.partial(functools.reduce, operator.add)
-    params = cfg.params
+    ratio = cfg.ratio
     utility, wait, length, episode = [], [], [], []
     vehicles = platoons = length_count = 0
     sample_utility, sample_wait, sample_length, sample_episode = [], [], [], []
@@ -274,10 +275,10 @@ def per_hour_summary(cfg):
         if not cfg.include_forced_in_length:
             lengths = lengths[~hour.platoon_forced]
         u = fold(per_vehicle_utility(hour.vehicle_wait, hour.vehicle_is_lead,
-                                     params).tolist(), 0.0)
+                                     ratio).tolist(), 0.0)
         e = fold(release_reward(hour.platoon_size,
                                 hour.platoon_release_step - hour.platoon_episode_start,
-                                params).tolist(), 0.0)
+                                ratio).tolist(), 0.0)
         w, l = int(hour.vehicle_wait.sum()), int(lengths.sum())
         utility.append(u)
         wait.append(w)
@@ -357,13 +358,13 @@ class TestCellKernel:
         monkeypatch.setattr(sim, "_draw_arrivals", spy)
         rows = sweep([0.0, 0.1, 0.4], ["threshold", "periodic", "spontaneous",
                                         "non_causal"],
-                     params=PARAMS, samples=7, horizon_steps=50, master_seed=4,
+                     ratio=RATIO, samples=7, horizon_steps=50, master_seed=4,
                      initial_lam=0.2, include_forced_in_length=False, period_steps=9)
         assert draws == [0, 1, 2]
         monkeypatch.setattr(sim, "_draw_arrivals", draw)
         for row in rows:
             cfg = SimConfig(
-                lam=row.lam, params=PARAMS,
+                lam=row.lam, ratio=RATIO,
                 policy=make_policy(row.policy, row.n_star, 9), horizon_steps=50,
                 samples=7, master_seed=4, initial_lam=0.2, include_forced_in_length=False,
                 cell_index=[0.0, 0.1, 0.4].index(row.lam),
@@ -387,13 +388,13 @@ class TestNonCausalHour:
             for start, release, size in zip(result.platoon_episode_start.tolist(),
                                             result.platoon_release_step.tolist(),
                                             result.platoon_size.tolist()):
-                chosen = release_reward(size, release - start, PARAMS)
+                chosen = release_reward(size, release - start, RATIO)
                 # Any feasible single release in the episode window scores <= chosen.
                 count = 0
                 for step in range(start, release + 1):
                     count += arrivals[step]
                     if count >= 1:
-                        alternative = release_reward(count, step - start, PARAMS)
+                        alternative = release_reward(count, step - start, RATIO)
                         assert chosen >= alternative
 
     def test_kept_vehicles_match_episode_arrivals(self):
@@ -406,25 +407,25 @@ class TestNonCausalHour:
 
 class TestUtilityAccounting:
     def test_lead_gets_no_benefit(self):
-        utility = per_vehicle_utility(np.array([7]), np.array([True]), PARAMS)
+        utility = per_vehicle_utility(np.array([7]), np.array([True]), RATIO)
         assert utility.tolist() == [pytest.approx(-0.035)]
 
     def test_follower_gets_full_benefit_minus_wait(self):
-        utility = per_vehicle_utility(np.array([40]), np.array([False]), PARAMS)
+        utility = per_vehicle_utility(np.array([40]), np.array([False]), RATIO)
         assert utility.tolist() == [pytest.approx(1.0 - 0.2)]
 
     def test_instant_release_is_free(self):
-        utility = per_vehicle_utility(np.array([0]), np.array([False]), PARAMS)
+        utility = per_vehicle_utility(np.array([0]), np.array([False]), RATIO)
         assert utility.tolist() == [1.0]
 
     def test_platoon_episode_reward_uses_episode_clock(self):
         # Three vehicles released at step 30 of an episode that began at step 10.
-        assert release_reward(3, 30 - 10, PARAMS) == pytest.approx(2 / 3 - 0.1)
+        assert release_reward(3, 30 - 10, RATIO) == pytest.approx(2 / 3 - 0.1)
         cfg = config(PeriodicPolicy(60), lam=0.05, samples=1)
         hour = run_episode_hour(cfg, 0)
         assert hour.platoon_episode_start[1:].min() > 0
         rewards = [
-            release_reward(int(size), int(release - start), PARAMS)
+            release_reward(int(size), int(release - start), RATIO)
             for size, release, start in zip(hour.platoon_size,
                                             hour.platoon_release_step,
                                             hour.platoon_episode_start)
@@ -510,7 +511,7 @@ class TestMonteCarlo:
 
 class TestSweep:
     def test_rows_cover_the_grid_in_order(self):
-        rows = sweep([0.0, 0.1], ["threshold", "spontaneous"], params=PARAMS,
+        rows = sweep([0.0, 0.1], ["threshold", "spontaneous"], ratio=RATIO,
                      samples=5, horizon_steps=60, master_seed=1)
         assert [(r.lam, r.policy) for r in rows] == [
             (0.0, "threshold"), (0.0, "spontaneous"),
@@ -521,52 +522,74 @@ class TestSweep:
         from hubrelease.arrival import poisson_truncated
         from hubrelease.stopping import compute_threshold
 
-        rows = sweep([0.05, 1.0 / 6.0], ["periodic"], params=PARAMS,
+        rows = sweep([0.05, 1.0 / 6.0], ["periodic"], ratio=RATIO,
                      samples=3, horizon_steps=60, master_seed=1)
         for row in rows:
-            expected = compute_threshold(poisson_truncated(row.lam), PARAMS.ratio)
+            expected = compute_threshold(poisson_truncated(row.lam), RATIO)
             assert row.n_star == expected.n_star
 
     def test_same_rate_cells_share_arrivals(self):
         # Streams are keyed by the rate's grid position, not the policy.
         lam = 1.0 / 6.0
         a = run_episode_hour(
-            SimConfig(lam=lam, params=PARAMS, policy=ThresholdPolicy(6),
+            SimConfig(lam=lam, ratio=RATIO, policy=ThresholdPolicy(6),
                       samples=1, master_seed=5, cell_index=2), 0)
         b = run_episode_hour(
-            SimConfig(lam=lam, params=PARAMS, policy=PeriodicPolicy(60),
+            SimConfig(lam=lam, ratio=RATIO, policy=PeriodicPolicy(60),
                       samples=1, master_seed=5, cell_index=2), 0)
         assert np.array_equal(a.arrivals, b.arrivals)
 
     def test_invalid_policy_name_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            sweep([0.1], ["optimal"], params=PARAMS, samples=2, horizon_steps=30,
+            sweep([0.1], ["optimal"], ratio=RATIO, samples=2, horizon_steps=30,
                   master_seed=0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            sweep([], ["threshold"], params=PARAMS)
+            sweep([], ["threshold"], ratio=RATIO)
 
 
 class TestConfigValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="lam"):
-            SimConfig(lam=-0.1, params=PARAMS, policy=ThresholdPolicy(6))
+            SimConfig(lam=-0.1, ratio=RATIO, policy=ThresholdPolicy(6))
 
     @pytest.mark.parametrize("field", ["lam", "initial_lam"])
     def test_nan_rate_rejected(self, field):
         kwargs = {"lam": 0.1, field: math.nan}
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
-            SimConfig(params=PARAMS, policy=ThresholdPolicy(6), **kwargs)
+            SimConfig(ratio=RATIO, policy=ThresholdPolicy(6), **kwargs)
+
+    @pytest.mark.parametrize("ratio", [-0.1, math.nan, math.inf])
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="^ratio must be nonnegative and finite"):
+            SimConfig(lam=0.1, ratio=ratio, policy=ThresholdPolicy(6))
+
+    def test_hour_cost_is_bounded(self):
+        # At the limit the widest spread of per-sample means, squared and
+        # summed over the most samples a sweep holds, stays finite.
+        most = sim.MAX_SWEEP_ITEMS // sim._SAMPLE_ITEMS
+        assert most * (sim.MAX_HOUR_COST + 1) ** 2 < sys.float_info.max
+        SimConfig(lam=0.1, ratio=1e147, policy=ThresholdPolicy(6), horizon_steps=1000)
+        with pytest.raises(ValueError, match="^ratio 1e\\+149 x horizon_steps 50.*MAX_HOUR_COST"):
+            SimConfig(lam=0.1, ratio=1e149, policy=ThresholdPolicy(6), horizon_steps=50,
+                      samples=1)
+
+    def test_largest_hour_cost_gives_finite_metrics(self):
+        # An hour's cost of 5e149, just inside the limit: nothing overflows.
+        rows = sweep([0.3], ["threshold", "periodic", "spontaneous", "non_causal"],
+                     ratio=1e148, samples=5, horizon_steps=50, period_steps=7)
+        for row in rows:
+            assert all(math.isfinite(v) for v in dataclasses.astuple(row.metrics)), row
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
-            SimConfig(lam=0.1, params=PARAMS, policy=ThresholdPolicy(6),
+            SimConfig(lam=0.1, ratio=RATIO, policy=ThresholdPolicy(6),
                       horizon_steps=0)
 
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValueError, match="samples"):
-            SimConfig(lam=0.1, params=PARAMS, policy=ThresholdPolicy(6), samples=0)
+            SimConfig(lam=0.1, ratio=RATIO, policy=ThresholdPolicy(6), samples=0)
 
     def test_negative_sample_index_rejected(self):
         with pytest.raises(ValueError, match="sample_index"):
@@ -574,27 +597,27 @@ class TestConfigValidation:
 
     def test_the_top_rate_hour_is_one_accepted_row(self):
         # 720 steps at rate 2e4: 1.44e7 steps and vehicles (not simulated here).
-        SimConfig(lam=2e4, params=PARAMS, policy=ThresholdPolicy(6), samples=1)
-        SimConfig(lam=2e4, params=PARAMS, policy=ThresholdPolicy(6), samples=1,
+        SimConfig(lam=2e4, ratio=RATIO, policy=ThresholdPolicy(6), samples=1)
+        SimConfig(lam=2e4, ratio=RATIO, policy=ThresholdPolicy(6), samples=1,
                   initial_lam=2e4)
 
     @pytest.mark.parametrize("horizon", [10**9, 10**400])
     def test_oversize_row_rejected(self, horizon):
         with pytest.raises(ValueError, match="MAX_ROW_ITEMS"):
-            SimConfig(lam=0.1, params=PARAMS, policy=ThresholdPolicy(6),
+            SimConfig(lam=0.1, ratio=RATIO, policy=ThresholdPolicy(6),
                       horizon_steps=horizon, samples=1)
         with pytest.raises(ValueError, match="MAX_ROW_ITEMS"):
-            SimConfig(lam=2e4, params=PARAMS, policy=ThresholdPolicy(6),
+            SimConfig(lam=2e4, ratio=RATIO, policy=ThresholdPolicy(6),
                       horizon_steps=750, samples=1)
 
     def test_sample_count_is_bounded_by_the_sweep_limit(self):
         # One step at rate 0: a row of 1 step and at most 1 + 1 vehicles.
         most = sim.MAX_SWEEP_ITEMS // (2 + sim._SAMPLE_ITEMS)
-        SimConfig(lam=0.0, params=PARAMS, policy=ThresholdPolicy(6), horizon_steps=1,
+        SimConfig(lam=0.0, ratio=RATIO, policy=ThresholdPolicy(6), horizon_steps=1,
                   samples=most)
         for samples in (most + 1, 10**12, 10**400):
             with pytest.raises(ValueError, match="MAX_SWEEP_ITEMS"):
-                SimConfig(lam=0.0, params=PARAMS, policy=ThresholdPolicy(6),
+                SimConfig(lam=0.0, ratio=RATIO, policy=ThresholdPolicy(6),
                           horizon_steps=1, samples=samples)
 
     def test_sweep_size_counts_every_point(self):
@@ -607,7 +630,7 @@ class TestDistributionCaches:
     def test_a_sweep_keeps_one_distribution_of_each_kind(self):
         # A pmf at a large rate takes megabytes, and a sweep needs one rate
         # at a time.
-        sweep([0.1, 0.2, 0.3, 0.4], ["threshold"], params=PARAMS, samples=2,
+        sweep([0.1, 0.2, 0.3, 0.4], ["threshold"], ratio=RATIO, samples=2,
               horizon_steps=5)
         assert sim._arrival_dist.cache_info().currsize == 1
         assert sim._initial_dist.cache_info().currsize == 1

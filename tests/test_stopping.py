@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hubrelease.arrival import from_pmf, poisson_truncated
 from hubrelease.stopping import (
-    RewardParams,
     Threshold,
     _waiting_gain,
     compute_threshold,
@@ -22,37 +21,20 @@ SINGLE = from_pmf([(1, 1.0)])
 EMPTY_STEPS = from_pmf([(0, 1.0)])
 
 
-class TestRewardParams:
-    def test_ratio_is_cost_over_benefit(self):
-        params = RewardParams(benefit=2.0, step_cost=0.01)
-        assert params.ratio == 0.005
-
-    @pytest.mark.parametrize("benefit", [0.0, -1.0, math.nan, math.inf])
-    def test_benefit_must_be_positive(self, benefit):
-        with pytest.raises(ValueError, match="benefit"):
-            RewardParams(benefit=benefit, step_cost=0.1)
-
-    def test_cost_must_be_nonnegative(self):
-        # A non-finite cost would turn inf * 0 into NaN inside the solver.
-        for bad in (-0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="step_cost"):
-                RewardParams(benefit=1.0, step_cost=bad)
-
-
 class TestReleaseReward:
     def test_lone_vehicle_at_start_is_worthless(self):
-        assert release_reward(1, 0, RewardParams(1.0, 0.005)) == 0.0
+        assert release_reward(1, 0, 0.005) == 0.0
 
     def test_six_vehicles_after_ten_steps(self):
-        value = release_reward(6, 10, RewardParams(1.0, 0.005))
+        value = release_reward(6, 10, 0.005)
         assert value == pytest.approx(5.0 / 6.0 - 0.05, abs=1e-15)
 
-    def test_scales_with_benefit(self):
-        assert release_reward(2, 0, RewardParams(10.0, 0.0)) == 5.0
-
     def test_empty_platoon_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            release_reward(0, 3, RewardParams(1.0, 0.005))
+        # Scalar counts of any integer type, numpy's too, which would
+        # otherwise divide by zero.
+        for n in (0, -2, np.int64(0), np.int32(0), np.uint8(0)):
+            with pytest.raises(ValueError, match="empty"):
+                release_reward(n, 3, 0.005)
 
 
 class TestReleaseCondition:
@@ -176,27 +158,24 @@ class TestThresholdAgainstLinearScan:
 
 
 class TestOneStepLookahead:
-    PARAMS = RewardParams(1.0, 0.005)
+    RATIO = 0.005
 
     def test_agrees_with_release_condition_exhaustively(self):
         dist = poisson_truncated(1.0 / 6.0)
         for n in range(1, 101):
-            expected = release_condition(n, dist, self.PARAMS.ratio)
+            expected = release_condition(n, dist, self.RATIO)
             for k in (0, 7, 500):
-                assert one_step_lookahead(n, k, dist, self.PARAMS) is expected
+                assert one_step_lookahead(n, k, dist, self.RATIO) is expected
 
     def test_flip_happens_at_the_threshold(self):
         dist = poisson_truncated(1.0 / 6.0)
-        assert not one_step_lookahead(5, 0, dist, self.PARAMS)
-        assert one_step_lookahead(6, 0, dist, self.PARAMS)
+        assert not one_step_lookahead(5, 0, dist, self.RATIO)
+        assert one_step_lookahead(6, 0, dist, self.RATIO)
 
-    def test_benefit_scale_does_not_matter(self):
-        scaled = RewardParams(250.0, 250.0 * 0.005)
-        dist = poisson_truncated(1.0 / 6.0)
-        for n in (1, 5, 6, 40):
-            assert one_step_lookahead(n, 3, dist, scaled) is one_step_lookahead(
-                n, 3, dist, self.PARAMS
-            )
+    @pytest.mark.parametrize("ratio", [math.nan, -0.1])
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="ratio"):
+            one_step_lookahead(3, 0, poisson_truncated(0.1), ratio)
 
 
 @st.composite
@@ -230,11 +209,10 @@ def test_release_condition_monotone_in_occupancy(case):
 @settings(max_examples=100, deadline=None)
 def test_lookahead_is_step_invariant(case):
     dist, ratio = case
-    params = RewardParams(1.0, ratio)
     for n in (1, 2, 3, 5, 9, 17, 33, 80):
-        base = one_step_lookahead(n, 0, dist, params)
-        assert one_step_lookahead(n, 7, dist, params) is base
-        assert one_step_lookahead(n, 500, dist, params) is base
+        base = one_step_lookahead(n, 0, dist, ratio)
+        assert one_step_lookahead(n, 7, dist, ratio) is base
+        assert one_step_lookahead(n, 500, dist, ratio) is base
 
 
 @given(pmf_and_ratio())
@@ -247,10 +225,9 @@ def test_threshold_minimal_and_consistent_with_lookahead(case):
     assert release_condition(n_star, dist, ratio)
     if n_star > 1:
         assert not release_condition(n_star - 1, dist, ratio)
-    params = RewardParams(1.0, ratio)
-    assert one_step_lookahead(n_star, 11, dist, params)
+    assert one_step_lookahead(n_star, 11, dist, ratio)
     if n_star > 1:
-        assert not one_step_lookahead(n_star - 1, 11, dist, params)
+        assert not one_step_lookahead(n_star - 1, 11, dist, ratio)
 
 
 @given(pmf_and_ratio(), st.floats(min_value=1.1, max_value=50.0, allow_nan=False))
