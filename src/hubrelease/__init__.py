@@ -30,7 +30,6 @@ from .policies import (
     NonCausalPolicy,
     PeriodicPolicy,
     PolicyKind,
-    SpontaneousPolicy,
     ThresholdPolicy,
     make_policy,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "NonCausalPolicy",
     "PeriodicPolicy",
     "PolicyKind",
-    "SpontaneousPolicy",
     "ThresholdPolicy",
     "make_policy",
     "HourResult",

@@ -76,14 +76,6 @@ class ArrivalDistribution:
     def _cumulative(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.probabilities))
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one count; consumes exactly one uniform from ``rng``."""
-        return int(self.sample_many(rng, 1)[0])
-
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. counts by inverse-cdf lookup."""
-        return self.counts_at(rng.random(size))
-
     def counts_at(self, u: np.ndarray) -> np.ndarray:
         """The count drawn by each uniform in ``u`` (any shape): inverse-cdf lookup."""
         idx = np.searchsorted(self._cumulative, u, side="right")

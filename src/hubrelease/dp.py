@@ -38,6 +38,14 @@ MAX_STATES = 30_000_000
 # cap check the tests run (5e7); rate 30 over 720 steps (1.3e9, 0.7 s) and
 # a one-step search at rate 2e4 (9e8, 1.6 s) stay inside it.
 MAX_CONVOLUTION_WORK = 2_000_000_000
+# Rewards are in units of the benefit, so every solver value lies in
+# [-ratio * horizon, 1].  A continuation value weighs the next step's values
+# by a pmf whose mass is 1 within PMF_SUM_TOL, so its partial sums stay
+# below (1 + 1e-12) * (ratio * horizon + 1) in magnitude: finite while
+# ratio * horizon is at most 1e308, below the float maximum 1.797e308.  A
+# value that overflowed to inf would turn nan where it meets a zero
+# probability.
+MAX_HORIZON_COST = 1e308
 
 
 def _check_states(rows: int, cols: int, what: str) -> None:
@@ -142,6 +150,12 @@ class DpConfig:
         check_ratio(self.ratio)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.ratio * self.horizon > MAX_HORIZON_COST:
+            raise ValueError(
+                f"ratio {self.ratio!r} x horizon {self.horizon} is more than "
+                f"MAX_HORIZON_COST = {MAX_HORIZON_COST:.3g}: the solver's values "
+                f"would overflow; use a smaller ratio or a shorter horizon"
+            )
         if self.max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {self.max_count}")
         _check_states(self.horizon + 1, self.max_count + 1, "the solver")

@@ -1,8 +1,9 @@
 """Release policies evaluated by the hour simulator.
 
-Three causal rules (occupancy threshold, fixed period, release-on-sight)
-plus a non-causal benchmark that sees the whole future arrival trajectory
-of an episode and picks the reward-maximizing release step.
+Two causal rules (occupancy threshold, fixed period) plus a non-causal
+benchmark that sees the whole future arrival trajectory of an episode and
+picks the reward-maximizing release step.  Release on sight is the
+periodic rule with a period of one step.
 
 Each policy has one method, ``fire_mask(cumulative, ratio)``.  It takes
 a rows x horizon matrix with one simulated hour per row, holding the
@@ -11,39 +12,56 @@ the vehicles of every earlier row plus those of row r up to step k (its
 initial count is the step-0 batch).  It returns a new boolean matrix of
 the same shape, True where the coordinator fires.  A fire empties the hub
 into one platoon and restarts the episode clock, so fires on an empty hub
-are marked too.  The work loops over releases, never over steps: the
-running total never falls, so one search of the flattened matrix finds
-the next step of every row at once, and a result at or past the end of
-its row means that hour has no such step.  ``release_steps`` is the
-one-hour view: the sorted fire steps of one arrival vector.
+are marked too.  The threshold and non-causal rules share one loop over
+releases, never over steps: the running total never falls, so one search
+of the flattened matrix finds the next candidate step of every row at
+once, and a result at or past the end of its row means that hour has no
+such step.  The fire steps of one arrival vector ``a`` are
+``np.flatnonzero(policy.fire_mask(np.cumsum(a)[None, :], ratio)[0])``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .stopping import release_reward
 
 
-class _OneHourView:
-    """``release_steps`` for a policy class that defines ``fire_mask``."""
+def _release_rounds(cumulative: np.ndarray, need: int,
+                    choose: Callable[..., np.ndarray] | None = None) -> np.ndarray:
+    """Fire mask of a rule that fires once the hub holds ``need`` vehicles.
 
-    def release_steps(self, arrivals: np.ndarray, ratio: float) -> np.ndarray:
-        """Sorted fire steps of one hour (``arrivals[0]`` the initial count,
-        ``arrivals[k]`` the batch landing at step k)."""
-        cumulative = np.cumsum(arrivals)[None, :]
-        return np.flatnonzero(self.fire_mask(cumulative, ratio)[0])
-
-
-def _row_bases(cumulative: np.ndarray) -> np.ndarray:
-    """The running total just before each row: the vehicles of earlier rows."""
-    return np.concatenate(([0], cumulative[:-1, -1]))
+    Each round places the next fire of every row still running: the first
+    step whose running total is ``need`` above the total at the row's last
+    fire.  ``choose(first, end, origin, level)``, if given, may move each of
+    those fires later within its episode; per running row it gets the flat
+    index of that step, of the row's end and of its episode start, and the
+    running total at its last fire.
+    """
+    rows, horizon = cumulative.shape
+    mask = np.zeros((rows, horizon), dtype=bool)
+    flat_mask = mask.ravel()
+    flat = cumulative.ravel()
+    end = np.arange(1, rows + 1) * horizon
+    origin = end - horizon
+    level = np.concatenate(([0], cumulative[:-1, -1]))
+    while True:
+        fire = np.searchsorted(flat, level + need)
+        live = fire < end
+        if not live.all():
+            fire, end, origin, level = fire[live], end[live], origin[live], level[live]
+            if not fire.size:
+                return mask
+        if choose is not None:
+            fire = choose(fire, end, origin, level)
+        flat_mask[fire] = True
+        origin, level = fire + 1, flat[fire]
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy(_OneHourView):
+class ThresholdPolicy:
     """Release as soon as the hub count reaches n_star (None: never early)."""
 
     n_star: int | None
@@ -54,29 +72,14 @@ class ThresholdPolicy(_OneHourView):
 
     def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         # A fire at step k is followed by one at the first step whose
-        # running total exceeds that at k by n_star.  Each round searches
-        # the flattened matrix for the next fire of every row still running,
-        # so the work grows with the releases, not with the steps.
-        rows, horizon = cumulative.shape
-        mask = np.zeros((rows, horizon), dtype=bool)
+        # running total exceeds that at k by n_star.
         if self.n_star is None or self.n_star > cumulative[-1, -1]:
-            return mask
-        flat = cumulative.ravel()
-        fire = np.searchsorted(flat, _row_bases(cumulative) + self.n_star)
-        end = np.arange(1, rows + 1) * horizon
-        flat_mask = mask.ravel()
-        while True:
-            live = fire < end
-            if not live.all():
-                fire, end = fire[live], end[live]
-                if not fire.size:
-                    return mask
-            flat_mask[fire] = True
-            fire = np.searchsorted(flat, flat[fire] + self.n_star)
+            return np.zeros(cumulative.shape, dtype=bool)
+        return _release_rounds(cumulative, self.n_star)
 
 
 @dataclass(frozen=True)
-class PeriodicPolicy(_OneHourView):
+class PeriodicPolicy:
     """Release at the last step of every fixed-length interval."""
 
     period_steps: int
@@ -94,23 +97,14 @@ class PeriodicPolicy(_OneHourView):
 
 
 @dataclass(frozen=True)
-class SpontaneousPolicy(_OneHourView):
-    """Release at every step: vehicles depart the moment they arrive."""
-
-    def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
-        return np.ones(cumulative.shape, dtype=bool)
-
-
-@dataclass(frozen=True)
-class NonCausalPolicy(_OneHourView):
+class NonCausalPolicy:
     """Clairvoyant per-episode optimum; an upper bound for causal rules."""
 
     def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         # Each episode releases at the step, among those with a nonempty hub,
         # that maximizes the episode reward; argmax keeps the earliest of
         # tied steps.  An episode that stays empty to the horizon never fires.
-        # One round places the next release of every row still running.
-        rows, horizon = cumulative.shape
+        horizon = cumulative.shape[1]
         # A step d steps after the first nonempty one gains less than the
         # benefit 1 and loses d * ratio, so past d = 1/ratio + 1 it is worse
         # than releasing at once by more than ratio, far above the rounding
@@ -119,39 +113,28 @@ class NonCausalPolicy(_OneHourView):
         if ratio > 0 and 1.0 / ratio < reach:
             reach = min(int(1.0 / ratio) + 3, horizon)
         window = np.arange(reach)
-        mask = np.zeros((rows, horizon), dtype=bool)
-        flat_mask = mask.ravel()
         flat = cumulative.ravel()
-        # Per running row: the flat index of its end and of its episode
-        # start, and the running total at its last release.
-        end = np.arange(1, rows + 1) * horizon
-        origin = end - horizon
-        level = _row_bases(cumulative)
-        while True:
-            # The first step whose hub is nonempty: past the last release.
-            first = np.searchsorted(flat, level + 1)
-            live = first < end
-            if not live.all():
-                first, end, origin, level = first[live], end[live], origin[live], level[live]
-                if not first.size:
-                    return mask
+
+        def best(first, end, origin, level):
             steps = first[:, None] + window
             if (first + reach > end).any():
                 # A window past its row's end repeats the row's last step,
                 # whose first column argmax prefers to every repeat.
                 steps = np.minimum(steps, end[:, None] - 1)
             reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None], ratio)
-            fire = first + np.argmax(reward, axis=1)
-            flat_mask[fire] = True
-            origin, level = fire + 1, flat[fire]
+            return first + np.argmax(reward, axis=1)
+
+        # Each round starts from the first step whose hub is nonempty.
+        return _release_rounds(cumulative, 1, best)
 
 
-PolicyKind = Union[ThresholdPolicy, PeriodicPolicy, SpontaneousPolicy, NonCausalPolicy]
+PolicyKind = Union[ThresholdPolicy, PeriodicPolicy, NonCausalPolicy]
 
 _BUILDERS = {
     "threshold": lambda n_star, period_steps: ThresholdPolicy(n_star),
     "periodic": lambda n_star, period_steps: PeriodicPolicy(period_steps),
-    "spontaneous": lambda n_star, period_steps: SpontaneousPolicy(),
+    # Release on sight fires at every step, empty ones included.
+    "spontaneous": lambda n_star, period_steps: PeriodicPolicy(1),
     "non_causal": lambda n_star, period_steps: NonCausalPolicy(),
 }
 

@@ -90,8 +90,7 @@ def release_condition(n: int, dist: ArrivalDistribution, ratio: float) -> bool:
     """
     if n < 1:
         raise ValueError(f"occupancy must be >= 1, got {n}")
-    if not ratio >= 0:
-        raise ValueError(f"ratio must be nonnegative, got {ratio!r}")
+    check_ratio(ratio)
     return ratio >= _waiting_gain(n, dist)
 
 
@@ -104,8 +103,7 @@ def compute_threshold(dist: ArrivalDistribution, ratio: float) -> Threshold:
     evaluations of g.  At ratio 0 the condition can only ever hold when the
     arrival mean is 0, so a positive mean yields the never-release result.
     """
-    if not ratio >= 0:
-        raise ValueError(f"ratio must be nonnegative, got {ratio!r}")
+    check_ratio(ratio)
     if ratio == 0.0:
         return Threshold(None if dist.mean > 0.0 else 1, ratio, dist)
     squared_bound = dist.mean / ratio

@@ -23,7 +23,6 @@ from hubrelease.ingest import HourlyCounts, to_lambda
 from hubrelease.policies import (
     NonCausalPolicy,
     PeriodicPolicy,
-    SpontaneousPolicy,
     ThresholdPolicy,
 )
 from hubrelease.sim import SimConfig, run_episode_hour, sweep
@@ -221,14 +220,15 @@ def test_criterion_06_clairvoyant_pathwise_dominance():
     dominated = 0
     for index in range(episodes):
         rng = substream(4242, index)
-        first = initial.sample(rng)
-        batches = arrival.sample_many(rng, HORIZON - 1)
+        first = int(initial.counts_at(rng.random(1))[0])
+        batches = arrival.counts_at(rng.random(HORIZON - 1))
         counts = first + np.concatenate(([0], np.cumsum(batches)))
         reached = np.nonzero(counts >= n_star)[0]
         release_step = int(reached[0]) if reached.size else HORIZON - 1
         rule_reward = release_reward(int(counts[release_step]), release_step, RATIO)
         arrivals = np.concatenate(([first], batches))
-        best_step = int(NonCausalPolicy().release_steps(arrivals, RATIO)[0])
+        mask = NonCausalPolicy().fire_mask(np.cumsum(arrivals)[None, :], RATIO)
+        best_step = int(np.flatnonzero(mask[0])[0])
         best_reward = release_reward(int(counts[best_step]), best_step, RATIO)
         if best_reward >= rule_reward:
             dominated += 1
@@ -298,7 +298,7 @@ def test_criterion_08_conservation_across_the_sweep():
         policies = (
             ThresholdPolicy(n_star),
             PeriodicPolicy(60),
-            SpontaneousPolicy(),
+            PeriodicPolicy(1),
             NonCausalPolicy(),
         )
         for policy in policies:

@@ -223,35 +223,29 @@ class TestValidation:
 class TestSampling:
     def test_bitwise_reproducible_under_fixed_seed(self):
         dist = poisson_truncated(LAM)
-        a = dist.sample_many(substream(7, 3, 1), 500)
-        b = dist.sample_many(substream(7, 3, 1), 500)
+        a = dist.counts_at(substream(7, 3, 1).random(500))
+        b = dist.counts_at(substream(7, 3, 1).random(500))
         assert np.array_equal(a, b)
 
     def test_streams_differ_across_sample_index(self):
         dist = poisson_truncated(0.5)
-        a = dist.sample_many(substream(7, 3, 1), 500)
-        b = dist.sample_many(substream(7, 3, 2), 500)
+        a = dist.counts_at(substream(7, 3, 1).random(500))
+        b = dist.counts_at(substream(7, 3, 2).random(500))
         assert not np.array_equal(a, b)
-
-    def test_sample_order_matches_vector_draw(self):
-        dist = poisson_truncated(0.5)
-        singles = [dist.sample(substream(11, 0, i)) for i in range(20)]
-        firsts = [int(dist.sample_many(substream(11, 0, i), 3)[0]) for i in range(20)]
-        assert singles == firsts
 
     def test_fair_coin_mean(self, rng):
         dist = from_pmf([(0, 0.5), (1, 0.5)])
-        draws = dist.sample_many(rng, 1_000_000)
+        draws = dist.counts_at(rng.random(1_000_000))
         assert draws.mean() == pytest.approx(0.5, abs=2e-3)
 
     def test_draws_stay_on_support(self, rng):
         dist = from_pmf([(1, 0.3), (4, 0.7)])
-        draws = dist.sample_many(rng, 10_000)
+        draws = dist.counts_at(rng.random(10_000))
         assert set(np.unique(draws)) <= {1, 4}
 
     def test_point_mass_always_draws_it(self, rng):
         dist = from_pmf([(2, 1.0)])
-        assert np.all(dist.sample_many(rng, 1000) == 2)
+        assert np.all(dist.counts_at(rng.random(1000)) == 2)
 
     def test_negative_seed_path_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -118,6 +118,7 @@ class TestThreshold:
         # Non-finite values are refused up front instead of looping forever.
         for argv, word in (
             (["threshold", "--lambda", "0.1", "--ratio", "nan"], "ratio"),
+            (["threshold", "--lambda", "0.1", "--ratio", "inf"], "ratio"),
             (["threshold", "--lambda", "inf", "--ratio", "0.005"], "rate"),
             (["threshold", "--lambda", "nan", "--ratio", "0.005"], "rate"),
             (["dp-verify", "--lambda", "0.1", "--ratio", "nan"], "ratio"),
@@ -148,11 +149,17 @@ class TestThreshold:
             # An hour's waiting cost of 5e308 would overflow the utilities.
             (["sweep", "--points", "2", "--samples", "2", "--horizon", "5",
               "--ratio", "1e308", "--out", "never.csv"], "ratio 1e+308 x horizon_steps 5"),
+            # 1e308 x 5 rounds to inf, and the zero probability of count 1
+            # times an infinite solver value would be nan.
+            (["dp-verify", "--pmf-file", "gap.csv", "--ratio", "1e308", "--horizon", "5"],
+             "ratio 1e+308 x horizon 5"),
         ]
+        (tmp_path / "gap.csv").write_text("count,probability\n0,0.5\n2,0.5\n")
         results = run_in_child([argv for argv, _ in cases], tmp_path)
         for (argv, word), (code, err) in zip(cases, results):
             assert code == 1, argv
             assert err.startswith("error:") and word in err, argv
+            assert "Warning" not in err, argv
         assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan", "-1E5", "-1"])

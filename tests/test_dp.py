@@ -173,6 +173,14 @@ class TestOccupancyCap:
         with pytest.raises(ValueError, match="^ratio must be nonnegative and finite"):
             DpConfig(3, 12, BERNOULLI, ratio)
 
+    def test_config_rejects_a_cost_past_the_float_range(self):
+        # The deadline value -ratio * horizon must stay finite: as -inf, a
+        # zero probability inside the support would make it nan.
+        values = solve(DpConfig(1, 12, BERNOULLI, dp.MAX_HORIZON_COST)).values
+        assert np.isfinite(values[:, 1:]).all()
+        with pytest.raises(ValueError, match=r"^ratio 1e\+308 x horizon 5 .*MAX_HORIZON_COST"):
+            DpConfig(5, 12, BERNOULLI, 1e308)
+
     def test_config_rejects_reachable_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
         with pytest.raises(ValueError, match="exceeded"):

@@ -10,7 +10,6 @@ from hubrelease.policies import (
     POLICY_NAMES,
     NonCausalPolicy,
     PeriodicPolicy,
-    SpontaneousPolicy,
     ThresholdPolicy,
     make_policy,
 )
@@ -20,7 +19,8 @@ RATIO = 0.01
 
 
 def fires(policy, arrivals, ratio=RATIO) -> list[int]:
-    steps = policy.release_steps(np.array(arrivals, dtype=np.int64), ratio)
+    cumulative = np.cumsum(np.array(arrivals, dtype=np.int64))[None, :]
+    steps = np.flatnonzero(policy.fire_mask(cumulative, ratio)[0])
     assert np.all(np.diff(steps) > 0)
     return steps.tolist()
 
@@ -55,6 +55,9 @@ class TestPeriodicDecision:
 
     def test_period_one_fires_every_step(self):
         assert fires(PeriodicPolicy(1), [0] * 10) == list(range(10))
+        # Release on sight: an empty hub fires too, and each fire restarts
+        # the clock.
+        assert fires(PeriodicPolicy(1), [1, 0, 0, 3]) == [0, 1, 2, 3]
 
     def test_period_longer_than_the_hour_never_fires(self):
         assert fires(PeriodicPolicy(60), [1] * 59) == []
@@ -63,11 +66,6 @@ class TestPeriodicDecision:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="period"):
                 PeriodicPolicy(bad)
-
-
-def test_spontaneous_always_releases():
-    # Every step fires, an empty hub included: each fire restarts the clock.
-    assert fires(SpontaneousPolicy(), [1, 0, 0, 3]) == [0, 1, 2, 3]
 
 
 class TestNonCausalDecision:
@@ -207,7 +205,7 @@ def test_policy_names_are_stable():
     assert POLICY_NAMES == ("threshold", "periodic", "spontaneous", "non_causal")
     assert make_policy("threshold", 6, 60) == ThresholdPolicy(6)
     assert make_policy("periodic", 6, 60) == PeriodicPolicy(60)
-    assert make_policy("spontaneous", 6, 60) == SpontaneousPolicy()
+    assert make_policy("spontaneous", 6, 60) == PeriodicPolicy(1)
     assert make_policy("non_causal", 6, 60) == NonCausalPolicy()
     with pytest.raises(ValueError, match="unknown policy"):
         make_policy("optimal", 6, 60)

@@ -12,7 +12,6 @@ from hubrelease import sim
 from hubrelease.policies import (
     NonCausalPolicy,
     PeriodicPolicy,
-    SpontaneousPolicy,
     ThresholdPolicy,
     make_policy,
 )
@@ -46,7 +45,7 @@ def same_hour(a: HourResult, b: HourResult) -> bool:
 
 class TestHourSemantics:
     def test_conservation_every_vehicle_released_once(self):
-        for policy in (ThresholdPolicy(6), PeriodicPolicy(60), SpontaneousPolicy(),
+        for policy in (ThresholdPolicy(6), PeriodicPolicy(60), PeriodicPolicy(1),
                        NonCausalPolicy()):
             result = run_episode_hour(config(policy), 0)
             assert result.vehicle_wait.size == result.arrivals.sum()
@@ -85,7 +84,7 @@ class TestHourSemantics:
         assert np.all(result.platoon_size[crossing] <= 5 + hour_max_batch)
 
     def test_spontaneous_releases_vehicles_the_step_they_arrive(self):
-        result = run_episode_hour(config(SpontaneousPolicy()), 2)
+        result = run_episode_hour(config(PeriodicPolicy(1)), 2)
         assert np.all(result.vehicle_wait == 0)
 
     def test_periodic_wait_stays_below_the_period(self):
@@ -161,8 +160,6 @@ def step_loop_hour(arrivals, policy, ratio):
             fire = policy.n_star is not None and len(pending) >= policy.n_star
         elif isinstance(policy, PeriodicPolicy):
             fire = (k + 1) % policy.period_steps == 0
-        elif isinstance(policy, SpontaneousPolicy):
-            fire = True
         else:
             fire = k == target
         last = k == horizon - 1
@@ -211,7 +208,7 @@ def split_hours(hours: HourResult) -> list:
 
 STEP_LOOP_POLICIES = [
     ThresholdPolicy(3), ThresholdPolicy(1), ThresholdPolicy(None),
-    PeriodicPolicy(7), PeriodicPolicy(1), SpontaneousPolicy(), NonCausalPolicy(),
+    PeriodicPolicy(7), PeriodicPolicy(1), NonCausalPolicy(),
 ]
 
 
@@ -244,13 +241,13 @@ KERNEL_CASES = [
     (PeriodicPolicy(60), 0.05, {"initial_lam": 3.0}),
     (PeriodicPolicy(100), 0.5, {"horizon_steps": 45}),
     (PeriodicPolicy(100), 0.5, {"horizon_steps": 45, "include_forced_in_length": False}),
-    (SpontaneousPolicy(), 0.7, {"include_forced_in_length": False}),
+    (PeriodicPolicy(1), 0.7, {"include_forced_in_length": False}),
     (NonCausalPolicy(), 1.0 / 6.0, {}),
     (NonCausalPolicy(), 0.2, {"ratio": 0.0}),
     (NonCausalPolicy(), 0.5, {"ratio": 0.15, "initial_lam": 0.01}),
 ] + [
     (policy, lam, extra)
-    for policy in (ThresholdPolicy(6), PeriodicPolicy(7), SpontaneousPolicy(),
+    for policy in (ThresholdPolicy(6), PeriodicPolicy(7), PeriodicPolicy(1),
                    NonCausalPolicy())
     for lam, extra in ((0.0, {}), (0.4, {"horizon_steps": 1}),
                        (0.4, {"horizon_steps": 1, "include_forced_in_length": False}))
@@ -436,13 +433,13 @@ class TestUtilityAccounting:
 
 class TestMonteCarlo:
     def test_spontaneous_wait_is_exactly_zero(self):
-        metrics = monte_carlo(config(SpontaneousPolicy(), samples=50))
+        metrics = monte_carlo(config(PeriodicPolicy(1), samples=50))
         assert metrics.mean_wait_steps == 0.0
         assert metrics.ci_wait_steps == 0.0
 
     def test_spontaneous_platoon_length_matches_conditional_mean(self):
         lam = 1.0 / 6.0
-        metrics = monte_carlo(config(SpontaneousPolicy(), samples=400))
+        metrics = monte_carlo(config(PeriodicPolicy(1), samples=400))
         expected = lam / -math.expm1(-lam)  # E[X | X >= 1]
         assert abs(metrics.mean_platoon_len - expected) <= 3 * max(
             metrics.ci_platoon_len, 1e-3

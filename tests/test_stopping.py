@@ -60,7 +60,7 @@ class TestReleaseCondition:
             release_condition(0, BERNOULLI, 0.05)
 
     def test_negative_ratio_rejected(self):
-        for bad in (-0.01, math.nan):
+        for bad in (-0.01, math.nan, math.inf):
             with pytest.raises(ValueError, match="ratio"):
                 release_condition(1, BERNOULLI, bad)
 
@@ -89,7 +89,7 @@ class TestComputeThreshold:
 
     def test_negative_ratio_rejected(self):
         # NaN compares false with everything, so the scan would never stop.
-        for bad in (-0.005, math.nan):
+        for bad in (-0.005, math.nan, math.inf):
             with pytest.raises(ValueError, match="ratio"):
                 compute_threshold(BERNOULLI, bad)
 
