@@ -55,9 +55,6 @@ class TestPeriodicDecision:
 
     def test_period_one_fires_every_step(self):
         assert fires(PeriodicPolicy(1), [0] * 10) == list(range(10))
-        # Release on sight: an empty hub fires too, and each fire restarts
-        # the clock.
-        assert fires(PeriodicPolicy(1), [1, 0, 0, 3]) == [0, 1, 2, 3]
 
     def test_period_longer_than_the_hour_never_fires(self):
         assert fires(PeriodicPolicy(60), [1] * 59) == []
@@ -66,6 +63,12 @@ class TestPeriodicDecision:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="period"):
                 PeriodicPolicy(bad)
+
+
+def test_spontaneous_always_releases():
+    # Every step fires, an empty hub included: each fire restarts the clock.
+    policy = make_policy("spontaneous", 6, 60)
+    assert fires(policy, [1, 0, 0, 3]) == [0, 1, 2, 3]
 
 
 class TestNonCausalDecision:

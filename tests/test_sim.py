@@ -208,7 +208,9 @@ def split_hours(hours: HourResult) -> list:
 
 STEP_LOOP_POLICIES = [
     ThresholdPolicy(3), ThresholdPolicy(1), ThresholdPolicy(None),
-    PeriodicPolicy(7), PeriodicPolicy(1), NonCausalPolicy(),
+    PeriodicPolicy(7), PeriodicPolicy(1),
+    PeriodicPolicy(90),  # fires on the last step of the 90-step hour
+    NonCausalPolicy(),
 ]
 
 
