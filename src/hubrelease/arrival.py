@@ -46,7 +46,10 @@ class ArrivalDistribution:
         for x, p in enumerate(probs):
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability of count {x} is {p!r}, outside [0, 1]")
-        total = math.fsum(probs)
+        # fsum rounds the exact sum correctly in any order; largest first
+        # keeps its list of partial sums short across a pmf that spans from
+        # subnormal to near 1.
+        total = math.fsum(sorted(probs, reverse=True))
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"pmf sums to {total!r}, expected 1 within {PMF_SUM_TOL}")
         object.__setattr__(self, "probabilities", tuple(probs))
@@ -57,12 +60,34 @@ class ArrivalDistribution:
         return len(self.probabilities) - 1
 
     @cached_property
+    def _descending_pass(self) -> tuple[tuple[float, ...], float, float]:
+        # One pass from the largest count down: the terms x * P(x), their
+        # sum E[X] and the sum of x * x * P(x), E[X^2], each accumulated
+        # smallest terms first.
+        probs = self.probabilities
+        terms = []
+        mean = second = 0.0
+        for x in range(self.support_max, 0, -1):
+            term = x * probs[x]
+            terms.append(term)
+            mean += term
+            second += x * term
+        return tuple(terms), mean, second
+
+    @property
     def mean(self) -> float:
         """Expected arrivals per step, summed from large counts down."""
-        total = 0.0
-        for x in range(self.support_max, 0, -1):
-            total += x * self.probabilities[x]
-        return total
+        return self._descending_pass[1]
+
+    @property
+    def second_moment(self) -> float:
+        """E[X^2], summed from large counts down."""
+        return self._descending_pass[2]
+
+    @property
+    def weighted_counts(self) -> tuple[float, ...]:
+        """x * P(x) for x = support_max down to 1: the terms of the mean."""
+        return self._descending_pass[0]
 
     @cached_property
     def variance(self) -> float:
@@ -114,17 +139,22 @@ def _poisson_sf(k: np.ndarray, lam: float) -> np.ndarray:
 def _truncation_point(lam: float, start: int, scale: float) -> int:
     """Smallest x >= start with P(X > x) / scale < TAIL_MASS, X ~ Poisson(lam).
 
-    Evaluates sf over one bracket from start upward, so the first hit is the
-    one a count-by-count scan would stop at.  The bracket always holds it:
+    Evaluates sf over one bracket upward, so the first hit is the one a
+    count-by-count scan from start would stop at.  The bracket begins no
+    lower than int(lam) - 1, because no count below that can be the hit:
+    every x <= lam - 1 lies below the Poisson median, which is at least
+    lam - ln 2 (Choi, 1994), so P(X > x) > 1/2 there, and with scale <= 1
+    the tail is nowhere near TAIL_MASS.  The bracket always holds the hit:
     by Bernstein's inequality P(X >= lam + t) <= exp(-t^2 / (2 (lam + t/3))),
     and at its end, t = 10 sqrt(lam) + 40, the exponent stays above 51 for
     every rate up to MAX_RATE, where -log(TAIL_MASS) = 27.7 is enough.  A
     scale of P(X >= 1) >= 1 - 1/e costs under 0.5 of that from rate 1 up;
     below it, P(X > 40) / P(X >= 1) < lam^40 / 40! is far smaller still.
     """
+    first = max(start, int(lam) - 1)
     stop = int(lam + 10.0 * math.sqrt(lam)) + 40
-    below = np.flatnonzero(_poisson_sf(np.arange(start, stop + 1), lam) / scale < TAIL_MASS)
-    return start + int(below[0])
+    below = np.flatnonzero(_poisson_sf(np.arange(first, stop + 1), lam) / scale < TAIL_MASS)
+    return first + int(below[0])
 
 
 def poisson_truncated(lam: float) -> ArrivalDistribution:
@@ -137,7 +167,7 @@ def poisson_truncated(lam: float) -> ArrivalDistribution:
     x_max = _truncation_point(lam, 0, 1.0)
     probs = _poisson_pmf(np.arange(x_max + 1), lam)
     probs /= probs.sum()
-    return ArrivalDistribution(tuple(probs))
+    return ArrivalDistribution(tuple(probs.tolist()))
 
 
 def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
@@ -155,7 +185,7 @@ def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
     probs = _poisson_pmf(np.arange(n_max + 1), lam)
     probs[0] = 0.0
     probs /= probs.sum()
-    return InitialCountDistribution(tuple(probs))
+    return InitialCountDistribution(tuple(probs.tolist()))
 
 
 def from_pmf(pairs: Iterable[tuple[int, float]]) -> ArrivalDistribution:

@@ -81,6 +81,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 def cmd_dp_verify(args: argparse.Namespace) -> int:
     dist = _distribution(args)
     threshold = compute_threshold(dist, args.ratio)
+    if threshold.never_release:
+        raise ValueError(
+            f"dp-verify cannot check ratio {args.ratio!r}: with no waiting cost and "
+            f"arrivals of mean {dist.mean!r} the rule never releases, and the solver's "
+            "occupancy cap makes releasing and waiting tie at the cap"
+        )
     max_count = args.max_count
     if max_count is None:
         # The solver clamps counts at the cap, so the cap must also leave

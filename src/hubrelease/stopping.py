@@ -28,8 +28,9 @@ import numpy as np
 
 from .arrival import ArrivalDistribution
 
-# compute_threshold rejects ratios whose bracket end sqrt(mean / ratio) is
-# past 1e150: a few doublings of it must keep n^2 + n*x a finite float.
+# g(n) <= mean / n^2 keeps n_star near or below sqrt(mean / ratio), and
+# compute_threshold rejects ratios that put that past 1e150: every n the
+# search evaluates must keep n^2 + n*x a finite float.
 _MAX_SQUARED_BOUND = 1e300
 
 
@@ -76,10 +77,12 @@ def release_reward(n: int, k: int, ratio: float) -> float:
 def _waiting_gain(n: int, dist: ArrivalDistribution) -> float:
     # sum_x x*P(x)/(n^2 + n*x); evaluated from the largest x down so the
     # smallest terms accumulate first.  The x = 0 term is zero by definition.
-    probs = dist.probabilities
+    # The exact integer denominator steps down by n from one x to the next.
+    denominator = n * n + n * (dist.support_max + 1)
     total = 0.0
-    for x in range(dist.support_max, 0, -1):
-        total += x * probs[x] / (n * n + n * x)
+    for term in dist.weighted_counts:
+        denominator -= n
+        total += term / denominator
     return total
 
 
@@ -97,29 +100,57 @@ def release_condition(n: int, dist: ArrivalDistribution, ratio: float) -> bool:
 def compute_threshold(dist: ArrivalDistribution, ratio: float) -> Threshold:
     """Smallest n >= 1 satisfying the release condition.
 
-    g(n) <= mean / n^2 puts n_star in [1, ceil(sqrt(mean / ratio))], and the
-    float g is nonincreasing in n (every term is), so bisection over that
-    bracket finds the n a scan from 1 would stop at with O(log n_star)
-    evaluations of g.  At ratio 0 the condition can only ever hold when the
-    arrival mean is 0, so a positive mean yields the never-release result.
+    The float g is nonincreasing in n (every term is), so once the
+    condition fails at some n it fails at every smaller one, and the
+    search returns the n a scan from 1 would stop at.  It starts from a
+    lower bound: with weights x*P(x)/mean over the counts, Jensen's
+    inequality for the convex 1/(n + x) gives
+
+        g(n) >= mean / (n * (n + c)),   c = E[X^2] / E[X],
+
+    so the condition fails at every n below the root of
+    n * (n + c) = mean / ratio.  One evaluation checks the largest integer
+    below that root; should rounding make the condition hold there, the
+    search bisects from 0 instead.  Otherwise it gallops upward from the
+    guess and bisects the last gap, so an n_star near the root costs a
+    handful of evaluations of g.  The first step is about guess * 2^-50,
+    a few units in the last place of the float root, so that a huge n_star
+    is not approached one count at a time.  At ratio 0 the condition
+    can only ever hold when the arrival mean is 0, so a positive mean
+    yields the never-release result.
     """
     check_ratio(ratio)
+    mean = dist.mean
     if ratio == 0.0:
-        return Threshold(None if dist.mean > 0.0 else 1, ratio, dist)
-    squared_bound = dist.mean / ratio
+        return Threshold(None if mean > 0.0 else 1, ratio, dist)
+    squared_bound = mean / ratio
     if not squared_bound <= _MAX_SQUARED_BOUND:
         raise ValueError(
             f"ratio {ratio!r} is too small: n_star would be near "
             f"sqrt(mean / ratio) = {math.sqrt(squared_bound):.3g}, past float range"
         )
-    # Rounding can leave g(hi) a hair above ratio; doubling quarters g.
-    hi = max(1, math.ceil(math.sqrt(squared_bound)))
-    while not release_condition(hi, dist, ratio):
-        hi *= 2
-    lo = 0  # the condition fails at every n <= lo and holds at hi
+    lo = 0  # the condition fails at every n <= lo
+    hi = None  # and holds at hi
+    if mean > 0.0:
+        c = dist.second_moment / mean
+        # The root of n^2 + c*n - squared_bound, in a form that does not cancel.
+        root = 2.0 * squared_bound / (c + math.sqrt(c * c + 4.0 * squared_bound))
+        guess = math.ceil(root) - 1
+        if guess >= 1:
+            if ratio >= _waiting_gain(guess, dist):
+                hi = guess
+            else:
+                lo = guess
+    if hi is None:
+        step = max(1, lo >> 50)
+        hi = lo + step
+        while ratio < _waiting_gain(hi, dist):
+            lo = hi
+            step *= 2
+            hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if release_condition(mid, dist, ratio):
+        if ratio >= _waiting_gain(mid, dist):
             hi = mid
         else:
             lo = mid

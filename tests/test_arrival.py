@@ -9,11 +9,13 @@ from scipy.stats import poisson as sp_poisson
 
 from hubrelease.arrival import (
     MAX_RATE,
+    PMF_SUM_TOL,
     TAIL_MASS,
     ArrivalDistribution,
     InitialCountDistribution,
     _poisson_pmf,
     _poisson_sf,
+    _truncation_point,
     from_pmf,
     poisson_truncated,
     substream,
@@ -139,6 +141,77 @@ class TestTruncationAgainstScalarLoop:
         for rate in (MAX_RATE, float(lam[1]), 5e-324):
             poisson_truncated(rate)
             zero_truncated_poisson(rate)
+
+
+def full_bracket(lam, start, scale):
+    """Reference: the first hit over the whole bracket from start."""
+    stop = int(lam + 10.0 * math.sqrt(lam)) + 40
+    below = np.flatnonzero(_poisson_sf(np.arange(start, stop + 1), lam) / scale < TAIL_MASS)
+    return start + int(below[0])
+
+
+# Landmarks, integers and their neighbours (where int(lam) - 1 moves), then a
+# log grid up to the largest rate.
+BRACKET_RATES = [0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 - 1e-16, 2.0, 2.0 + 4e-16, 3.0, 1000.0,
+                 MAX_RATE] + [float(r) for r in np.geomspace(1e-6, MAX_RATE, 400)]
+
+
+def test_median_started_bracket_finds_the_full_brackets_hit():
+    for lam in BRACKET_RATES:
+        x_max = _truncation_point(lam, 0, 1.0)
+        assert x_max == full_bracket(lam, 0, 1.0), lam
+        assert poisson_truncated(lam).support_max == x_max, lam
+        # The skipped counts have tails above 1/2, as the median bound says.
+        skipped = int(lam) - 2
+        if skipped >= 0:
+            assert _poisson_sf(np.array([skipped]), lam)[0] > 0.5, lam
+        if lam > 0:
+            scale = -math.expm1(-lam)
+            n_max = _truncation_point(lam, 1, scale)
+            assert n_max == full_bracket(lam, 1, scale), lam
+            assert zero_truncated_poisson(lam).support_max == n_max, lam
+
+
+def poisson_pair(lam):
+    """The Poisson pmf at lam and, for lam > 0, its zero-truncated one."""
+    return [poisson_truncated(lam)] + ([zero_truncated_poisson(lam)] if lam > 0 else [])
+
+
+def mass_check_accepts(probs):
+    """Reference: the tolerance test on math.fsum in arrival order."""
+    return abs(math.fsum(probs) - 1.0) <= PMF_SUM_TOL
+
+
+def test_mass_check_decides_as_fsum_in_arrival_order():
+    rng = np.random.default_rng(1018)
+    decided = {True: 0, False: 0}
+    for case in range(3000):
+        size = int(rng.integers(1, 60))
+        # Masses that span many binades, like a wide Poisson pmf's.
+        probs = 10.0 ** rng.uniform(-300.0, 0.0, size=size) * rng.random(size)
+        probs = (probs / math.fsum(probs)).tolist()
+        # Move the exact total to just inside or outside 1 +- PMF_SUM_TOL.
+        target = 1.0 + rng.choice([-1.0, 1.0]) * PMF_SUM_TOL * (1.0 + rng.uniform(-1e-3, 1e-3))
+        big = int(np.argmax(probs))
+        probs[big] += target - math.fsum(probs)
+        if not 0.0 <= probs[big] <= 1.0:
+            continue
+        expected = mass_check_accepts(probs)
+        decided[expected] += 1
+        try:
+            ArrivalDistribution(tuple(probs))
+        except ValueError as exc:
+            assert not expected and "sums to" in str(exc), probs
+        else:
+            assert expected, probs
+    assert min(decided.values()) > 500
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-9, LAM, 2.0, 1000.0, MAX_RATE])
+def test_poisson_constructors_pass_the_mass_check(lam):
+    for dist in poisson_pair(lam):
+        assert mass_check_accepts(dist.probabilities)
+        assert all(type(p) is float for p in dist.probabilities)
 
 
 def assert_matches_scipy_stats(lam):
@@ -272,3 +345,28 @@ def test_from_pmf_always_yields_valid_distribution(pairs):
     assert dist.probabilities[dist.support_max] > 0.0
     expected_mean = sum(c * p for c, p in pairs)
     assert dist.mean == pytest.approx(expected_mean, rel=1e-9, abs=1e-12)
+
+
+def descending_mean(probs):
+    """Reference: the mean's loop from the largest count down."""
+    total = 0.0
+    for x in range(len(probs) - 1, 0, -1):
+        total += x * probs[x]
+    return total
+
+
+@given(weighted_pmfs())
+@settings(max_examples=200)
+def test_mean_is_the_descending_loop_bit_for_bit(pairs):
+    dist = from_pmf(pairs)
+    probs = dist.probabilities
+    assert dist.mean == descending_mean(probs)
+    assert dist.weighted_counts == tuple(x * probs[x] for x in range(dist.support_max, 0, -1))
+    expected_second = math.fsum(x * x * p for x, p in enumerate(probs))
+    assert dist.second_moment == pytest.approx(expected_second, rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, LAM, 2.0, 1000.0, MAX_RATE])
+def test_poisson_mean_is_the_descending_loop_bit_for_bit(lam):
+    for dist in poisson_pair(lam):
+        assert dist.mean == descending_mean(dist.probabilities)

@@ -315,6 +315,25 @@ class TestDpVerify:
         assert err.startswith("error: the occupancy-cap search needs 37 steps")
         assert "MAX_CONVOLUTION_WORK" in err
 
+    def test_ratio_zero_with_arrivals_is_refused(self, capsys):
+        # The rule never releases; at the solver's cap, releasing and
+        # waiting tie, so a solve would report false mismatches there.
+        code, out, err = run(
+            capsys, "dp-verify", "--lambda", "0.1", "--ratio", "0", "--horizon", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: dp-verify cannot check ratio 0.0:")
+        assert "never releases" in err
+        assert err.count("\n") == 1
+
+    def test_ratio_zero_without_arrivals_still_matches(self, capsys):
+        code, out, _ = run(
+            capsys, "dp-verify", "--lambda", "0", "--ratio", "0", "--horizon", "5"
+        )
+        assert code == 0
+        assert out.startswith("MATCH n_star=1 states=5x")
+
     def test_disagreement_reporting(self, capsys, tmp_path, monkeypatch):
         # The solver and the rule genuinely agree, so fake a disagreement to
         # pin the failure-path output contract.

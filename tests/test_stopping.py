@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hubrelease.arrival import from_pmf, poisson_truncated
+import hubrelease.stopping as stopping
+from hubrelease.arrival import MAX_RATE, from_pmf, poisson_truncated
 from hubrelease.stopping import (
     Threshold,
     _waiting_gain,
@@ -98,10 +99,19 @@ class TestComputeThreshold:
             Threshold(0, 0.005, BERNOULLI)
 
 
+def definition_gain(n, dist):
+    """g(n) = sum_x x * P(x) / (n^2 + n*x), term by term from the largest x."""
+    probs = dist.probabilities
+    total = 0.0
+    for x in range(dist.support_max, 0, -1):
+        total += x * probs[x] / (n * n + n * x)
+    return total
+
+
 def linear_scan_threshold(dist, ratio):
-    """Reference: the scan from n = 1 that the bisection replaces."""
+    """Reference: the scan from n = 1 that the search replaces."""
     n = 1
-    while not release_condition(n, dist, ratio):
+    while ratio < definition_gain(n, dist):
         n += 1
     return n
 
@@ -155,6 +165,120 @@ class TestThresholdAgainstLinearScan:
         n_star = compute_threshold(dist, ratio).n_star
         assert release_condition(n_star, dist, ratio)
         assert not release_condition(n_star - 1, dist, ratio)
+
+
+@pytest.fixture
+def gain_calls(monkeypatch):
+    """The occupancies at which compute_threshold evaluates g, in order."""
+    calls = []
+
+    def counting(n, dist):
+        calls.append(n)
+        return _waiting_gain(n, dist)
+
+    monkeypatch.setattr(stopping, "_waiting_gain", counting)
+    return calls
+
+
+_SEARCH = np.random.default_rng(20261018)
+SEARCH_RATES = [1e-3, 0.01, 1.0 / 6.0, 2.0, 1000.0, MAX_RATE] + [
+    float(r) for r in 10.0 ** _SEARCH.uniform(-3.0, math.log10(MAX_RATE), size=10)
+]
+# Per rate, 12 log-uniform n_star targets from 1 to 1e4, each with a
+# jitter of up to a factor 2 on the ratio that aims at it.
+SEARCH_TARGETS = 10.0 ** _SEARCH.uniform(0.0, 4.0, size=(len(SEARCH_RATES), 12))
+SEARCH_JITTER = 2.0 ** _SEARCH.uniform(-1.0, 1.0, size=(len(SEARCH_RATES), 12))
+# Scan only where n_star * (support_max + 1) float terms stay this few.
+SEARCH_SCAN_BUDGET = 3e5
+
+
+class TestJensenStartedSearch:
+    """The search from the Jensen lower bound stops where the scan from 1 stops.
+
+    Evaluations: one at the guess; then, when the condition fails there,
+    the gallop upward from step 1 and the bisection of its last gap take
+    2 * bit_length(n_star - guess) - 1 more.  For a Poisson pmf the weights
+    x * P(x) / mean make the count 1 + Poisson(lam), with variance lam, so
+    g(n) <= mean / (n (n + c)) * (1 + lam / ((n + 1) (n + c))), and that is
+    below the ratio one past the root: n_star is at most 2 above the guess
+    (3 if rounding moves the guess down one), so at most 4 evaluations.
+    When the condition holds at the guess (rounding put it at or past
+    n_star), the bisection from 0 takes over, at the cost of the bisection
+    the search replaced: up to log2(n_star) + 2.
+    """
+
+    @pytest.mark.parametrize("index", range(len(SEARCH_RATES)))
+    def test_poisson_grid_matches_the_scan_in_four_evaluations(self, index, gain_calls):
+        dist = poisson_truncated(SEARCH_RATES[index])
+        c = dist.second_moment / dist.mean
+        for m, jitter in zip(SEARCH_TARGETS[index], SEARCH_JITTER[index]):
+            ratio = float(dist.mean / (m * (m + c)) * jitter)
+            gain_calls.clear()
+            n_star = compute_threshold(dist, ratio).n_star
+            assert len(gain_calls) <= 4, (ratio, n_star, gain_calls)
+            if n_star * (dist.support_max + 1) <= SEARCH_SCAN_BUDGET:
+                assert n_star == linear_scan_threshold(dist, ratio), ratio
+            assert ratio >= definition_gain(n_star, dist)
+            assert n_star == 1 or ratio < definition_gain(n_star - 1, dist)
+
+    def test_the_grid_reaches_large_thresholds(self):
+        dist = poisson_truncated(0.01)
+        n_star = compute_threshold(dist, 1e-10).n_star
+        assert n_star > 9000
+        assert n_star == linear_scan_threshold(dist, 1e-10)
+
+    def test_exact_tie_at_the_jensen_root(self, gain_calls):
+        # One positive count makes the Jensen bound exact: g(3) = 0.5 / 12
+        # is the ratio itself, and ties release.
+        assert _waiting_gain(3, BERNOULLI) == 1.0 / 24.0
+        assert compute_threshold(BERNOULLI, 1.0 / 24.0).n_star == 3
+        assert len(gain_calls) <= 4
+
+    def test_guess_on_n_star_falls_back_to_the_bisection(self, gain_calls):
+        # The float root lands just past 22, so the guess is n_star itself.
+        ratio = _waiting_gain(22, BERNOULLI)
+        assert compute_threshold(BERNOULLI, ratio).n_star == 22
+        assert gain_calls[0] == 22
+        assert len(gain_calls) <= math.log2(22) + 2
+        assert linear_scan_threshold(BERNOULLI, ratio) == 22
+
+    def test_zero_mean_and_zero_ratio(self, gain_calls):
+        assert compute_threshold(EMPTY_STEPS, 0.005).n_star == 1
+        assert gain_calls == [1]
+        gain_calls.clear()
+        assert compute_threshold(EMPTY_STEPS, 0.0).n_star == 1
+        assert compute_threshold(BERNOULLI, 0.0).never_release
+        assert gain_calls == []
+
+    def test_huge_threshold_costs_no_more_than_the_bisection(self, gain_calls):
+        # The float guess is good to about 53 bits of a 147-digit n_star, so
+        # the gallop's first step is scaled to that precision.
+        dist = poisson_truncated(MAX_RATE)
+        n_star = compute_threshold(dist, 1e-290).n_star
+        assert n_star == int(
+            "14142135623730615531488898149433115969689609573271655399616738430535"
+            "81931401480834176119283277225949212684258856524801752398896330581746"
+            "117163904195"
+        )
+        assert len(gain_calls) <= math.log2(n_star) + 2
+        assert 1e-290 >= definition_gain(n_star, dist)
+        assert 1e-290 < definition_gain(n_star - 1, dist)
+
+    def test_huge_threshold_above_the_guess_gallops_from_a_scaled_step(self, gain_calls):
+        # Here the float guess falls short of n_star by about n_star * 2^-53;
+        # a gallop from step 1 would take about 2 * 431 evaluations.
+        dist = poisson_truncated(10.0)
+        n_star = compute_threshold(dist, 1e-290).n_star
+        assert gain_calls[0] < n_star
+        assert len(gain_calls) <= math.log2(n_star) + 2
+        assert 1e-290 >= definition_gain(n_star, dist)
+        assert 1e-290 < definition_gain(n_star - 1, dist)
+
+    @pytest.mark.parametrize("dist", [poisson_truncated(1.0 / 6.0), poisson_truncated(MAX_RATE),
+                                      BERNOULLI, from_pmf([(0, 0.9), (7, 0.1)])])
+    def test_waiting_gain_is_the_definition_bit_for_bit(self, dist):
+        for n in (1, 2, 3, 17, 408248, 10**12, 10**147):
+            assert _waiting_gain(n, dist) == definition_gain(n, dist)
 
 
 class TestOneStepLookahead:
