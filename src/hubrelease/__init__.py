@@ -20,7 +20,6 @@ from .arrival import (
 from .dp import (
     DpConfig,
     DpSolution,
-    cap_violation_probability,
     compare_with_threshold,
     solve,
     suggest_max_count,
@@ -60,7 +59,6 @@ __all__ = [
     "zero_truncated_poisson",
     "DpConfig",
     "DpSolution",
-    "cap_violation_probability",
     "compare_with_threshold",
     "solve",
     "suggest_max_count",

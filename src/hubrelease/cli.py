@@ -22,7 +22,14 @@ import numpy as np
 from . import __version__
 from .arrival import MAX_RATE, ArrivalDistribution, from_pmf, poisson_truncated
 from .atomic import atomic_writer
-from .dp import DpConfig, compare_with_threshold, solve, suggest_max_count, write_action_table
+from .dp import (
+    DpConfig,
+    compare_with_threshold,
+    solve,
+    split_ties,
+    suggest_max_count,
+    write_action_table,
+)
 from .ingest import parse_counts_csv, parse_pmf_csv, to_lambda
 from .policies import POLICY_NAMES
 from .sim import SweepRow, check_sweep_size, sweep
@@ -96,7 +103,7 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
             max_count = max(max_count, threshold.n_star + dist.support_max)
     config = DpConfig(args.horizon, max_count, dist, args.ratio)
     solution = solve(config)
-    mismatches = compare_with_threshold(solution, threshold)
+    mismatches, ties = split_ties(solution, compare_with_threshold(solution, threshold))
     if args.dump_actions is not None:
         write_action_table(solution, args.dump_actions)
         _write_manifest(
@@ -110,6 +117,9 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
                 "max_count": max_count,
             },
         )
+    if ties:
+        print(f"{len(ties)} indifferent states: releasing and waiting tie within "
+              "the solver's rounding error", file=sys.stderr)
     if not mismatches:
         print(f"MATCH n_star={_n_star_text(threshold.n_star)} "
               f"states={args.horizon}x{max_count}")

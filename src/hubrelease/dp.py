@@ -6,6 +6,7 @@ kept independent on purpose so the two can be checked against each other.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,7 @@ CAP_TOLERANCE = 1e-9
 # solver's value and action tables then take about 270 MB.  It is over
 # twenty times the largest grid of the benchmarked settings (rate 2,
 # horizon 720: 721 x 1750 solver states), leaves room for a 5000-step cap
-# check of certain growth (5000 x 5003), and turns a tiny ratio, a huge
+# search of certain growth (5000 x 5018), and turns a tiny ratio, a huge
 # horizon or a huge rate into an error before anything is allocated.
 MAX_STATES = 30_000_000
 # Largest number of multiply-adds the cap search may spend: each of its
@@ -35,7 +36,7 @@ MAX_STATES = 30_000_000
 # multiply-adds per second, the low end with the longest pmfs, so the limit
 # keeps a search to a few seconds at most.  It is 76 times the largest
 # benchmarked search (rate 2, horizon 720: 2.6e7) and 40 times the 5000-step
-# cap check the tests run (5e7); rate 30 over 720 steps (1.3e9, 0.7 s) and
+# cap search the tests run (5e7); rate 30 over 720 steps (1.3e9, 0.7 s) and
 # a one-step search at rate 2e4 (9e8, 1.6 s) stay inside it.
 MAX_CONVOLUTION_WORK = 2_000_000_000
 # Rewards are in units of the benefit, so every solver value lies in
@@ -57,19 +58,6 @@ def _check_states(rows: int, cols: int, what: str) -> None:
         )
 
 
-def _check_search(dist: ArrivalDistribution, horizon: int, bound: int, what: str) -> None:
-    """Refuse a cap search past MAX_STATES or MAX_CONVOLUTION_WORK before it runs."""
-    _check_states(horizon, bound + 2, what)
-    work = horizon * (bound + 1) * (dist.support_max + 1)
-    if work > MAX_CONVOLUTION_WORK:
-        raise ValueError(
-            f"{what} needs {horizon} steps x {bound + 1} counts x "
-            f"{dist.support_max + 1} batch sizes = {work:.3g} multiply-adds, more "
-            f"than MAX_CONVOLUTION_WORK = {MAX_CONVOLUTION_WORK:.3g}; use a shorter "
-            f"horizon or a lower rate"
-        )
-
-
 def _search_bound(dist: ArrivalDistribution, horizon: int) -> int:
     # Generous upper bound: mean growth plus a 12-sigma cushion is far past
     # any 1e-9 quantile of a sum of bounded i.i.d. counts.
@@ -77,15 +65,12 @@ def _search_bound(dist: ArrivalDistribution, horizon: int) -> int:
     return int(np.ceil(1 + horizon * dist.mean + spread)) + dist.support_max + 2
 
 
-@lru_cache(maxsize=1)
 def _final_count_tail(dist: ArrivalDistribution, horizon: int, bound: int) -> np.ndarray:
     """tail[c] = P(final count >= c) for c in 0..bound+1, after `horizon`
     arrival draws on top of one vehicle.
 
     Counts past `bound` are absorbed into one overflow total, which is
-    tail[bound + 1] and is added to every entry.  One dp-verify run asks for
-    the same tail twice (cap suggestion, then the config's cap check), so
-    the last one is kept.  The array is read-only.
+    tail[bound + 1] and is added to every entry.
     """
     pmf = np.asarray(dist.probabilities)
     probs = np.zeros(bound + 2)
@@ -95,37 +80,35 @@ def _final_count_tail(dist: ArrivalDistribution, horizon: int, bound: int) -> np
         full = np.convolve(probs[: bound + 1], pmf)
         escaped += float(full[bound + 1 :].sum())
         probs[: bound + 1] = full[: bound + 1]
-    tail = np.cumsum(probs[::-1])[::-1] + escaped
-    tail.flags.writeable = False
-    return tail
+    return np.cumsum(probs[::-1])[::-1] + escaped
 
 
-def cap_violation_probability(
-    dist: ArrivalDistribution, horizon: int, max_count: int
-) -> float:
-    """P(count exceeds max_count within `horizon` steps, starting from one vehicle).
+# One dp-verify run asks twice (for its cap, then in the config's check),
+# so the last answer is kept.
+@lru_cache(maxsize=1)
+def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
+    """Smallest occupancy cap that the count passes within `horizon` steps,
+    starting from one vehicle, with probability below CAP_TOLERANCE.
 
-    The un-released count is nondecreasing, so this is the chance that one
-    initial vehicle plus `horizon` i.i.d. arrival draws end past the cap.
-    Computed exactly by repeated convolution with an absorbing overflow bin.
+    The count never falls, so that is the chance that one vehicle plus
+    `horizon` i.i.d. arrival draws end past the cap; it is computed exactly
+    by repeated convolution with an absorbing overflow bin, and it never
+    rises as the cap grows, so every larger cap is safe too.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if max_count < 1:
-        raise ValueError(f"max_count must be >= 1, got {max_count}")
-    if dist.support_max == 0:
-        return 0.0
-    bound = max(_search_bound(dist, horizon), max_count)
-    _check_search(dist, horizon, bound, "the cap check")
-    return float(_final_count_tail(dist, horizon, bound)[max_count + 1])
-
-
-def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
-    """Smallest occupancy cap whose violation probability is below CAP_TOLERANCE."""
     if dist.support_max == 0:
         return 1
     bound = _search_bound(dist, horizon)
-    _check_search(dist, horizon, bound, "the occupancy-cap search")
+    _check_states(horizon, bound + 2, "the occupancy-cap search")
+    work = horizon * (bound + 1) * (dist.support_max + 1)
+    if work > MAX_CONVOLUTION_WORK:
+        raise ValueError(
+            f"the occupancy-cap search needs {horizon} steps x {bound + 1} counts x "
+            f"{dist.support_max + 1} batch sizes = {work:.3g} multiply-adds, more "
+            f"than MAX_CONVOLUTION_WORK = {MAX_CONVOLUTION_WORK:.3g}; use a shorter "
+            f"horizon or a lower rate"
+        )
     tail = _final_count_tail(dist, horizon, bound)
     if tail[-1] >= CAP_TOLERANCE:
         raise ValueError("search cushion too small for CAP_TOLERANCE")
@@ -162,12 +145,12 @@ class DpConfig:
         _check_states(
             self.max_count, self.dist.support_max + 1, "the solver's transition table"
         )
-        violation = cap_violation_probability(self.dist, self.horizon, self.max_count)
-        if violation >= CAP_TOLERANCE:
+        safe = suggest_max_count(self.dist, self.horizon)
+        if self.max_count < safe:
             raise ValueError(
                 f"max_count={self.max_count} can be exceeded with probability "
-                f"{violation:.3g} >= {CAP_TOLERANCE} within {self.horizon} steps; "
-                f"use suggest_max_count()"
+                f">= {CAP_TOLERANCE} within {self.horizon} steps; the smallest "
+                f"safe cap is {safe} (suggest_max_count)"
             )
 
 
@@ -231,6 +214,51 @@ def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[t
         rule = n >= threshold.n_star
     diff = solution.actions[:config.horizon, 1:] != rule[None, :]
     return [(int(k), int(i) + 1) for k, i in np.argwhere(diff)]
+
+
+def split_ties(
+    solution: DpSolution, mismatches: list[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(real mismatches, ties) among states that compare_with_threshold reported.
+
+    At a tie, releasing and waiting are worth the same up to the rounding
+    error of the comparison that solve made there, so both actions are
+    optimal and the solver's pick says nothing against the rule.  The gap is
+    recomputed at the given states only.
+    """
+    if not mismatches:
+        return [], []
+    config = solution.config
+    probs = np.asarray(config.dist.probabilities)
+    k, n = np.array(mismatches).T
+    next_idx = np.minimum(n[:, None] + np.arange(probs.size), config.max_count)
+    continuation = solution.values[k[:, None] + 1, next_idx] @ probs
+    release_value = (n - 1) / n - config.ratio * k
+    # The bound, with u = 2^-53 the unit roundoff.  Solver values lie in
+    # [-ratio * horizon, 1], so none exceeds V = max(1, ratio * horizon) in
+    # magnitude.
+    # - The release value (n - 1)/n - ratio * k is off by at most u for the
+    #   division, u * ratio * k for the product and u * V for the
+    #   difference: 3 u V.
+    # - The continuation is one dot product of the s + 1 next-step values
+    #   with the pmf.  In any summation order it is off by at most
+    #   gamma * sum_x p_x |v_x| <= gamma * (1 + d) * V, with
+    #   gamma = (s + 1) u / (1 - (s + 1) u) and d = |fsum(pmf) - 1|.
+    # - The rule's expectation has weights of mass 1; the pmf's extra mass
+    #   d moves the continuation from it by up to d * V.
+    # Within the sum of the three, the two actions can trade places in exact
+    # arithmetic on the same next-step values.  Errors that those values
+    # carry from later steps are left out, so no state is excused for them.
+    # The subtraction below rounds by at most u times the gap.
+    u = np.finfo(float).eps / 2
+    terms = probs.size * u
+    excess = abs(math.fsum(config.dist.probabilities) - 1.0)
+    bound = (3 * u + terms / (1 - terms) * (1 + excess) + excess) * max(
+        1.0, config.ratio * config.horizon
+    )
+    tie = (np.abs(release_value - continuation) <= bound).tolist()
+    real = [state for state, t in zip(mismatches, tie) if not t]
+    return real, [state for state, t in zip(mismatches, tie) if t]
 
 
 def write_action_table(solution: DpSolution, path: str) -> None:

@@ -6,6 +6,7 @@ ordering checks at 200 samples with 95% confidence-interval slack.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from hubrelease.policies import (
     PeriodicPolicy,
     ThresholdPolicy,
 )
-from hubrelease.sim import SimConfig, run_episode_hour, sweep
+from hubrelease import sim
+from hubrelease.sim import HourResult, SimConfig, sweep
 from hubrelease.stopping import (
     compute_threshold,
     one_step_lookahead,
@@ -290,7 +292,52 @@ def test_criterion_07_length_steps_and_wait_shape(shape_rows):
     )
 
 
+def _hours_violating_conservation(result: HourResult, arrivals: np.ndarray) -> np.ndarray:
+    """Per hour of ``result``, whether any conservation clause fails there.
+
+    ``result`` is the kernel's output for the samples x horizon matrix
+    ``arrivals``, one hour per row.  Vehicles are listed in arrival order;
+    each one's platoon is rebuilt from the lead flags and its arrival step
+    from the arrival matrix, independently of the platoon columns.  A
+    clause that fails at a vehicle or a platoon marks the hour it belongs
+    to.
+    """
+    rows, horizon = arrivals.shape
+    flat = arrivals.ravel()
+    arrived = arrivals.sum(axis=1)
+    bad = np.zeros(rows, dtype=bool)
+    if result.vehicle_wait.size != flat.sum() or result.vehicle_is_lead.size != flat.sum():
+        bad[:] = True
+        return bad
+    sizes = result.platoon_size
+    releases = result.platoon_release_step
+    starts = result.platoon_episode_start
+    hour = releases // horizon
+    bad[np.bincount(hour, weights=sizes, minlength=rows) != arrived] = True
+    bad[np.bincount(hour, minlength=rows) != result.platoons] = True
+    first_vehicle = np.cumsum(arrived) - arrived
+    bad[~result.vehicle_is_lead[first_vehicle]] = True
+    arrival_steps = np.repeat(np.arange(flat.size), flat)
+    vehicle_hour = arrival_steps // horizon
+    platoon = np.cumsum(result.vehicle_is_lead) - 1
+    # A vehicle before the first lead, or past as many leads as platoons.
+    stray = (platoon < 0) | (platoon >= sizes.size)
+    bad[vehicle_hour[stray]] = True
+    platoon = np.clip(platoon, 0, sizes.size - 1)
+    bad[hour[np.bincount(platoon, minlength=sizes.size) != sizes]] = True
+    bad[vehicle_hour[result.vehicle_wait != releases[platoon] - arrival_steps]] = True
+    bad[vehicle_hour[result.vehicle_wait < 0]] = True
+    bad[hour[1:][np.diff(releases) <= 0]] = True
+    bad[hour[(starts > releases) | (starts < hour * horizon)]] = True
+    window = np.cumsum(flat)
+    window_arrivals = window[releases] - np.where(starts > 0, window[starts - 1], 0)
+    bad[hour[window_arrivals != sizes]] = True
+    return bad
+
+
 def test_criterion_08_conservation_across_the_sweep():
+    # Every policy of a rate runs on the rate's arrival matrix through the
+    # sweep's kernel, one row per sampled hour, as a sweep cell does.
     hours = 0
     violations = 0
     for cell_index, lam in enumerate(COMPARISON_RATES):
@@ -301,53 +348,54 @@ def test_criterion_08_conservation_across_the_sweep():
             PeriodicPolicy(1),
             NonCausalPolicy(),
         )
+        config = SimConfig(
+            lam=lam,
+            ratio=RATIO,
+            policy=policies[0],
+            horizon_steps=HORIZON,
+            samples=SAMPLES,
+            master_seed=SEED,
+            cell_index=cell_index,
+        )
+        arrivals = sim._draw_arrivals(config, 0, SAMPLES)
+        cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
         for policy in policies:
-            config = SimConfig(
-                lam=lam,
-                ratio=RATIO,
-                policy=policy,
-                horizon_steps=HORIZON,
-                samples=SAMPLES,
-                master_seed=SEED,
-                cell_index=cell_index,
-            )
-            for sample_index in range(SAMPLES):
-                result = run_episode_hour(config, sample_index)
-                hours += 1
-                arrivals = result.arrivals
-                sizes = result.platoon_size
-                releases = result.platoon_release_step
-                starts = result.platoon_episode_start
-                # Vehicles are listed in arrival order; rebuild each one's
-                # platoon from the lead flags and its arrival step from the
-                # arrival vector, independently of the platoon columns.
-                platoon = np.cumsum(result.vehicle_is_lead) - 1
-                arrival_steps = np.repeat(np.arange(arrivals.size), arrivals)
-                window = np.cumsum(arrivals)
-                window_arrivals = window[releases] - np.where(
-                    starts > 0, window[starts - 1], 0
-                )
-                conserved = (
-                    result.vehicle_wait.size == arrivals.sum()
-                    and sizes.sum() == arrivals.sum()
-                    and bool(result.vehicle_is_lead[0])
-                    and np.array_equal(np.bincount(platoon, minlength=sizes.size), sizes)
-                    and np.array_equal(
-                        result.vehicle_wait, releases[platoon] - arrival_steps
-                    )
-                    and np.all(result.vehicle_wait >= 0)
-                    and np.all(np.diff(releases) > 0)
-                    and np.all(starts <= releases)
-                    and np.array_equal(window_arrivals, sizes)
-                )
-                if not conserved:
-                    violations += 1
+            result = sim._simulate(policy, arrivals, cumulative, RATIO)
+            hours += result.vehicles.size
+            violations += int(_hours_violating_conservation(result, arrivals).sum())
     _report(
         8,
         "vehicle conservation and one lead per platoon on every hour",
         violations == 0,
         f"{hours} simulated hours, {violations} violations",
     )
+
+
+def test_criterion_08_check_marks_the_hour_of_a_corrupted_column():
+    config = SimConfig(lam=REFERENCE_RATE, ratio=RATIO, policy=ThresholdPolicy(6),
+                       horizon_steps=HORIZON, samples=5, master_seed=SEED)
+    arrivals = sim._draw_arrivals(config, 0, 5)
+    cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
+    result = sim._simulate(config.policy, arrivals, cumulative, RATIO)
+    assert not _hours_violating_conservation(result, arrivals).any()
+    is_lead = result.vehicle_is_lead
+    vehicle_hour = np.repeat(np.arange(arrivals.size), arrivals.ravel()) // HORIZON
+    # The lead of a platoon of two or more vehicles in hour 2, after the
+    # hour's first platoon.
+    lead = int(np.flatnonzero(is_lead[1:-1] & ~is_lead[2:] & (vehicle_hour[:-2] == 2))[0]) + 1
+    moved = is_lead.copy()
+    moved[lead], moved[lead + 1] = False, True
+    late = result.vehicle_wait.copy()
+    late[lead + 1] += 1
+    # The first platoon of hour 3 leaves a step later than it did.
+    delayed = result.platoon_release_step.copy()
+    delayed[np.searchsorted(delayed, 3 * HORIZON)] += 1
+    for corrupted, hour in (
+        (dataclasses.replace(result, vehicle_is_lead=moved), 2),
+        (dataclasses.replace(result, vehicle_wait=late), 2),
+        (dataclasses.replace(result, platoon_release_step=delayed), 3),
+    ):
+        assert np.flatnonzero(_hours_violating_conservation(corrupted, arrivals)).tolist() == [hour]
 
 
 def test_criterion_09_count_calibration():

@@ -230,6 +230,23 @@ class TestDpVerify:
         assert code == 1
         assert "suggest_max_count" in err
 
+    @pytest.mark.parametrize("argv,ties", [
+        # g(3) equals the ratio exactly: at n = 3 both actions are optimal.
+        (["--pmf-file", "PMF", "--ratio", "0.041666666666666664", "--horizon", "100"], 48),
+        # g(n) - ratio near n* = 223607 is far below the rounding of values
+        # near 1.
+        (["--lambda", "0.05", "--ratio", "1e-12", "--horizon", "90"], 267),
+    ])
+    def test_float_ties_are_reported_as_indifferent(self, capsys, tmp_path, argv, ties):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text(BERNOULLI_PMF)
+        argv = [str(pmf) if token == "PMF" else token for token in argv]
+        code, out, err = run(capsys, "dp-verify", *argv)
+        assert code == 0
+        assert out.startswith("MATCH ") and out.count("\n") == 1
+        assert err == (f"{ties} indifferent states: releasing and waiting tie within "
+                       "the solver's rounding error\n")
+
     def test_dump_actions_writes_table_and_manifest(self, capsys, tmp_path):
         pmf = tmp_path / "pmf.csv"
         pmf.write_text(BERNOULLI_PMF)

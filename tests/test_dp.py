@@ -11,9 +11,9 @@ from hubrelease.arrival import from_pmf, poisson_truncated
 from hubrelease.dp import (
     CAP_TOLERANCE,
     DpConfig,
-    cap_violation_probability,
     compare_with_threshold,
     solve,
+    split_ties,
     suggest_max_count,
     write_action_table,
 )
@@ -136,6 +136,33 @@ class TestThresholdComparison:
         assert {n for _, n in mismatches} == {6}
         assert {k for k, _ in mismatches} == set(range(60))
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_corrupted_threshold_has_no_state_excused_as_a_tie(self, shift):
+        dist = poisson_truncated(1.0 / 6.0)
+        solution = solve(DpConfig(60, suggest_max_count(dist, 60), dist, 0.005))
+        corrupted = Threshold(6 + shift, 0.005, dist)
+        mismatches = compare_with_threshold(solution, corrupted)
+        assert len(mismatches) == 60
+        assert split_ties(solution, mismatches) == (mismatches, [])
+
+    def test_exact_tie_is_split_off_as_indifferent(self):
+        # g(3) = 1/24 exactly for {0: .5, 1: .5}, so at n = 3 releasing and
+        # waiting are worth the same, and the solver's float pick is noise.
+        ratio = 0.041666666666666664
+        threshold = compute_threshold(BERNOULLI, ratio)
+        assert threshold.n_star == 3
+        solution = solve(DpConfig(100, 80, BERNOULLI, ratio))
+        mismatches = compare_with_threshold(solution, threshold)
+        assert len(mismatches) == 48
+        assert {n for _, n in mismatches} == {3}
+        assert split_ties(solution, mismatches) == ([], mismatches)
+
+    def test_a_matching_run_recomputes_nothing(self):
+        dist = poisson_truncated(1.0 / 6.0)
+        config = DpConfig(30, 60, dist, 0.005)
+        # Tables that would fail any recomputation: none is done.
+        assert split_ties(dp.DpSolution(config, None, None), []) == ([], [])
+
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
         solution = solve(DpConfig(30, 60, dist, 0.005))
@@ -152,21 +179,33 @@ class TestThresholdComparison:
 
 
 class TestOccupancyCap:
-    def test_violation_probability_for_sure_growth(self):
-        # One arrival every step: the count is 1 + k, so a cap of 10 is
-        # passed at step 10 with certainty.
+    @pytest.mark.parametrize("dist,horizon", [
+        (poisson_truncated(1.0 / 6.0), 720),
+        (poisson_truncated(2.0), 90),
+        (poisson_truncated(0.01), 30),
+    ])
+    def test_suggested_cap_is_the_smallest_safe_one(self, dist, horizon):
+        cap = suggest_max_count(dist, horizon)
+        assert absorbed_past_cap(dist, horizon, cap) < CAP_TOLERANCE
+        assert absorbed_past_cap(dist, horizon, cap - 1) >= CAP_TOLERANCE
+
+    def test_sure_growth_is_passed_with_certainty(self):
+        # One arrival every step: the count ends at exactly 5001.
         single = from_pmf([(1, 1.0)])
-        assert cap_violation_probability(single, 9, 10) == 0.0
-        assert cap_violation_probability(single, 10, 10) == pytest.approx(1.0)
+        assert suggest_max_count(single, 5000) == 5001
+        assert absorbed_past_cap(single, 5000, 5001) == 0.0
+        assert absorbed_past_cap(single, 5000, 5000) == 1.0
 
-    def test_violation_probability_no_arrivals(self):
-        assert cap_violation_probability(from_pmf([(0, 1.0)]), 720, 1) == 0.0
+    def test_no_arrivals_need_a_cap_of_one(self):
+        empty = from_pmf([(0, 1.0)])
+        assert suggest_max_count(empty, 720) == 1
+        assert absorbed_past_cap(empty, 720, 1) == 0.0
+        assert DpConfig(720, 1, empty, 0.005).max_count == 1
 
-    def test_suggest_max_count_is_minimal(self):
-        dist = poisson_truncated(1.0 / 6.0)
-        cap = suggest_max_count(dist, 720)
-        assert cap_violation_probability(dist, 720, cap) < CAP_TOLERANCE
-        assert cap_violation_probability(dist, 720, cap - 1) >= CAP_TOLERANCE
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_suggestion_rejects_a_horizon_below_one(self, horizon):
+        with pytest.raises(ValueError, match="^horizon must be >= 1"):
+            suggest_max_count(BERNOULLI, horizon)
 
     @pytest.mark.parametrize("ratio", [-0.1, math.nan, math.inf])
     def test_config_rejects_a_bad_ratio(self, ratio):
@@ -183,14 +222,49 @@ class TestOccupancyCap:
 
     def test_config_rejects_reachable_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
-        with pytest.raises(ValueError, match="exceeded"):
+        cap = suggest_max_count(dist, 720)
+        with pytest.raises(ValueError,
+                           match=rf"exceeded.*smallest safe cap is {cap} \(suggest_max_count\)$"):
             DpConfig(720, 60, dist, 0.005)
+        with pytest.raises(ValueError, match=f"^max_count={cap - 1} can be exceeded"):
+            DpConfig(720, cap - 1, dist, 0.005)
 
     def test_config_accepts_suggested_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
         cap = suggest_max_count(dist, 720)
         config = DpConfig(720, cap, dist, 0.005)
         assert config.max_count == cap
+
+    def test_config_accepts_the_caps_the_overflow_probability_allows(self):
+        # Before the check compared caps with suggest_max_count, DpConfig
+        # accepted a cap exactly when the chance of passing it, computed by
+        # absorbing the overflow step by step, was below CAP_TOLERANCE.
+        # Caps from 1 to twice the search bound, over Poisson and explicit
+        # pmfs and short to long horizons, are accepted and refused as then.
+        rng = np.random.default_rng(15)
+        dists = [poisson_truncated(lam) for lam in (1e-6, 0.05, 1.0 / 6.0, 1.9)]
+        for _ in range(4):
+            counts = np.sort(rng.choice(np.arange(8), size=int(rng.integers(2, 5)),
+                                        replace=False))
+            weights = rng.random(counts.size) + 0.01
+            dists.append(from_pmf(list(zip(counts.tolist(), (weights / weights.sum()).tolist()))))
+        cases = 0
+        for dist in dists:
+            for horizon in (1, 7, 90):
+                suggested = suggest_max_count(dist, horizon)
+                bound = dp._search_bound(dist, horizon)
+                caps = {1, 2, bound, 2 * bound, *range(max(suggested - 2, 1), suggested + 3)}
+                for cap in sorted(caps):
+                    safe = absorbed_past_cap(dist, horizon, cap) < CAP_TOLERANCE
+                    try:
+                        DpConfig(horizon, cap, dist, 0.005)
+                        accepted = True
+                    except ValueError as exc:
+                        assert "can be exceeded" in str(exc)
+                        accepted = False
+                    assert accepted == safe, (dist, horizon, cap)
+                    cases += 1
+        assert cases >= 200
 
 
 def never(what):
@@ -206,8 +280,8 @@ class TestStateLimit:
         single = from_pmf([(1, 1.0)])
         with pytest.raises(ValueError, match="occupancy-cap search needs.*MAX_STATES"):
             suggest_max_count(single, 10**6)
-        with pytest.raises(ValueError, match="cap check needs.*MAX_STATES"):
-            cap_violation_probability(single, 10, dp.MAX_STATES)
+        with pytest.raises(ValueError, match="occupancy-cap search needs.*MAX_STATES"):
+            DpConfig(10**6, 1, single, 0.005)
 
     def test_convolution_work_past_the_limit_is_refused_before_it_runs(self, monkeypatch):
         # Rate 2e4 over 37 steps: 37 x 771330 counts is inside MAX_STATES, but
@@ -217,17 +291,18 @@ class TestStateLimit:
         with pytest.raises(ValueError,
                            match="occupancy-cap search needs 37 steps.*MAX_CONVOLUTION_WORK"):
             suggest_max_count(dist, 37)
-        with pytest.raises(ValueError, match="cap check needs 37 steps.*MAX_CONVOLUTION_WORK"):
-            cap_violation_probability(dist, 37, 800_000)
+        with pytest.raises(ValueError,
+                           match="occupancy-cap search needs 37 steps.*MAX_CONVOLUTION_WORK"):
+            DpConfig(37, 1000, dist, 0.005)
 
     def test_largest_benchmarked_and_tested_searches_stay_inside_the_work_limit(self):
         # perfbench's largest cap search (rate 2, 720 steps) and the 5000-step
-        # check of TestSharedCapTail, with the bounds the searches use.
+        # search of TestOccupancyCap, with the bounds the searches use.
         dist = poisson_truncated(2.0)
         bound = dp._search_bound(dist, 720)
         assert 720 * (bound + 1) * (dist.support_max + 1) * 50 < dp.MAX_CONVOLUTION_WORK
         single = from_pmf([(1, 1.0)])
-        bound = max(dp._search_bound(single, 5000), 5001)
+        bound = dp._search_bound(single, 5000)
         assert 5000 * (bound + 1) * 2 * 20 < dp.MAX_CONVOLUTION_WORK
 
     def test_solver_grid_is_bounded_at_construction(self):
@@ -241,7 +316,7 @@ class TestStateLimit:
     def test_transition_table_is_bounded_before_the_cap_check(self, monkeypatch):
         # At rate 2e4 the default cap of a one-step solve is 21202 counts,
         # each with 21004 batch sizes: 4.5e8 transitions, 3.6 GB of indices.
-        monkeypatch.setattr(dp, "cap_violation_probability", never("the cap check"))
+        monkeypatch.setattr(dp, "suggest_max_count", never("the cap search"))
         dist = poisson_truncated(2e4)
         with pytest.raises(ValueError, match="transition table needs 21202 x 21004"):
             DpConfig(1, 21202, dist, 0.005)
@@ -260,24 +335,7 @@ def absorbed_past_cap(dist, horizon, cap):
     return absorbed
 
 
-class TestSharedCapTail:
-    @pytest.mark.parametrize("lam,horizon", [(1.0 / 6.0, 720), (2.0, 90), (0.01, 30)])
-    def test_violation_matches_absorbing_reference(self, lam, horizon):
-        dist = poisson_truncated(lam)
-        suggested = suggest_max_count(dist, horizon)
-        for cap in (1, max(suggested - 5, 1), suggested, suggested + 3, 5 * suggested):
-            expected = absorbed_past_cap(dist, horizon, cap)
-            got = cap_violation_probability(dist, horizon, cap)
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300), cap
-
-    def test_cap_past_the_search_bound_widens_it(self):
-        dist = poisson_truncated(0.5)
-        cap = 10 * dp._search_bound(dist, 20)
-        assert cap_violation_probability(dist, 20, cap) == absorbed_past_cap(dist, 20, cap)
-        single = from_pmf([(1, 1.0)])
-        assert cap_violation_probability(single, 5000, 5000) == 1.0
-        assert cap_violation_probability(single, 5000, 5001) == 0.0
-
+class TestSharedCapSearch:
     def test_cap_suggestion_and_config_check_share_one_pass(self, monkeypatch):
         calls = []
         convolve = np.convolve
@@ -287,7 +345,7 @@ class TestSharedCapTail:
             return convolve(*args, **kwargs)
 
         dist = poisson_truncated(0.5)
-        dp._final_count_tail.cache_clear()
+        suggest_max_count.cache_clear()
         monkeypatch.setattr(dp.np, "convolve", counting)
         cap = suggest_max_count(dist, 200)
         DpConfig(200, cap, dist, 0.005)
