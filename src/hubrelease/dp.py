@@ -59,8 +59,9 @@ def _check_states(rows: int, cols: int, what: str) -> None:
 
 
 def _search_bound(dist: ArrivalDistribution, horizon: int) -> int:
-    # Generous upper bound: mean growth plus a 12-sigma cushion is far past
-    # any 1e-9 quantile of a sum of bounded i.i.d. counts.
+    # Mean growth plus a 12-sigma cushion is far past the 1e-9 quantile of a
+    # sum of i.i.d. counts unless a rare batch is far larger than the spread;
+    # suggest_max_count widens the search when it is not.
     spread = 12.0 * np.sqrt(max(horizon * dist.variance, 1.0))
     return int(np.ceil(1 + horizon * dist.mean + spread)) + dist.support_max + 2
 
@@ -100,19 +101,25 @@ def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
     if dist.support_max == 0:
         return 1
     bound = _search_bound(dist, horizon)
-    _check_states(horizon, bound + 2, "the occupancy-cap search")
-    work = horizon * (bound + 1) * (dist.support_max + 1)
-    if work > MAX_CONVOLUTION_WORK:
-        raise ValueError(
-            f"the occupancy-cap search needs {horizon} steps x {bound + 1} counts x "
-            f"{dist.support_max + 1} batch sizes = {work:.3g} multiply-adds, more "
-            f"than MAX_CONVOLUTION_WORK = {MAX_CONVOLUTION_WORK:.3g}; use a shorter "
-            f"horizon or a lower rate"
-        )
-    tail = _final_count_tail(dist, horizon, bound)
-    if tail[-1] >= CAP_TOLERANCE:
-        raise ValueError("search cushion too small for CAP_TOLERANCE")
-    return max(int(np.flatnonzero(tail < CAP_TOLERANCE)[0]) - 1, 1)
+    while True:
+        _check_states(horizon, bound + 2, "the occupancy-cap search")
+        work = horizon * (bound + 1) * (dist.support_max + 1)
+        if work > MAX_CONVOLUTION_WORK:
+            raise ValueError(
+                f"the occupancy-cap search needs {horizon} steps x {bound + 1} counts x "
+                f"{dist.support_max + 1} batch sizes = {work:.3g} multiply-adds, more "
+                f"than MAX_CONVOLUTION_WORK = {MAX_CONVOLUTION_WORK:.3g}; use a shorter "
+                f"horizon or a lower rate"
+            )
+        tail = _final_count_tail(dist, horizon, bound)
+        if tail[-1] < CAP_TOLERANCE:
+            return max(int(np.flatnonzero(tail < CAP_TOLERANCE)[0]) - 1, 1)
+        # A rare large batch can leave more than CAP_TOLERANCE past the
+        # cushion ({0: 0.9999, 100: 0.0001} over 100 steps: 1.6e-7 past
+        # 224), so the search is run again over twice the counts.  It ends:
+        # no count passes 1 + horizon * support_max, and the limits above
+        # refuse a bound that grows too far.
+        bound *= 2
 
 
 @dataclass(frozen=True)

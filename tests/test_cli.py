@@ -220,6 +220,19 @@ class TestDpVerify:
         assert code == 0
         assert "states=40x41" in out
 
+    @pytest.mark.parametrize("cap", [[], ["--max-count", "400"]])
+    def test_a_rare_far_batch_gets_a_cap(self, capsys, tmp_path, cap):
+        # Three batches of 100 in 100 steps have probability 1.6e-7, past the
+        # cap search's first bound; the search widens and finds 301.
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("count,probability\n0,0.9999\n100,0.0001\n")
+        code, out, _ = run(
+            capsys, "dp-verify", "--pmf-file", str(pmf), "--ratio", "0.00001",
+            "--horizon", "100", *cap,
+        )
+        assert code == 0
+        assert out == f"MATCH n_star=10 states=100x{cap[1] if cap else 301}\n"
+
     def test_reachable_cap_is_rejected(self, capsys, tmp_path):
         pmf = tmp_path / "pmf.csv"
         pmf.write_text(BERNOULLI_PMF)

@@ -20,6 +20,10 @@ from hubrelease.dp import (
 from hubrelease.stopping import Threshold, compute_threshold, release_reward
 
 BERNOULLI = from_pmf([(0, 0.5), (1, 0.5)])
+# A rare batch far larger than the spread of the count: three batches of
+# 100 in 100 steps have probability 1.6e-7, and their count 301 lies past
+# the cap search's 12-sigma bound of 224, so the search must widen.
+RARE_FAR_BATCH = from_pmf([(0, 0.9999), (100, 0.0001)])
 
 
 def brute_force_value(dist, horizon, ratio, n0):
@@ -183,6 +187,7 @@ class TestOccupancyCap:
         (poisson_truncated(1.0 / 6.0), 720),
         (poisson_truncated(2.0), 90),
         (poisson_truncated(0.01), 30),
+        (RARE_FAR_BATCH, 100),
     ])
     def test_suggested_cap_is_the_smallest_safe_one(self, dist, horizon):
         cap = suggest_max_count(dist, horizon)
@@ -243,6 +248,7 @@ class TestOccupancyCap:
         # pmfs and short to long horizons, are accepted and refused as then.
         rng = np.random.default_rng(15)
         dists = [poisson_truncated(lam) for lam in (1e-6, 0.05, 1.0 / 6.0, 1.9)]
+        dists.append(RARE_FAR_BATCH)
         for _ in range(4):
             counts = np.sort(rng.choice(np.arange(8), size=int(rng.integers(2, 5)),
                                         replace=False))
