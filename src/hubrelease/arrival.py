@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 # Absolute tolerance on an already-constructed pmf summing to 1.
 PMF_SUM_TOL = 1e-12
@@ -24,6 +23,9 @@ TAIL_MASS = 1e-12
 # vehicles per step, and every truncated pmf stays a few tens of thousands
 # of entries long.
 MAX_RATE = 2e4
+# log k! for every count k the truncation bracket reaches at rates up to MAX_RATE.
+_LOG_FACTORIAL = np.fromiter(
+    map(math.lgamma, range(1, int(MAX_RATE + 10.0 * math.sqrt(MAX_RATE)) + 42)), float)
 
 
 @dataclass(frozen=True)
@@ -122,27 +124,14 @@ class InitialCountDistribution(ArrivalDistribution):
         return cls((0.0, 1.0))
 
 
-# The Poisson pmf and tail are the expressions scipy.stats.poisson evaluates
-# (its _logpmf and _sf, clipped to [0, 1] as its public pmf and sf do), so
-# they give the same bits without importing scipy.stats, which would double
-# the start-up time and memory of every process.
-def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
-    """P(X = k) for X ~ Poisson(lam), for integer arrays k >= 0."""
-    return np.clip(np.exp(xlogy(k, lam) - gammaln(k + 1) - lam), 0.0, 1.0)
+def _poisson_head(lam: float, start: int, scale: float) -> np.ndarray:
+    """Poisson(lam) pmf over 0..x, for the smallest x >= start with
+    P(X > x) / scale < TAIL_MASS; requires lam > 0.
 
-
-def _poisson_sf(k: np.ndarray, lam: float) -> np.ndarray:
-    """P(X > k) for X ~ Poisson(lam), for integer arrays k >= 0."""
-    return np.clip(pdtrc(k, lam), 0.0, 1.0)
-
-
-def _truncation_point(lam: float, start: int, scale: float) -> int:
-    """Smallest x >= start with P(X > x) / scale < TAIL_MASS, X ~ Poisson(lam).
-
-    Evaluates sf over one bracket upward, so the first hit is the one a
-    count-by-count scan from start would stop at.  The bracket begins no
-    lower than int(lam) - 1, because no count below that can be the hit:
-    every x <= lam - 1 lies below the Poisson median, which is at least
+    The pmf is exp(k log(lam) - log k! - lam), evaluated once over a bracket
+    0..stop, and each tail P(X > x) is read from a reverse cumulative sum of
+    that array.  No count below int(lam) - 1 can be the hit: every
+    x <= lam - 1 lies below the Poisson median, which is at least
     lam - ln 2 (Choi, 1994), so P(X > x) > 1/2 there, and with scale <= 1
     the tail is nowhere near TAIL_MASS.  The bracket always holds the hit:
     by Bernstein's inequality P(X >= lam + t) <= exp(-t^2 / (2 (lam + t/3))),
@@ -150,11 +139,16 @@ def _truncation_point(lam: float, start: int, scale: float) -> int:
     every rate up to MAX_RATE, where -log(TAIL_MASS) = 27.7 is enough.  A
     scale of P(X >= 1) >= 1 - 1/e costs under 0.5 of that from rate 1 up;
     below it, P(X > 40) / P(X >= 1) < lam^40 / 40! is far smaller still.
+    The same bound makes the mass past the bracket, which the tails leave
+    out, negligible beside TAIL_MASS.
     """
-    first = max(start, int(lam) - 1)
     stop = int(lam + 10.0 * math.sqrt(lam)) + 40
-    below = np.flatnonzero(_poisson_sf(np.arange(first, stop + 1), lam) / scale < TAIL_MASS)
-    return first + int(below[0])
+    pmf = np.exp(np.arange(stop + 1) * math.log(lam) - _LOG_FACTORIAL[: stop + 1] - lam)
+    first = max(start, int(lam) - 1)
+    # P(X > x) for x = first..stop - 1; the float sums only grow as x falls,
+    # so the hit's offset from first is the number of tails not below.
+    tails = np.cumsum(pmf[:first:-1])[::-1]
+    return pmf[: first + np.count_nonzero(tails / scale >= TAIL_MASS) + 1]
 
 
 def poisson_truncated(lam: float) -> ArrivalDistribution:
@@ -164,8 +158,9 @@ def poisson_truncated(lam: float) -> ArrivalDistribution:
     """
     if not 0 <= lam <= MAX_RATE:
         raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
-    x_max = _truncation_point(lam, 0, 1.0)
-    probs = _poisson_pmf(np.arange(x_max + 1), lam)
+    if lam == 0:
+        return ArrivalDistribution((1.0,))
+    probs = _poisson_head(lam, 0, 1.0)
     probs /= probs.sum()
     return ArrivalDistribution(tuple(probs.tolist()))
 
@@ -181,8 +176,7 @@ def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
             f"rate must be positive and at most {MAX_RATE:g}, got {lam!r}; "
             "use InitialCountDistribution.degenerate() for the zero-rate limit"
         )
-    n_max = _truncation_point(lam, 1, -math.expm1(-lam))
-    probs = _poisson_pmf(np.arange(n_max + 1), lam)
+    probs = _poisson_head(lam, 1, -math.expm1(-lam))
     probs[0] = 0.0
     probs /= probs.sum()
     return InitialCountDistribution(tuple(probs.tolist()))

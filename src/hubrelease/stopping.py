@@ -110,14 +110,14 @@ def compute_threshold(dist: ArrivalDistribution, ratio: float) -> Threshold:
 
     so the condition fails at every n below the root of
     n * (n + c) = mean / ratio.  One evaluation checks the largest integer
-    below that root; should rounding make the condition hold there, the
-    search bisects from 0 instead.  Otherwise it gallops upward from the
-    guess and bisects the last gap, so an n_star near the root costs a
-    handful of evaluations of g.  The first step is about guess * 2^-50,
-    a few units in the last place of the float root, so that a huge n_star
-    is not approached one count at a time.  At ratio 0 the condition
-    can only ever hold when the arrival mean is 0, so a positive mean
-    yields the never-release result.
+    below that root.  From there the search gallops upward while the
+    condition fails, or, should rounding make it hold at the guess,
+    downward while it holds, and bisects the last gap, so an n_star near
+    the root costs a handful of evaluations of g.  The first step is about
+    guess * 2^-50, a few units in the last place of the float root, so that
+    a huge n_star is not approached one count at a time.  At ratio 0 the
+    condition can only ever hold when the arrival mean is 0, so a positive
+    mean yields the never-release result.
     """
     check_ratio(ratio)
     mean = dist.mean
@@ -143,11 +143,16 @@ def compute_threshold(dist: ArrivalDistribution, ratio: float) -> Threshold:
                 lo = guess
     if hi is None:
         step = max(1, lo >> 50)
-        hi = lo + step
-        while ratio < _waiting_gain(hi, dist):
-            lo = hi
+        while ratio < _waiting_gain(lo + step, dist):
+            lo += step
             step *= 2
-            hi = lo + step
+        hi = lo + step
+    else:
+        step = max(1, hi >> 50)
+        while hi > step and ratio >= _waiting_gain(hi - step, dist):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ratio >= _waiting_gain(mid, dist):

@@ -1,11 +1,12 @@
 """Distribution construction, truncation, and sampling."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import poisson as sp_poisson
+from scipy.special import pdtrc
 
 from hubrelease.arrival import (
     MAX_RATE,
@@ -13,9 +14,7 @@ from hubrelease.arrival import (
     TAIL_MASS,
     ArrivalDistribution,
     InitialCountDistribution,
-    _poisson_pmf,
-    _poisson_sf,
-    _truncation_point,
+    _poisson_head,
     from_pmf,
     poisson_truncated,
     substream,
@@ -46,11 +45,9 @@ class TestPoissonTruncated:
         assert dist.support_max == 0
 
     def test_support_covers_requested_tail(self):
-        from scipy.stats import poisson as sp_poisson
-
         dist = poisson_truncated(LAM)
-        assert sp_poisson.sf(dist.support_max, LAM) < TAIL_MASS
-        assert sp_poisson.sf(dist.support_max - 1, LAM) >= TAIL_MASS
+        assert pdtrc(dist.support_max, LAM) < TAIL_MASS
+        assert pdtrc(dist.support_max - 1, LAM) >= TAIL_MASS
 
     @pytest.mark.parametrize("bad", [-0.1, -5.0, math.nan, math.inf])
     def test_negative_rate_rejected(self, bad):
@@ -87,22 +84,33 @@ class TestZeroTruncatedPoisson:
             InitialCountDistribution((0.5, 0.5))
 
 
+def poisson_tail(k, lam):
+    """Reference: P(X > k) for X ~ Poisson(lam), scipy's regularized incomplete gamma."""
+    return np.clip(pdtrc(k, lam), 0.0, 1.0)
+
+
 def scalar_truncation(lam, start, scale):
-    """Reference: the count-by-count scan with one scalar sf call per count."""
+    """Reference: the count-by-count scan with one scalar tail per count."""
     x = start
-    while sp_poisson.sf(x, lam) / scale >= TAIL_MASS:
+    while poisson_tail(x, lam) / scale >= TAIL_MASS:
         x += 1
     return x
 
 
+def scalar_pmf(lam, x_max):
+    """Reference: exp(k log(lam) - log k! - lam), one count at a time."""
+    return np.exp([k * math.log(lam) - math.lgamma(k + 1) - lam for k in range(x_max + 1)])
+
+
 def scalar_poisson_truncated(lam):
-    probs = sp_poisson.pmf(np.arange(scalar_truncation(lam, 0, 1.0) + 1), lam)
+    if lam == 0:
+        return (1.0,)
+    probs = scalar_pmf(lam, scalar_truncation(lam, 0, 1.0))
     return tuple(probs / probs.sum())
 
 
 def scalar_zero_truncated_poisson(lam):
-    x_max = scalar_truncation(lam, 1, -math.expm1(-lam))
-    probs = sp_poisson.pmf(np.arange(x_max + 1), lam)
+    probs = scalar_pmf(lam, scalar_truncation(lam, 1, -math.expm1(-lam)))
     probs[0] = 0.0
     return tuple(probs / probs.sum())
 
@@ -117,7 +125,8 @@ REFERENCE_RATES = [0.0, 5e-324, 1e-300, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 
 
 
 class TestTruncationAgainstScalarLoop:
-    """The bracketed array search stops where the scalar scan stops."""
+    """The bracketed array search stops where the scalar scan stops, and the
+    array pmf has the bits of the same expression taken count by count."""
 
     @pytest.mark.parametrize("lam", REFERENCE_RATES)
     def test_poisson_pmf_is_bit_identical(self, lam):
@@ -134,7 +143,7 @@ class TestTruncationAgainstScalarLoop:
         # every rate up to MAX_RATE.
         lam = np.linspace(0.0, MAX_RATE, 200_001)
         stop = (lam + 10.0 * np.sqrt(lam)).astype(np.int64) + 40
-        tail = _poisson_sf(stop, lam)
+        tail = poisson_tail(stop, lam)
         assert np.all(tail < TAIL_MASS)
         positive = lam > 0
         assert np.all(tail[positive] / -np.expm1(-lam[positive]) < TAIL_MASS)
@@ -143,33 +152,115 @@ class TestTruncationAgainstScalarLoop:
             zero_truncated_poisson(rate)
 
 
+def truncation_point(lam, start, scale):
+    return _poisson_head(lam, start, scale).size - 1
+
+
 def full_bracket(lam, start, scale):
-    """Reference: the first hit over the whole bracket from start."""
+    """Reference: the first hit over the whole bracket from start, tails from pdtrc."""
     stop = int(lam + 10.0 * math.sqrt(lam)) + 40
-    below = np.flatnonzero(_poisson_sf(np.arange(start, stop + 1), lam) / scale < TAIL_MASS)
+    below = np.flatnonzero(poisson_tail(np.arange(start, stop + 1), lam) / scale < TAIL_MASS)
     return start + int(below[0])
 
 
 # Landmarks, integers and their neighbours (where int(lam) - 1 moves), then a
 # log grid up to the largest rate.
-BRACKET_RATES = [0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 - 1e-16, 2.0, 2.0 + 4e-16, 3.0, 1000.0,
+BRACKET_RATES = [5e-324, 1e-300, 0.5, 1.0, 1.0 - 1e-16, 2.0, 2.0 + 4e-16, 3.0, 1000.0,
                  MAX_RATE] + [float(r) for r in np.geomspace(1e-6, MAX_RATE, 400)]
 
 
 def test_median_started_bracket_finds_the_full_brackets_hit():
     for lam in BRACKET_RATES:
-        x_max = _truncation_point(lam, 0, 1.0)
+        x_max = truncation_point(lam, 0, 1.0)
         assert x_max == full_bracket(lam, 0, 1.0), lam
         assert poisson_truncated(lam).support_max == x_max, lam
         # The skipped counts have tails above 1/2, as the median bound says.
         skipped = int(lam) - 2
         if skipped >= 0:
-            assert _poisson_sf(np.array([skipped]), lam)[0] > 0.5, lam
-        if lam > 0:
-            scale = -math.expm1(-lam)
-            n_max = _truncation_point(lam, 1, scale)
-            assert n_max == full_bracket(lam, 1, scale), lam
-            assert zero_truncated_poisson(lam).support_max == n_max, lam
+            assert poisson_tail(skipped, lam) > 0.5, lam
+        scale = -math.expm1(-lam)
+        n_max = truncation_point(lam, 1, scale)
+        assert n_max == full_bracket(lam, 1, scale), lam
+        assert zero_truncated_poisson(lam).support_max == n_max, lam
+
+
+def median_started_bracket(lam, start, scale):
+    """Reference: the first hit from max(start, int(lam) - 1), tails from pdtrc."""
+    return full_bracket(lam, max(start, int(lam) - 1), scale)
+
+
+# A log grid and seeded log-uniform rates over the whole accepted range.
+TRUNCATION_RATES = [float(r) for r in np.geomspace(1e-6, MAX_RATE, 4000)] + [
+    float(r) for r in 10.0 ** np.random.default_rng(20261019).uniform(
+        -6.0, math.log10(MAX_RATE), size=4000)
+]
+
+
+def test_truncation_points_match_the_incomplete_gamma_tails_on_a_grid():
+    # The tails summed from the pmf stop where pdtrc's tails stop, plain and
+    # zero-truncated.  The helper is called directly: building both
+    # distributions at 8000 rates would take seconds.
+    for lam in TRUNCATION_RATES:
+        for start, scale in ((0, 1.0), (1, -math.expm1(-lam))):
+            assert truncation_point(lam, start, scale) == median_started_bracket(
+                lam, start, scale), (lam, start)
+
+
+def decimal_poisson_pmf(lam, size):
+    """Reference: P(X = k) for k < size at 50 digits, by the recurrence
+    P(k) = P(k - 1) * lam / k from P(0) = exp(-lam); no logarithm involved."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rate = Decimal(lam)
+        probs = [(-rate).exp()]
+        for k in range(1, size):
+            probs.append(probs[-1] * rate / k)
+        return probs
+
+
+U = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
+
+
+def pmf_error_bound(lam, k):
+    """Relative error bound of exp(k * log(lam) - log k! - lam) in floats.
+
+    With a = k |ln lam| and b = ln k!, the exponent y picks up at most:
+    - 2u a from log(lam), within 1 ulp (<= 2u |ln lam|), times k;
+    - u a from rounding the product k * log(lam);
+    - 5 ulp(b) + 1e-15 <= 10u b + 1e-15 from math.lgamma, the accuracy
+      CPython's own tests require of it;
+    - u (a + b) and u (a + b + lam) from rounding the two subtractions.
+    That is |dy| <= u (5a + 12b + lam) + 1e-15; each term bounds its
+    quantity from above, which covers the second-order terms in u.  numpy's
+    exp is within 1 ulp (<= 2u relative), as its own accuracy tests
+    require, so the result is exp(y + dy) (1 + e) with |e| <= 2u, off from
+    exp(y) by at most expm1(|dy|) + 2u exp(|dy|) relative.  A subnormal
+    result adds one subnormal ulp of absolute error, which
+    assert_pmf_within_bound allows separately.
+    """
+    dy = U * (5.0 * k * abs(math.log(lam)) + 12.0 * math.lgamma(k + 1.0) + lam) + 1e-15
+    return math.expm1(dy) + 2.0 * U * math.exp(dy)
+
+
+def assert_pmf_within_bound(lam):
+    head = _poisson_head(lam, 0, 1.0)
+    reference = decimal_poisson_pmf(lam, head.size)
+    for k, (got, ref) in enumerate(zip(head.tolist(), reference)):
+        error = float(abs(Decimal(got) - ref))
+        assert error <= pmf_error_bound(lam, k) * float(ref) + SMALLEST_SUBNORMAL, (lam, k)
+
+
+@pytest.mark.parametrize(
+    "lam", [5e-324, 1e-300, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 1000.0, MAX_RATE]
+)
+def test_pmf_within_the_derived_bound_at_landmark_rates(lam):
+    assert_pmf_within_bound(lam)
+
+
+def test_pmf_within_the_derived_bound_at_log_uniform_rates():
+    for lam in 10.0 ** np.random.default_rng(410).uniform(-12.0, math.log10(MAX_RATE), size=40):
+        assert_pmf_within_bound(float(lam))
 
 
 def poisson_pair(lam):
@@ -212,28 +303,6 @@ def test_poisson_constructors_pass_the_mass_check(lam):
     for dist in poisson_pair(lam):
         assert mass_check_accepts(dist.probabilities)
         assert all(type(p) is float for p in dist.probabilities)
-
-
-def assert_matches_scipy_stats(lam):
-    k = np.arange(int(lam + 12.0 * math.sqrt(lam)) + 201)
-    assert _poisson_pmf(k, lam).tobytes() == sp_poisson.pmf(k, lam).tobytes(), lam
-    assert _poisson_sf(k, lam).tobytes() == sp_poisson.sf(k, lam).tobytes(), lam
-
-
-class TestPoissonUfuncs:
-    """The pmf and tail taken from scipy.special are scipy.stats.poisson's bytes."""
-
-    @pytest.mark.parametrize(
-        "lam", [0.0, 1e-300, 1e-9, 1.0 / 6.0, 0.5, 2.0, 10.0, 100.0, 1000.0, MAX_RATE]
-    )
-    def test_bit_identical_at_landmark_rates(self, lam):
-        assert_matches_scipy_stats(lam)
-
-    def test_bit_identical_at_log_uniform_rates(self):
-        rates = np.exp(np.random.default_rng(410).uniform(
-            math.log(1e-12), math.log(MAX_RATE), size=400))
-        for lam in rates:
-            assert_matches_scipy_stats(float(lam))
 
 
 @pytest.mark.parametrize("bad", [MAX_RATE * (1 + 1e-12), 1e6, 1e300])

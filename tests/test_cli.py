@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -247,8 +248,9 @@ class TestDpVerify:
         # g(3) equals the ratio exactly: at n = 3 both actions are optimal.
         (["--pmf-file", "PMF", "--ratio", "0.041666666666666664", "--horizon", "100"], 48),
         # g(n) - ratio near n* = 223607 is far below the rounding of values
-        # near 1.
-        (["--lambda", "0.05", "--ratio", "1e-12", "--horizon", "90"], 267),
+        # near 1.  Which of the states next to n* the solver's rounding flips
+        # depends on the last bits of the pmf, so the count moves with them.
+        (["--lambda", "0.05", "--ratio", "1e-12", "--horizon", "90"], 264),
     ])
     def test_float_ties_are_reported_as_indifferent(self, capsys, tmp_path, argv, ties):
         pmf = tmp_path / "pmf.csv"
@@ -693,26 +695,38 @@ class TestParser:
         assert done.returncode == 0
         assert done.stdout == "n_star,6\n"
 
-    def test_start_up_leaves_scipy_stats_unimported(self):
-        # scipy.stats alone would about double start-up time and memory;
-        # the Poisson pmf and tail come from scipy.special.
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # The package depends on numpy alone: with every scipy import made to
+        # fail, each entry point still runs, and no scipy module is loaded.
         root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
-        script = os.path.join(root, "scripts", "reproduce_figures.py")
+        with open(os.path.join(root, "README.md")) as readme:
+            [example] = re.findall(r"```python\n(.*?)```", readme.read(), re.S)
+        (tmp_path / "pmf.csv").write_text(BERNOULLI_PMF)
         child = (
-            "import importlib.util, sys\n"
-            "import hubrelease, hubrelease.cli\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import importlib.util\n"
+            "import hubrelease.cli as cli\n"
             "spec = importlib.util.spec_from_file_location('reproduce_figures', sys.argv[1])\n"
             "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
-            "assert hubrelease.cli.main(['threshold', '--lambda', '0.5', "
-            "'--ratio', '0.005']) == 0\n"
-            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])\n"
+            "for argv in (['threshold', '--lambda', '0.5', '--ratio', '0.005'],\n"
+            "             ['dp-verify', '--pmf-file', 'pmf.csv', '--ratio', '0.05',\n"
+            "              '--horizon', '30', '--dump-actions', 'actions.csv'],\n"
+            "             ['sweep', '--points', '2', '--samples', '2', '--horizon', '60',\n"
+            "              '--out', 'sweep.csv']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "exec(sys.argv[2])\n"
+            "print([m for m, module in sys.modules.items()\n"
+            "       if m.split('.')[0] == 'scipy' and module is not None])\n"
         )
+        script = os.path.join(root, "scripts", "reproduce_figures.py")
         done = subprocess.run(
-            [sys.executable, "-c", child, script],
-            capture_output=True, text=True, env=child_env(), timeout=60,
+            [sys.executable, "-c", child, script, example],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "actions.csv").exists() and (tmp_path / "sweep.csv").exists()
 
     def test_entrypoint_propagates_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -192,6 +192,17 @@ SEARCH_JITTER = 2.0 ** _SEARCH.uniform(-1.0, 1.0, size=(len(SEARCH_RATES), 12))
 SEARCH_SCAN_BUDGET = 3e5
 
 
+def gallop_bound(guess):
+    """Evaluations of g the search from a huge guess may take.
+
+    The float root is good to a few units in its last place, so n_star lies
+    within 7 first steps s = guess >> 50 of the guess: one evaluation at
+    the guess, at most 3 in the gallop (s, 3s and 7s from the guess) and a
+    bisection of its last gap, at most 4s wide, bit_length(s) + 2 more.
+    """
+    return (guess >> 50).bit_length() + 6
+
+
 class TestJensenStartedSearch:
     """The search from the Jensen lower bound stops where the scan from 1 stops.
 
@@ -203,8 +214,8 @@ class TestJensenStartedSearch:
     below the ratio one past the root: n_star is at most 2 above the guess
     (3 if rounding moves the guess down one), so at most 4 evaluations.
     When the condition holds at the guess (rounding put it at or past
-    n_star), the bisection from 0 takes over, at the cost of the bisection
-    the search replaced: up to log2(n_star) + 2.
+    n_star), the search gallops downward from the guess with the same
+    first step and bisects the last gap instead.
     """
 
     @pytest.mark.parametrize("index", range(len(SEARCH_RATES)))
@@ -234,13 +245,20 @@ class TestJensenStartedSearch:
         assert compute_threshold(BERNOULLI, 1.0 / 24.0).n_star == 3
         assert len(gain_calls) <= 4
 
-    def test_guess_on_n_star_falls_back_to_the_bisection(self, gain_calls):
-        # The float root lands just past 22, so the guess is n_star itself.
-        ratio = _waiting_gain(22, BERNOULLI)
-        assert compute_threshold(BERNOULLI, ratio).n_star == 22
-        assert gain_calls[0] == 22
-        assert len(gain_calls) <= math.log2(22) + 2
-        assert linear_scan_threshold(BERNOULLI, ratio) == 22
+    def test_ties_at_or_past_the_guess_take_two_evaluations(self, gain_calls):
+        # At ratio g(n) the float root lands within rounding of n, so the
+        # guess is n - 1, where the condition fails, or n itself, where it
+        # holds; the gallop's first step, up or down, then closes the gap.
+        for n in range(1, 3000):
+            ratio = _waiting_gain(n, BERNOULLI)
+            gain_calls.clear()
+            assert compute_threshold(BERNOULLI, ratio).n_star == n
+            assert len(gain_calls) <= 2, (n, gain_calls)
+        # At n = 22 the float root lands just past 22: the guess is n_star.
+        gain_calls.clear()
+        compute_threshold(BERNOULLI, _waiting_gain(22, BERNOULLI))
+        assert gain_calls == [22, 21]
+        assert linear_scan_threshold(BERNOULLI, _waiting_gain(22, BERNOULLI)) == 22
 
     def test_zero_mean_and_zero_ratio(self, gain_calls):
         assert compute_threshold(EMPTY_STEPS, 0.005).n_star == 1
@@ -252,25 +270,27 @@ class TestJensenStartedSearch:
 
     def test_huge_threshold_costs_no_more_than_the_bisection(self, gain_calls):
         # The float guess is good to about 53 bits of a 147-digit n_star, so
-        # the gallop's first step is scaled to that precision.
+        # the gallop's first step is scaled to that precision.  Here the guess
+        # lands past n_star, so the search gallops down from it.
         dist = poisson_truncated(MAX_RATE)
         n_star = compute_threshold(dist, 1e-290).n_star
         assert n_star == int(
-            "14142135623730615531488898149433115969689609573271655399616738430535"
-            "81931401480834176119283277225949212684258856524801752398896330581746"
-            "117163904195"
+            "14142135623730636589642560066285071893370137880073000421399308184386"
+            "69102036048901259444917659081421140743322645263656242690043569985456"
+            "908535933056"
         )
-        assert len(gain_calls) <= math.log2(n_star) + 2
+        assert gain_calls[0] > n_star
+        assert len(gain_calls) <= gallop_bound(gain_calls[0])
         assert 1e-290 >= definition_gain(n_star, dist)
         assert 1e-290 < definition_gain(n_star - 1, dist)
 
     def test_huge_threshold_above_the_guess_gallops_from_a_scaled_step(self, gain_calls):
         # Here the float guess falls short of n_star by about n_star * 2^-53;
         # a gallop from step 1 would take about 2 * 431 evaluations.
-        dist = poisson_truncated(10.0)
+        dist = poisson_truncated(2.0)
         n_star = compute_threshold(dist, 1e-290).n_star
         assert gain_calls[0] < n_star
-        assert len(gain_calls) <= math.log2(n_star) + 2
+        assert len(gain_calls) <= gallop_bound(gain_calls[0])
         assert 1e-290 >= definition_gain(n_star, dist)
         assert 1e-290 < definition_gain(n_star - 1, dist)
 
