@@ -31,14 +31,14 @@ REFERENCE_RATE = 1.0 / 6.0
 
 
 def write_threshold_curves(path: Path, points: int, ratios: tuple[float, ...]) -> None:
-    grid = np.linspace(0.0, REFERENCE_RATE, points)
+    grid = [float(lam) for lam in np.linspace(0.0, REFERENCE_RATE, points)]
+    dists = [poisson_truncated(lam) for lam in grid]
     with atomic_writer(str(path)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "ratio", "n_star"])
         for ratio in ratios:
-            for lam in grid:
-                threshold = compute_threshold(poisson_truncated(float(lam)), ratio)
-                writer.writerow([repr(float(lam)), repr(ratio), threshold.n_star])
+            for lam, dist in zip(grid, dists):
+                writer.writerow([repr(lam), repr(ratio), compute_threshold(dist, ratio).n_star])
     print(f"wrote {len(ratios) * points} threshold points to {path}")
 
 
@@ -52,8 +52,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threshold-points", type=int, default=200,
                         help="rate grid points for the threshold curves")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--skip-verify", action="store_true",
-                        help="skip the solver cross-check")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
@@ -63,14 +61,12 @@ def main(argv: list[str] | None = None) -> int:
         out_dir / "thresholds.csv", args.threshold_points, (0.0025, 0.005, 0.01)
     )
 
-    if not args.skip_verify:
-        code = cli_main([
-            "dp-verify", "--lambda", str(REFERENCE_RATE), "--ratio", "0.005",
-            "--horizon", "720",
-        ])
-        if code != 0:
-            print("solver disagrees with the threshold rule, aborting", file=sys.stderr)
-            return code
+    code = cli_main([
+        "dp-verify", "--lambda", str(REFERENCE_RATE), "--ratio", "0.005", "--horizon", "720",
+    ])
+    if code != 0:
+        print("solver disagrees with the threshold rule, aborting", file=sys.stderr)
+        return code
 
     return cli_main([
         "sweep",

@@ -92,14 +92,6 @@ class ArrivalDistribution:
         return self._descending_pass[0]
 
     @cached_property
-    def variance(self) -> float:
-        m = self.mean
-        total = 0.0
-        for x in range(self.support_max, -1, -1):
-            total += (x - m) ** 2 * self.probabilities[x]
-        return total
-
-    @cached_property
     def _cumulative(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.probabilities))
 

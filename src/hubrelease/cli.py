@@ -98,9 +98,8 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
     if max_count is None:
         # The solver clamps counts at the cap, so the cap must also leave
         # room for one batch on top of n_star for the two rules to compare.
-        max_count = suggest_max_count(dist, args.horizon)
-        if threshold.n_star is not None:
-            max_count = max(max_count, threshold.n_star + dist.support_max)
+        max_count = max(suggest_max_count(dist, args.horizon),
+                        threshold.n_star + dist.support_max)
     config = DpConfig(args.horizon, max_count, dist, args.ratio)
     solution = solve(config)
     mismatches, ties = split_ties(solution, compare_with_threshold(solution, threshold))
@@ -121,11 +120,10 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
         print(f"{len(ties)} indifferent states: releasing and waiting tie within "
               "the solver's rounding error", file=sys.stderr)
     if not mismatches:
-        print(f"MATCH n_star={_n_star_text(threshold.n_star)} "
-              f"states={args.horizon}x{max_count}")
+        print(f"MATCH n_star={threshold.n_star} states={args.horizon}x{max_count}")
         return 0
     for k, n in mismatches[:50]:
-        rule = threshold.n_star is not None and n >= threshold.n_star
+        rule = n >= threshold.n_star
         dp_action = "release" if not rule else "wait"
         print(f"MISMATCH k={k} n={n} dp={dp_action} rule={'release' if rule else 'wait'}")
     print(f"{len(mismatches)} mismatched states")

@@ -29,15 +29,18 @@ CAP_TOLERANCE = 1e-9
 # search of certain growth (5000 x 5018), and turns a tiny ratio, a huge
 # horizon or a huge rate into an error before anything is allocated.
 MAX_STATES = 30_000_000
-# Largest number of multiply-adds the cap search may spend: each of its
-# horizon steps convolves (bound + 1) counts with the whole pmf, so a search
-# within MAX_STATES can still take minutes when the pmf is long (rate 2e4,
-# 37 steps: 6e11).  On a 2-core x86-64 host np.convolve does 5e8 to 4e9
-# multiply-adds per second, the low end with the longest pmfs, so the limit
-# keeps a search to a few seconds at most.  It is 76 times the largest
-# benchmarked search (rate 2, horizon 720: 2.6e7) and 40 times the 5000-step
-# cap search the tests run (5e7); rate 30 over 720 steps (1.3e9, 0.7 s) and
-# a one-step search at rate 2e4 (9e8, 1.6 s) stay inside it.
+# Largest number of multiply-adds the cap search or the solver may spend.
+# Each step of either weighs every count by the whole pmf, so a pass within
+# MAX_STATES can still take minutes when the pmf is long (a search at rate
+# 2e4 over 37 steps: 6e11) or an explicit cap is far above the safe one (a
+# 900-step solve at cap 33000 with batches of 0 or 900: 2.7e10).  On a
+# 2-core x86-64 host np.convolve does 5e8 to 4e9 multiply-adds per second,
+# the low end with the longest pmfs, and the solver 1.7e8 to 4e8, so the
+# limit keeps a search to a few seconds and a solve to about ten.  It is 76
+# times the largest benchmarked search (rate 2, horizon 720: 2.6e7), 79
+# times the largest benchmarked solve (2.5e7) and 40 times the 5000-step cap
+# search the tests run (5e7); rate 30 over 720 steps (1.3e9, 0.7 s) and a
+# one-step search at rate 2e4 (9e8, 1.6 s) stay inside it.
 MAX_CONVOLUTION_WORK = 2_000_000_000
 # Rewards are in units of the benefit, so every solver value lies in
 # [-ratio * horizon, 1].  A continuation value weighs the next step's values
@@ -58,11 +61,25 @@ def _check_states(rows: int, cols: int, what: str) -> None:
         )
 
 
+def _check_work(steps: int, counts: int, batches: int, what: str) -> None:
+    work = steps * counts * batches
+    if work > MAX_CONVOLUTION_WORK:
+        raise ValueError(
+            f"{what} needs {steps} steps x {counts} counts x {batches} batch sizes = "
+            f"{work:.3g} multiply-adds, more than MAX_CONVOLUTION_WORK = "
+            f"{MAX_CONVOLUTION_WORK:.3g}; use a shorter horizon, a lower rate or a "
+            f"smaller occupancy cap"
+        )
+
+
 def _search_bound(dist: ArrivalDistribution, horizon: int) -> int:
     # Mean growth plus a 12-sigma cushion is far past the 1e-9 quantile of a
     # sum of i.i.d. counts unless a rare batch is far larger than the spread;
-    # suggest_max_count widens the search when it is not.
-    spread = 12.0 * np.sqrt(max(horizon * dist.variance, 1.0))
+    # suggest_max_count widens the search when it is not.  E[X^2] - E[X]^2
+    # cancels by at most 5e-11 relative at rates from 1e-6 to 2e4; a cushion
+    # does not feel that, and the max absorbs a tiny negative.
+    variance = dist.second_moment - dist.mean ** 2
+    spread = 12.0 * np.sqrt(max(horizon * variance, 1.0))
     return int(np.ceil(1 + horizon * dist.mean + spread)) + dist.support_max + 2
 
 
@@ -103,14 +120,7 @@ def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
     bound = _search_bound(dist, horizon)
     while True:
         _check_states(horizon, bound + 2, "the occupancy-cap search")
-        work = horizon * (bound + 1) * (dist.support_max + 1)
-        if work > MAX_CONVOLUTION_WORK:
-            raise ValueError(
-                f"the occupancy-cap search needs {horizon} steps x {bound + 1} counts x "
-                f"{dist.support_max + 1} batch sizes = {work:.3g} multiply-adds, more "
-                f"than MAX_CONVOLUTION_WORK = {MAX_CONVOLUTION_WORK:.3g}; use a shorter "
-                f"horizon or a lower rate"
-            )
+        _check_work(horizon, bound + 1, dist.support_max + 1, "the occupancy-cap search")
         tail = _final_count_tail(dist, horizon, bound)
         if tail[-1] < CAP_TOLERANCE:
             return max(int(np.flatnonzero(tail < CAP_TOLERANCE)[0]) - 1, 1)
@@ -152,6 +162,7 @@ class DpConfig:
         _check_states(
             self.max_count, self.dist.support_max + 1, "the solver's transition table"
         )
+        _check_work(self.horizon, self.max_count, self.dist.support_max + 1, "the solver")
         safe = suggest_max_count(self.dist, self.horizon)
         if self.max_count < safe:
             raise ValueError(

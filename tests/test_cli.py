@@ -347,6 +347,27 @@ class TestDpVerify:
         assert err.startswith("error: the occupancy-cap search needs 37 steps")
         assert "MAX_CONVOLUTION_WORK" in err
 
+    def test_solver_work_is_checked_before_the_solve(self, tmp_path):
+        # An explicit cap far above the safe one (1: the batch of 900 has
+        # mass 1e-13) fits in MAX_STATES, but the solve would weigh 33000
+        # counts by 901 batch sizes at each of 900 steps: minutes of work.
+        (tmp_path / "pmf.csv").write_text("count,probability\n0,0.9999999999999\n900,1e-13\n")
+        guards = (
+            "import hubrelease.dp as dp\n"
+            "solve = cli.solve\n"
+            "def guarded_solve(config):\n"
+            "    work = config.horizon * config.max_count * (config.dist.support_max + 1)\n"
+            "    assert work <= dp.MAX_CONVOLUTION_WORK, 'solve past the limit'\n"
+            "    return solve(config)\n"
+            "cli.solve = guarded_solve\n"
+        )
+        argv = ["dp-verify", "--pmf-file", "pmf.csv", "--ratio", "0.01", "--horizon", "900",
+                "--max-count", "33000"]
+        [(code, err)] = run_in_child([argv], tmp_path, guards)
+        assert code == 1
+        assert err.startswith("error: the solver needs 900 steps x 33000 counts x 901 batch")
+        assert "MAX_CONVOLUTION_WORK" in err
+
     def test_ratio_zero_with_arrivals_is_refused(self, capsys):
         # The rule never releases; at the solver's cap, releasing and
         # waiting tie, so a solve would report false mismatches there.

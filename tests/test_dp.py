@@ -272,6 +272,37 @@ class TestOccupancyCap:
                     cases += 1
         assert cases >= 200
 
+    def test_search_bound_from_the_moments_is_the_two_pass_bound(self):
+        # The cushion's variance was once a second pass over the pmf; it is
+        # now E[X^2] - E[X]^2 from the mean's pass.  Over log-uniform rates
+        # and sparse pmfs with far, rare batches, both give the same bound,
+        # so the cap search runs over the same counts.
+        def two_pass_bound(dist, horizon):
+            m = dist.mean
+            variance = 0.0
+            for x in range(dist.support_max, -1, -1):
+                variance += (x - m) ** 2 * dist.probabilities[x]
+            spread = 12.0 * np.sqrt(max(horizon * variance, 1.0))
+            return int(np.ceil(1 + horizon * dist.mean + spread)) + dist.support_max + 2
+
+        rng = np.random.default_rng(17)
+        rates = [1e-6, 1.0 / 6.0, 2.0, 2e4, *(10.0 ** rng.uniform(-6, np.log10(2e4), 396))]
+        dists = [poisson_truncated(float(lam)) for lam in rates]
+        dists.append(RARE_FAR_BATCH)
+        for _ in range(60):
+            counts = np.sort(rng.choice(np.arange(1000), size=int(rng.integers(2, 6)),
+                                        replace=False))
+            weights = 10.0 ** rng.uniform(-13, 0, counts.size)
+            dists.append(from_pmf(list(zip(counts.tolist(),
+                                           (weights / weights.sum()).tolist()))))
+        cases = 0
+        for dist in dists:
+            for horizon in (1, 2, 7, 30, 90, 360, 720, 2000, 5000):
+                assert dp._search_bound(dist, horizon) == two_pass_bound(dist, horizon), (
+                    dist.support_max, dist.mean, horizon)
+                cases += 1
+        assert cases >= 4000
+
 
 def never(what):
     def refuse(*args):
@@ -300,6 +331,29 @@ class TestStateLimit:
         with pytest.raises(ValueError,
                            match="occupancy-cap search needs 37 steps.*MAX_CONVOLUTION_WORK"):
             DpConfig(37, 1000, dist, 0.005)
+
+    def test_solver_work_past_the_limit_is_refused_before_the_cap_check(self, monkeypatch):
+        # The batch of 900 is so rare that the safe cap is 1, and 901 x 33001
+        # states fit in MAX_STATES, but the solve would weigh 33000 counts by
+        # 901 batch sizes at each of 900 steps: 2.7e10 multiply-adds, minutes.
+        monkeypatch.setattr(dp, "suggest_max_count", never("the cap check"))
+        sparse = from_pmf([(0, 1 - 1e-13), (900, 1e-13)])
+        with pytest.raises(ValueError, match=r"^the solver needs 900 steps x 33000 counts "
+                                             r"x 901 batch sizes = 2.68e\+10 .*"
+                                             r"MAX_CONVOLUTION_WORK"):
+            DpConfig(900, 33000, sparse, 0.01)
+
+    def test_largest_benchmarked_and_tied_solves_stay_inside_the_work_limit(self):
+        # perfbench's largest solve (rate 2 moved up 5%, 720 steps, at its
+        # safe cap) and the 264-tie solve of the CLI tests (rate 0.05, ratio
+        # 1e-12, 90 steps, at n_star plus the largest batch).
+        dist = poisson_truncated(2.1)
+        cap = suggest_max_count(dist, 720)
+        assert cap == 1752
+        assert 720 * cap * (dist.support_max + 1) * 50 < dp.MAX_CONVOLUTION_WORK
+        dist = poisson_truncated(0.05)
+        cap = compute_threshold(dist, 1e-12).n_star + dist.support_max
+        assert 90 * cap * (dist.support_max + 1) * 10 < dp.MAX_CONVOLUTION_WORK
 
     def test_largest_benchmarked_and_tested_searches_stay_inside_the_work_limit(self):
         # perfbench's largest cap search (rate 2, 720 steps) and the 5000-step
