@@ -110,11 +110,6 @@ class InitialCountDistribution(ArrivalDistribution):
         if self.probabilities[0] != 0.0:
             raise ValueError("initial count distribution must place zero mass at 0")
 
-    @classmethod
-    def degenerate(cls) -> "InitialCountDistribution":
-        """Point mass at a single waiting vehicle (zero-rate limit)."""
-        return cls((0.0, 1.0))
-
 
 def _poisson_head(lam: float, start: int, scale: float) -> np.ndarray:
     """Poisson(lam) pmf over 0..x, for the smallest x >= start with
@@ -160,14 +155,12 @@ def poisson_truncated(lam: float) -> ArrivalDistribution:
 def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
     """Poisson(lam) conditioned on being >= 1, truncated and renormalized.
 
-    Requires lam > 0; the lam -> 0 limit (a guaranteed single vehicle) must be
-    requested explicitly via ``InitialCountDistribution.degenerate()``.
+    lam = 0 gives its lam -> 0 limit, a point mass at a single vehicle.
     """
-    if not 0 < lam <= MAX_RATE:
-        raise ValueError(
-            f"rate must be positive and at most {MAX_RATE:g}, got {lam!r}; "
-            "use InitialCountDistribution.degenerate() for the zero-rate limit"
-        )
+    if not 0 <= lam <= MAX_RATE:
+        raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
+    if lam == 0:
+        return InitialCountDistribution((0.0, 1.0))
     probs = _poisson_head(lam, 1, -math.expm1(-lam))
     probs[0] = 0.0
     probs /= probs.sum()

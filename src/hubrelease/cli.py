@@ -94,12 +94,17 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
             f"arrivals of mean {dist.mean!r} the rule never releases, and the solver's "
             "occupancy cap makes releasing and waiting tie at the cap"
         )
+    # The solver clamps counts at the cap, so the cap must also leave room
+    # for one batch on top of n_star for the two rules to compare.
+    floor = threshold.n_star + dist.support_max
     max_count = args.max_count
     if max_count is None:
-        # The solver clamps counts at the cap, so the cap must also leave
-        # room for one batch on top of n_star for the two rules to compare.
-        max_count = max(suggest_max_count(dist, args.horizon),
-                        threshold.n_star + dist.support_max)
+        max_count = max(suggest_max_count(dist, args.horizon), floor)
+    elif max_count < floor:
+        raise ValueError(
+            f"--max-count {max_count} leaves no room for a batch of {dist.support_max} "
+            f"above n_star = {threshold.n_star}; the smallest usable cap is {floor}"
+        )
     config = DpConfig(args.horizon, max_count, dist, args.ratio)
     solution = solve(config)
     mismatches, ties = split_ties(solution, compare_with_threshold(solution, threshold))

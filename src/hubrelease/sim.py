@@ -180,20 +180,14 @@ class SweepRow:
     metrics: MetricsSummary
 
 
+# One entry: a sweep handles one rate at a time, and repeated
+# run_episode_hour calls reuse one config.
 @lru_cache(maxsize=1)
-def _arrival_dist(lam: float) -> ArrivalDistribution:
-    return poisson_truncated(lam)
-
-
-def _initial_rate(config: SimConfig) -> float:
-    return config.lam if config.initial_lam is None else config.initial_lam
-
-
-@lru_cache(maxsize=1)
-def _initial_dist(rate: float) -> InitialCountDistribution:
-    if rate == 0.0:
-        return InitialCountDistribution.degenerate()
-    return zero_truncated_poisson(rate)
+def _cell_distributions(lam: float, initial_lam: float | None
+                        ) -> tuple[InitialCountDistribution, ArrivalDistribution]:
+    """The initial-count and per-step batch pmfs of a cell at rate ``lam``."""
+    return (zero_truncated_poisson(lam if initial_lam is None else initial_lam),
+            poisson_truncated(lam))
 
 
 # Rows are simulated a chunk at a time.  Each row costs its horizon in
@@ -215,9 +209,10 @@ def _draw_arrivals(config: SimConfig, first: int, stop: int) -> np.ndarray:
     uniforms = np.empty((stop - first, horizon))
     for row, i in enumerate(range(first, stop)):
         substream(config.master_seed, config.cell_index, i).random(out=uniforms[row])
+    initial, batch = _cell_distributions(config.lam, config.initial_lam)
     arrivals = np.empty(uniforms.shape, dtype=np.int64)
-    arrivals[:, 0] = _initial_dist(_initial_rate(config)).counts_at(uniforms[:, 0])
-    arrivals[:, 1:] = _arrival_dist(config.lam).counts_at(uniforms[:, 1:])
+    arrivals[:, 0] = initial.counts_at(uniforms[:, 0])
+    arrivals[:, 1:] = batch.counts_at(uniforms[:, 1:])
     return arrivals
 
 
@@ -378,10 +373,8 @@ def _simulate_cells(configs: Sequence[SimConfig]) -> list[MetricsSummary]:
     """
     base = configs[0]
     totals = [_CellTotals(config) for config in configs]
-    expected_vehicles = (
-        _initial_dist(_initial_rate(base)).mean
-        + (base.horizon_steps - 1) * _arrival_dist(base.lam).mean
-    )
+    initial, batch = _cell_distributions(base.lam, base.initial_lam)
+    expected_vehicles = initial.mean + (base.horizon_steps - 1) * batch.mean
     chunk = max(1, int(_CHUNK_ITEMS // (base.horizon_steps + expected_vehicles)))
     for first in range(0, base.samples, chunk):
         arrivals = _draw_arrivals(base, first, min(first + chunk, base.samples))
@@ -420,7 +413,7 @@ def sweep(
         raise ValueError("policy_names must be non-empty")
     rows: list[SweepRow] = []
     for cell_index, lam in enumerate(lambda_grid):
-        threshold = compute_threshold(_arrival_dist(lam), ratio)
+        threshold = compute_threshold(_cell_distributions(lam, initial_lam)[1], ratio)
         configs = [
             SimConfig(
                 lam=lam,

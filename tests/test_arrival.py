@@ -69,13 +69,15 @@ class TestZeroTruncatedPoisson:
             expected = lam / -math.expm1(-lam)
             assert zero_truncated_poisson(lam).mean == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
-    def test_nonpositive_rate_rejected(self, bad):
-        with pytest.raises(ValueError, match="positive"):
+    @pytest.mark.parametrize("bad", [-0.2, math.nan, math.inf])
+    def test_negative_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
             zero_truncated_poisson(bad)
 
-    def test_degenerate_limit_is_single_vehicle(self):
-        dist = InitialCountDistribution.degenerate()
+    def test_zero_rate_is_single_vehicle(self):
+        # The lam -> 0 limit, as poisson_truncated(0) is the point mass at 0.
+        dist = zero_truncated_poisson(0.0)
+        assert isinstance(dist, InitialCountDistribution)
         assert dist.probabilities == (0.0, 1.0)
         assert dist.mean == 1.0
 

@@ -244,6 +244,27 @@ class TestDpVerify:
         assert code == 1
         assert "suggest_max_count" in err
 
+    def test_cap_without_room_above_n_star_is_rejected(self, capsys):
+        # A cap of 10 sits well above the safe cap but far below n* = 100:
+        # the solver would clamp the count at 10 and release there, where the
+        # rule waits.
+        code, out, err = run(
+            capsys, "dp-verify", "--lambda", "0.01", "--ratio", "1e-6", "--horizon", "30",
+            "--max-count", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --max-count 10 leaves no room")
+        assert "smallest usable cap is 104" in err
+
+    def test_smallest_usable_cap_matches(self, capsys):
+        code, out, _ = run(
+            capsys, "dp-verify", "--lambda", "0.01", "--ratio", "1e-6", "--horizon", "30",
+            "--max-count", "104",
+        )
+        assert code == 0
+        assert out == "MATCH n_star=100 states=30x104\n"
+
     @pytest.mark.parametrize("argv,ties", [
         # g(3) equals the ratio exactly: at n = 3 both actions are optimal.
         (["--pmf-file", "PMF", "--ratio", "0.041666666666666664", "--horizon", "100"], 48),

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import hubrelease
 import hubrelease.arrival as arrival
 import hubrelease.cli as cli
 import hubrelease.dp as dp
@@ -76,3 +79,18 @@ def test_readme_library_example_runs_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert len(done.stdout.split()) == 3
+
+
+def test_the_package_holds_three_memo_caches():
+    # perfbench/worker.py empties every module-level callable with a
+    # cache_clear before each pass, so a new cache changes what a pass
+    # measures.  The callables are found the way it finds them.
+    caches = set()
+    for module in pkgutil.iter_modules(hubrelease.__path__):
+        if module.name == "__main__":  # runs the command line on import
+            continue
+        loaded = importlib.import_module(f"hubrelease.{module.name}")
+        for value in vars(loaded).values():
+            if callable(getattr(value, "cache_clear", None)):
+                caches.add(f"{value.__module__.removeprefix('hubrelease.')}.{value.__qualname__}")
+    assert caches == {"cli.build_parser", "dp.suggest_max_count", "sim._cell_distributions"}

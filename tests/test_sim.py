@@ -308,8 +308,8 @@ def per_hour_summary(cfg):
 
 def chunk_items(cfg, rows):
     """A value of sim._CHUNK_ITEMS that makes chunks of `rows` rows for cfg."""
-    per_row = (cfg.horizon_steps + sim._initial_dist(sim._initial_rate(cfg)).mean
-               + (cfg.horizon_steps - 1) * sim._arrival_dist(cfg.lam).mean)
+    initial, batch = sim._cell_distributions(cfg.lam, cfg.initial_lam)
+    per_row = cfg.horizon_steps + initial.mean + (cfg.horizon_steps - 1) * batch.mean
     return (rows + 0.5) * per_row
 
 
@@ -626,10 +626,26 @@ class TestConfigValidation:
 
 
 class TestDistributionCaches:
-    def test_a_sweep_keeps_one_distribution_of_each_kind(self):
+    def test_a_sweep_keeps_the_distributions_of_one_rate(self):
         # A pmf at a large rate takes megabytes, and a sweep needs one rate
         # at a time.
         sweep([0.1, 0.2, 0.3, 0.4], ["threshold"], ratio=RATIO, samples=2,
               horizon_steps=5)
-        assert sim._arrival_dist.cache_info().currsize == 1
-        assert sim._initial_dist.cache_info().currsize == 1
+        assert sim._cell_distributions.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("initial_lam", [None, 0.0, 0.3])
+    def test_a_sweep_builds_each_rate_once(self, monkeypatch, initial_lam):
+        # The threshold and the simulated cells of a rate share its pmf.
+        built = []
+        build = sim.poisson_truncated
+
+        def spy(lam):
+            built.append(lam)
+            return build(lam)
+
+        sim._cell_distributions.cache_clear()
+        monkeypatch.setattr(sim, "poisson_truncated", spy)
+        grid = [0.0, 0.1, 0.2, 0.4]
+        sweep(grid, ["threshold", "periodic"], ratio=RATIO, samples=3, horizon_steps=5,
+              initial_lam=initial_lam)
+        assert built == grid
