@@ -14,13 +14,19 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
     one file system), created like ``open(path, "w")`` would create it.  If
     the block raises, the temporary file is removed and any old ``path``
     stays as it was.  Newlines are written as given, on every platform.
+    An error in opening or replacing names ``path``, not the temporary file.
     """
     temporary = f"{path}.{os.getpid()}.tmp"
-    fh = open(temporary, "x", newline="")
+    try:
+        fh = open(temporary, "x", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise

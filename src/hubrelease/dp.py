@@ -29,18 +29,21 @@ CAP_TOLERANCE = 1e-9
 # search of certain growth (5000 x 5018), and turns a tiny ratio, a huge
 # horizon or a huge rate into an error before anything is allocated.
 MAX_STATES = 30_000_000
-# Largest number of multiply-adds the cap search or the solver may spend.
-# Each step of either weighs every count by the whole pmf, so a pass within
-# MAX_STATES can still take minutes when the pmf is long (a search at rate
-# 2e4 over 37 steps: 6e11) or an explicit cap is far above the safe one (a
-# 900-step solve at cap 33000 with batches of 0 or 900: 2.7e10).  On a
-# 2-core x86-64 host np.convolve does 5e8 to 4e9 multiply-adds per second,
-# the low end with the longest pmfs, and the solver 1.7e8 to 4e8, so the
-# limit keeps a search to a few seconds and a solve to about ten.  It is 76
-# times the largest benchmarked search (rate 2, horizon 720: 2.6e7), 79
-# times the largest benchmarked solve (2.5e7) and 40 times the 5000-step cap
-# search the tests run (5e7); rate 30 over 720 steps (1.3e9, 0.7 s) and a
-# one-step search at rate 2e4 (9e8, 1.6 s) stay inside it.
+# Largest number of multiply-adds the cap search or the solver may spend,
+# charged as one weighing of every count by the whole pmf per step.  A pass
+# within MAX_STATES can still take minutes when the pmf is long (a search at
+# rate 2e4 over 37 steps: 6e11) or an explicit cap is far above the safe one
+# (a 900-step solve at cap 33000 with batches of 0 or 900: 2.7e10).  The
+# search squares instead and spends less than its charge, at most 0.88 of
+# it on seeded grids of rates, horizons and sparse pmfs.  On a 2-core
+# x86-64 host the solver does 1.7e8 to 4e8 multiply-adds per second, so a
+# solve at the limit takes about ten seconds, and a search near it a
+# fraction of one: rate 30 over 720 steps (1.3e9) 265 ms, rate 1000 over 37
+# steps (1.85e9) 244 ms, one step at rate 2e4 (9e8) 1.4 ms, where one
+# convolution per step took 470, 293 and 163 ms.  The limit is 76 times the
+# largest benchmarked search (rate 2, horizon 720: 2.6e7), 79 times the
+# largest benchmarked solve (2.5e7) and 40 times the 5000-step cap search
+# the tests run (5e7).
 MAX_CONVOLUTION_WORK = 2_000_000_000
 # Rewards are in units of the benefit, so every solver value lies in
 # [-ratio * horizon, 1].  A continuation value weighs the next step's values
@@ -90,15 +93,31 @@ def _final_count_tail(dist: ArrivalDistribution, horizon: int, bound: int) -> np
     Counts past `bound` are absorbed into one overflow total, which is
     tail[bound + 1] and is added to every entry.
     """
+
+    def add(x, y):
+        # The law of A + B for independent A and B, each given as (masses at
+        # 0..bound, mass past bound).  Counts never fall, so the sum is past
+        # bound when A is, when B is, or when the in-range masses convolve
+        # past it; every term is nonnegative.
+        (a, over_a), (b, over_b) = x, y
+        full = np.convolve(a, b)
+        over = over_a + over_b * float(a.sum()) + float(full[bound + 1 :].sum())
+        return full[: bound + 1], over
+
     pmf = np.asarray(dist.probabilities)
+    # The horizon-th convolution power by repeated squaring, starting from
+    # the one-vehicle law: floor(log2 horizon) squarings of the batch law
+    # and popcount(horizon) products into the total.
+    total = (np.array([0.0, 1.0]), 0.0)
+    power = (pmf[: bound + 1], float(pmf[bound + 1 :].sum()))
+    for bit in range(int(horizon).bit_length()):
+        if bit:
+            power = add(power, power)
+        if horizon >> bit & 1:
+            total = add(total, power)
     probs = np.zeros(bound + 2)
-    probs[1] = 1.0
-    escaped = 0.0
-    for _ in range(horizon):
-        full = np.convolve(probs[: bound + 1], pmf)
-        escaped += float(full[bound + 1 :].sum())
-        probs[: bound + 1] = full[: bound + 1]
-    return np.cumsum(probs[::-1])[::-1] + escaped
+    probs[: total[0].size] = total[0]
+    return np.cumsum(probs[::-1])[::-1] + total[1]
 
 
 # One dp-verify run asks twice (for its cap, then in the config's check),
@@ -109,9 +128,11 @@ def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
     starting from one vehicle, with probability below CAP_TOLERANCE.
 
     The count never falls, so that is the chance that one vehicle plus
-    `horizon` i.i.d. arrival draws end past the cap; it is computed exactly
-    by repeated convolution with an absorbing overflow bin, and it never
-    rises as the cap grows, so every larger cap is safe too.
+    `horizon` i.i.d. arrival draws end past the cap, and it never rises as
+    the cap grows, so every larger cap is safe too.  It is computed from the
+    `horizon`-th convolution power of the pmf, taken by repeated squaring
+    (13 convolutions at 720 steps) with an absorbing overflow bin that keeps
+    the mass past the search bound exactly, in nonnegative terms.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -186,8 +207,57 @@ class DpSolution:
     actions: np.ndarray
 
 
+def _comparison_bound(config: DpConfig) -> float:
+    """Largest rounding error of one release-or-wait comparison in `solve`.
+
+    Within it, the two actions can trade places in exact arithmetic on the
+    same next-step values.  With u = 2^-53 the unit roundoff: solver values
+    lie in [-ratio * horizon, 1], so none exceeds V = max(1, ratio * horizon)
+    in magnitude.
+    - The release value (n - 1)/n - ratio * k is off by at most u for the
+      division, u * ratio * k for the product and u * V for the
+      difference: 3 u V.
+    - The continuation is one dot product of the s + 1 next-step values
+      with the pmf.  In any summation order it is off by at most
+      gamma * sum_x p_x |v_x| <= gamma * (1 + d) * V, with
+      gamma = (s + 1) u / (1 - (s + 1) u) and d = |fsum(pmf) - 1|.
+    - The rule's expectation has weights of mass 1; the pmf's extra mass
+      d moves the continuation from it by up to d * V.
+    Errors that the next-step values carry from later steps are left out.
+    """
+    u = np.finfo(float).eps / 2
+    terms = len(config.dist.probabilities) * u
+    excess = abs(math.fsum(config.dist.probabilities) - 1.0)
+    return (3 * u + terms / (1 - terms) * (1 + excess) + excess) * max(
+        1.0, config.ratio * config.horizon
+    )
+
+
+def _release_floor(dist: ArrivalDistribution, ratio: float) -> int:
+    """Smallest n >= 1 with ratio * n * (n + s) >= 2 s, s the largest batch.
+
+    From n vehicles one step adds at most s, which raises the benefit
+    (n - 1)/n by at most 1/n - 1/(n + s) = s / (n (n + s)), at most ratio/2
+    from this n on.  The count never falls, also at a clamp, so from here
+    every step of waiting loses at least ratio/2 on every path.  Exact in
+    integers for any ratio > 0: the smallest float ratio needs 2 s / ratio
+    past the float range.
+    """
+    s = dist.support_max
+    num, den = ratio.as_integer_ratio()
+    need = -(-2 * s * den // num)  # n (n + s) >= need
+    n = (math.isqrt(s * s + 4 * need) - s) // 2
+    while n * (n + s) < need:
+        n += 1
+    return max(n, 1)
+
+
 def solve(config: DpConfig) -> DpSolution:
-    """Backward induction; release is forced at k = horizon."""
+    """Backward induction; release is forced at k = horizon.
+
+    From _release_floor on, release is optimal at every step, so those
+    states are filled in closed form and the induction runs below it.
+    """
     horizon, cap, ratio = config.horizon, config.max_count, config.ratio
     probs = np.asarray(config.dist.probabilities)
     xs = np.arange(probs.size)
@@ -196,17 +266,33 @@ def solve(config: DpConfig) -> DpSolution:
 
     values = np.full((horizon + 1, cap + 1), np.nan)
     actions = np.zeros((horizon + 1, cap + 1), dtype=bool)
+    # Induction over counts 1..rows, closed form above.  Past the floor
+    # waiting loses at least ratio/2 a step in exact arithmetic, and a
+    # comparison errs by at most the comparison bound plus the 3 u V error
+    # of the next-step release values, together at most twice the bound;
+    # when that stays below ratio/2, the float comparison picks release
+    # there too, and by induction from the deadline the closed form has the
+    # induction's bits.  The BLAS matrix-vector kernels sum a row in another
+    # order when it falls in a ragged last group of rows (groups of 4 in
+    # OpenBLAS on x86-64), so rows is a multiple of 8 and every row it keeps
+    # is summed as in the full-height product.
+    rows = cap
+    if ratio > 4 * _comparison_bound(config):
+        rows = min(-(-(_release_floor(config.dist, ratio) - 1) // 8) * 8, cap)
+    np.subtract(benefit[rows:], ratio * np.arange(horizon + 1)[:, None],
+                out=values[:, rows + 1 :])
+    actions[:, rows + 1 :] = True
     values[horizon, 1:] = benefit - ratio * horizon
     actions[horizon, 1:] = True
 
     # next_idx[i, j] = state reached from count n[i] after arrival xs[j].
-    next_idx = np.minimum(n[:, None] + xs[None, :], cap)
+    next_idx = np.minimum(n[:rows, None] + xs[None, :], cap)
     for k in range(horizon - 1, -1, -1):
         continuation = values[k + 1][next_idx] @ probs
-        release_value = benefit - ratio * k
+        release_value = benefit[:rows] - ratio * k
         release = release_value >= continuation
-        actions[k, 1:] = release
-        values[k, 1:] = np.where(release, release_value, continuation)
+        actions[k, 1 : rows + 1] = release
+        values[k, 1 : rows + 1] = np.where(release, release_value, continuation)
     return DpSolution(config, values, actions)
 
 
@@ -252,29 +338,10 @@ def split_ties(
     next_idx = np.minimum(n[:, None] + np.arange(probs.size), config.max_count)
     continuation = solution.values[k[:, None] + 1, next_idx] @ probs
     release_value = (n - 1) / n - config.ratio * k
-    # The bound, with u = 2^-53 the unit roundoff.  Solver values lie in
-    # [-ratio * horizon, 1], so none exceeds V = max(1, ratio * horizon) in
-    # magnitude.
-    # - The release value (n - 1)/n - ratio * k is off by at most u for the
-    #   division, u * ratio * k for the product and u * V for the
-    #   difference: 3 u V.
-    # - The continuation is one dot product of the s + 1 next-step values
-    #   with the pmf.  In any summation order it is off by at most
-    #   gamma * sum_x p_x |v_x| <= gamma * (1 + d) * V, with
-    #   gamma = (s + 1) u / (1 - (s + 1) u) and d = |fsum(pmf) - 1|.
-    # - The rule's expectation has weights of mass 1; the pmf's extra mass
-    #   d moves the continuation from it by up to d * V.
-    # Within the sum of the three, the two actions can trade places in exact
-    # arithmetic on the same next-step values.  Errors that those values
-    # carry from later steps are left out, so no state is excused for them.
-    # The subtraction below rounds by at most u times the gap.
-    u = np.finfo(float).eps / 2
-    terms = probs.size * u
-    excess = abs(math.fsum(config.dist.probabilities) - 1.0)
-    bound = (3 * u + terms / (1 - terms) * (1 + excess) + excess) * max(
-        1.0, config.ratio * config.horizon
-    )
-    tie = (np.abs(release_value - continuation) <= bound).tolist()
+    # Errors that the next-step values carry from later steps are left out
+    # of the bound, so no state is excused for them.  The subtraction below
+    # rounds by at most u times the gap.
+    tie = (np.abs(release_value - continuation) <= _comparison_bound(config)).tolist()
     real = [state for state, t in zip(mismatches, tie) if not t]
     return real, [state for state, t in zip(mismatches, tie) if t]
 

@@ -676,6 +676,33 @@ class TestAtomicOutput:
                 fh.write("data\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    @pytest.mark.parametrize("argv", [
+        ["dp-verify", "--lambda", "0.5", "--ratio", "0.005", "--horizon", "30",
+         "--dump-actions", "OUT"],
+        ["sweep", "--points", "2", "--samples", "2", "--horizon", "5", "--out", "OUT"],
+        ["ingest", "--file", "COUNTS", "--stop-fraction", "0.5", "--out", "OUT"],
+    ])
+    @pytest.mark.parametrize("make_target", ["missing directory", "directory"])
+    def test_a_failed_write_names_the_output_path(self, capsys, tmp_path, argv, make_target):
+        # The temporary file beside the output is the writer's own business:
+        # an error that cannot open it, or cannot replace the output with
+        # it, names the path the user gave.
+        counts = tmp_path / "counts.csv"
+        counts.write_text("hour,count\n8,330\n")
+        if make_target == "directory":
+            target = tmp_path / "out.csv"
+            target.mkdir()
+        else:
+            target = tmp_path / "no" / "such" / "out.csv"
+        argv = [{"OUT": str(target), "COUNTS": str(counts)}.get(a, a) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: [Errno ")
+        assert err.endswith(f": {str(target)!r}\n")
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", *(
+            ["out.csv"] if make_target == "directory" else [])]
+
     def test_an_error_while_writing_the_action_table_keeps_the_old_one(
             self, capsys, tmp_path, monkeypatch):
         table = tmp_path / "actions.csv"

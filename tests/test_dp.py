@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -405,11 +406,197 @@ class TestSharedCapSearch:
             return convolve(*args, **kwargs)
 
         dist = poisson_truncated(0.5)
-        suggest_max_count.cache_clear()
         monkeypatch.setattr(dp.np, "convolve", counting)
+        suggest_max_count.cache_clear()
+        suggest_max_count(dist, 200)
+        one_search = len(calls)
+        calls.clear()
+        suggest_max_count.cache_clear()
         cap = suggest_max_count(dist, 200)
         DpConfig(200, cap, dist, 0.005)
-        assert len(calls) == 200
+        assert len(calls) == one_search
+        # 200 = 0b11001000: 7 squarings and 3 products.
+        assert one_search == 10
+
+
+def step_by_step_tail(dist, horizon, bound):
+    """Reference: the final-count tail by one convolution per step."""
+    pmf = np.asarray(dist.probabilities)
+    probs = np.zeros(bound + 2)
+    probs[1] = 1.0
+    escaped = 0.0
+    for _ in range(horizon):
+        full = np.convolve(probs[: bound + 1], pmf)
+        escaped += float(full[bound + 1 :].sum())
+        probs[: bound + 1] = full[: bound + 1]
+    return np.cumsum(probs[::-1])[::-1] + escaped
+
+
+def sparse_pmfs(rng, count, largest):
+    """Seeded pmfs with a few batches up to `largest` and weights down to 1e-7."""
+    dists = []
+    for _ in range(count):
+        batches = np.sort(rng.choice(np.arange(1, largest + 1),
+                                     size=int(rng.integers(1, 4)), replace=False))
+        weights = 10.0 ** rng.uniform(-7, 0, batches.size)
+        idle = rng.uniform(0.5, 0.9999)
+        dists.append(from_pmf([(0, idle)] + list(zip(
+            batches.tolist(), (weights / weights.sum() * (1 - idle)).tolist()))))
+    return dists
+
+
+class TestCapSearchBySquaring:
+    # Largest relative difference allowed between the two tails, on entries
+    # that the step-by-step reference puts above 1e-300.  Both add
+    # nonnegative terms only, so neither cancels; 2.2e-13 was the worst seen
+    # over 3475 (pmf, horizon) configs.
+    TAIL_RTOL = 1e-11
+
+    def test_same_caps_and_tails_as_one_convolution_per_step(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        rates = [1e-4, 0.01, 1.0 / 6.0, 2.0, 30.0, *(10.0 ** rng.uniform(-4, 1.5, 6))]
+        dists = [poisson_truncated(float(lam)) for lam in rates]
+        dists += [RARE_FAR_BATCH, from_pmf([(1, 1.0)]), *sparse_pmfs(rng, 8, 120)]
+        cases = []
+        for dist in dists:
+            for horizon in (1, 2, 3, 7, 64, 100, 255, 720):
+                if dist.mean * horizon < 2000:
+                    cases.append((dist, horizon))
+        cases.append((from_pmf([(1, 1.0)]), 5000))
+        search = suggest_max_count.__wrapped__
+        for dist, horizon in cases:
+            cap = search(dist, horizon)
+            with monkeypatch.context() as m:
+                m.setattr(dp, "_final_count_tail", step_by_step_tail)
+                assert search(dist, horizon) == cap, (dist.support_max, horizon)
+            bound = dp._search_bound(dist, horizon)
+            got = dp._final_count_tail(dist, horizon, bound)
+            want = step_by_step_tail(dist, horizon, bound)
+            assert got.shape == want.shape
+            seen = want > 1e-300
+            assert np.all(np.abs(got - want)[seen] <= self.TAIL_RTOL * want[seen]), (
+                dist.support_max, horizon)
+            assert np.all(got[~seen] <= 1e-290)
+        assert len(cases) >= 140
+
+    def test_search_work_stays_inside_what_the_limit_charges(self, monkeypatch):
+        # _check_work charges a search horizon x (bound + 1) x (support + 1)
+        # multiply-adds, the cost of one convolution per step.  The squarings
+        # and products convolve arrays that the bound truncates; on this grid
+        # they spend at most about 0.8 of the charge (searches of up to 1e8
+        # multiply-adds, so that the test stays short).
+        work = []
+        convolve = np.convolve
+
+        def measuring(a, b, *args):
+            work.append(len(a) * len(b))
+            return convolve(a, b, *args)
+
+        monkeypatch.setattr(dp.np, "convolve", measuring)
+        rng = np.random.default_rng(20)
+        dists = [poisson_truncated(float(lam)) for lam in 10.0 ** rng.uniform(-4, 1.5, 12)]
+        dists += [RARE_FAR_BATCH, from_pmf([(1, 1.0)]), *sparse_pmfs(rng, 8, 200)]
+        worst = 0.0
+        for dist in dists:
+            for horizon in (1, 2, 3, 7, 30, 90, 255, 256, 720, 1023):
+                bound = dp._search_bound(dist, horizon)
+                charged = horizon * (bound + 1) * (dist.support_max + 1)
+                if charged > 10**8:
+                    continue
+                work.clear()
+                dp._final_count_tail(dist, horizon, bound)
+                assert sum(work) <= charged, (dist.support_max, horizon)
+                worst = max(worst, sum(work) / charged)
+        assert worst > 0.5
+
+
+def full_table_solve(config):
+    """Reference: backward induction over every count up to the cap."""
+    horizon, cap, ratio = config.horizon, config.max_count, config.ratio
+    probs = np.asarray(config.dist.probabilities)
+    xs = np.arange(probs.size)
+    n = np.arange(1, cap + 1)
+    benefit = (n - 1) / n
+
+    values = np.full((horizon + 1, cap + 1), np.nan)
+    actions = np.zeros((horizon + 1, cap + 1), dtype=bool)
+    values[horizon, 1:] = benefit - ratio * horizon
+    actions[horizon, 1:] = True
+
+    next_idx = np.minimum(n[:, None] + xs[None, :], cap)
+    for k in range(horizon - 1, -1, -1):
+        continuation = values[k + 1][next_idx] @ probs
+        release_value = benefit - ratio * k
+        release = release_value >= continuation
+        actions[k, 1:] = release
+        values[k, 1:] = np.where(release, release_value, continuation)
+    return values, actions
+
+
+def table_digests(values, actions):
+    return hashlib.sha256(values.tobytes()).hexdigest(), hashlib.sha256(actions.tobytes()).hexdigest()
+
+
+def closed_form_runs(config):
+    # solve rounds the counts of its induction up to a multiple of 8, so a
+    # floor 7 below the cap leaves it at least the cap itself.
+    return (config.ratio > 4 * dp._comparison_bound(config)
+            and dp._release_floor(config.dist, config.ratio) + 7 <= config.max_count)
+
+
+class TestClosedFormReleaseRegion:
+    def test_floor_is_the_smallest_count_of_the_bound(self):
+        for dist in (BERNOULLI, RARE_FAR_BATCH, poisson_truncated(2.0), from_pmf([(0, 1.0)])):
+            s = dist.support_max
+            for ratio in (5e-324, 1e-300, 1e-12, 0.005, 1.0 / 24.0, 0.3, 1.0, 1e308):
+                floor = dp._release_floor(dist, ratio)
+                exact = Fraction(ratio)
+                assert floor >= 1
+                assert exact * floor * (floor + s) >= 2 * s
+                if floor > 1:
+                    assert exact * (floor - 1) * (floor - 1 + s) < 2 * s
+        # The figure the bound was stated with: 48 = 2s / ratio for Bernoulli.
+        assert dp._release_floor(BERNOULLI, 1.0 / 24.0) == 7
+
+    def test_same_bits_as_the_full_table(self):
+        rng = np.random.default_rng(21)
+        configs = [
+            # The tie repros of the CLI tests: 48 ties at n = 3, where the
+            # closed form starts at 8; and 264 near n* = 223607, below it.
+            DpConfig(100, 80, BERNOULLI, 0.041666666666666664),
+            DpConfig(720, 192, poisson_truncated(1.0 / 6.0), 0.005),
+            DpConfig(720, 1674, poisson_truncated(2.0), 0.005),
+            DpConfig(3, 12, BERNOULLI, 0.0),
+            DpConfig(3, 12, BERNOULLI, 5e-324),
+            DpConfig(50, 60, poisson_truncated(0.3), 0.0),
+            DpConfig(720, 1, from_pmf([(0, 1.0)]), 0.005),
+            DpConfig(5, 1, from_pmf([(0, 1.0)]), 0.0),
+            DpConfig(100, suggest_max_count(RARE_FAR_BATCH, 100), RARE_FAR_BATCH, 0.01),
+        ]
+        dists = [poisson_truncated(float(lam)) for lam in 10.0 ** rng.uniform(-3, 0.7, 60)]
+        dists += sparse_pmfs(rng, 40, 30)
+        for dist in dists:
+            horizon = int(10.0 ** rng.uniform(0, np.log10(400)))
+            ratio = float(10.0 ** rng.uniform(-6, 0))
+            cap = suggest_max_count(dist, horizon) + int(rng.integers(0, 40))
+            configs.append(DpConfig(horizon, cap, dist, ratio))
+        for config in configs:
+            solution = solve(config)
+            assert table_digests(solution.values, solution.actions) == table_digests(
+                *full_table_solve(config)), config
+        assert closed_form_runs(configs[0]) and closed_form_runs(configs[1])
+        assert not any(closed_form_runs(c) for c in configs[3:5])
+        assert sum(map(closed_form_runs, configs)) >= 40
+
+    def test_same_bits_at_the_264_tie_repro(self):
+        dist = poisson_truncated(0.05)
+        config = DpConfig(90, compute_threshold(dist, 1e-12).n_star + dist.support_max,
+                          dist, 1e-12)
+        assert not closed_form_runs(config)
+        solution = solve(config)
+        got = table_digests(solution.values, solution.actions)
+        del solution
+        assert got == table_digests(*full_table_solve(config))
 
 
 # sha256 of `dp-verify --lambda 1/6 --ratio 0.005 --horizon 720 --dump-actions`,
