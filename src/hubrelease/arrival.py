@@ -23,9 +23,11 @@ TAIL_MASS = 1e-12
 # vehicles per step, and every truncated pmf stays a few tens of thousands
 # of entries long.
 MAX_RATE = 2e4
-# log k! for every count k the truncation bracket reaches at rates up to MAX_RATE.
-_LOG_FACTORIAL = np.fromiter(
-    map(math.lgamma, range(1, int(MAX_RATE + 10.0 * math.sqrt(MAX_RATE)) + 42)), float)
+# The end of the truncation bracket at MAX_RATE (see _poisson_head), and so
+# the largest count any pmf may hold, from_pmf's included.
+MAX_COUNT = int(MAX_RATE + 10.0 * math.sqrt(MAX_RATE)) + 40
+# log k! for every count k up to MAX_COUNT.
+_LOG_FACTORIAL = np.fromiter(map(math.lgamma, range(1, MAX_COUNT + 2)), float)
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
 def from_pmf(pairs: Iterable[tuple[int, float]]) -> ArrivalDistribution:
     """Build a distribution from (count, probability) pairs.
 
-    Counts must be distinct nonnegative integers.  A total mass within
+    Counts must be distinct integers in [0, MAX_COUNT].  A total mass within
     1e-9 of 1 is rescaled exactly to 1; anything further off is rejected.
     """
     seen: dict[int, float] = {}
@@ -178,6 +180,9 @@ def from_pmf(pairs: Iterable[tuple[int, float]]) -> ArrivalDistribution:
         count = int(count)
         if count < 0:
             raise ValueError(f"count {count} is negative")
+        if count > MAX_COUNT:
+            raise ValueError(f"count {count} is more than MAX_COUNT = {MAX_COUNT}, "
+                             f"the largest batch a pmf may hold")
         if prob < 0:
             raise ValueError(f"probability {prob!r} for count {count} is negative")
         if count in seen:

@@ -45,9 +45,10 @@ MAX_ROW_ITEMS = 15_000_000
 # a four-policy sweep spends about 0.21 us per item, so at the limit it runs
 # about four minutes; the default reproduction (50 x 1000 rows) is 6% of it.
 # _SAMPLE_ITEMS charges each row for what it costs beyond its items: a stream
-# of its own (the time of some 120 items) and about 250 bytes of per-sample
-# totals, which are kept for the whole cell.  At 512 the totals of a sweep
-# within the limit stay under 0.5 GB even at a one-step horizon.
+# of its own (the time of some 120 items) and its per-sample totals, which
+# are kept for the whole cell and pooled at its end, at about 340 bytes a
+# row at their peak (four policies, one-step horizon).  At 512 the totals of
+# a sweep within the limit stay under 0.7 GB even at a one-step horizon.
 _SAMPLE_ITEMS = 512
 MAX_SWEEP_ITEMS = 1_000_000_000
 # Rewards are in units of the benefit, so every per-sample mean utility lies
@@ -59,17 +60,24 @@ MAX_SWEEP_ITEMS = 1_000_000_000
 MAX_HOUR_COST = 1e150
 
 
+def _row_items(horizon: int, lam: float, initial_lam: float | None) -> float:
+    """A sampled hour's steps plus its expected vehicles, taken as initial
+    rate + 1 (the zero-truncated mean is below it) plus ``lam`` per later
+    step.  A horizon past MAX_ROW_ITEMS is returned before it can meet a
+    float."""
+    if horizon > MAX_ROW_ITEMS:
+        return horizon
+    initial = lam if initial_lam is None else initial_lam
+    return horizon + initial + 1 + (horizon - 1) * lam
+
+
 def check_sweep_size(points: int, samples: int, horizon: int, lam: float,
                      initial_lam: float | None) -> None:
     """Refuse a sweep past MAX_ROW_ITEMS or MAX_SWEEP_ITEMS before it allocates.
 
-    ``lam`` is the sweep's largest rate.  A row's expected vehicles are taken
-    as initial rate + 1 (the zero-truncated mean is below it) plus ``lam``
-    per later step.
+    ``lam`` is the sweep's largest rate.
     """
-    initial = lam if initial_lam is None else initial_lam
-    # A huge integer horizon is refused before it can meet a float.
-    row = horizon if horizon > MAX_ROW_ITEMS else horizon + initial + 1 + (horizon - 1) * lam
+    row = _row_items(horizon, lam, initial_lam)
     if row > MAX_ROW_ITEMS:
         raise ValueError(
             f"one sampled hour of {horizon} steps at rate {lam:g} holds more than "
@@ -190,11 +198,10 @@ def _cell_distributions(lam: float, initial_lam: float | None
             poisson_truncated(lam))
 
 
-# Rows are simulated a chunk at a time.  Each row costs its horizon in
-# (sample, step) cells plus its expected vehicles, and a chunk holds at most
-# this many of both together; at some 40 bytes of temporaries per cell or
-# vehicle that is about a megabyte.  One row is always allowed; its size is
-# bounded by MAX_ROW_ITEMS.
+# Rows are simulated a chunk at a time.  A chunk holds at most this many
+# _row_items together; at some 40 bytes of temporaries per cell or vehicle
+# that is about a megabyte.  One row is always allowed; its size is bounded
+# by MAX_ROW_ITEMS.
 _CHUNK_ITEMS = 1 << 15
 
 
@@ -282,12 +289,13 @@ def _row_folds(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     r.  The runs are laid into a zero-padded matrix behind a zero column and
     summed with cumsum, which adds in order, so each total has the bits of
     ``total = 0.0; total += v`` over the run (and of the builtin ``sum``
-    before Python 3.12 made it compensated).
+    before Python 3.12 made it compensated).  The totals are copied out, so
+    they do not keep the matrix alive.
     """
     width = int(counts.max())
     padded = np.zeros((counts.size, width + 1))
     padded[:, 1:][np.arange(width) < counts[:, None]] = values
-    return np.cumsum(padded, axis=1, out=padded)[:, -1]
+    return np.cumsum(padded, axis=1, out=padded)[:, -1].copy()
 
 
 def _half_width(per_sample: np.ndarray) -> float:
@@ -297,72 +305,56 @@ def _half_width(per_sample: np.ndarray) -> float:
     return float(Z_95 * values.std(ddof=1) / math.sqrt(values.size))
 
 
-class _CellTotals:
-    """Per-sample totals of one cell, filled a chunk of rows at a time."""
+def _row_totals(config: SimConfig, hours: HourResult) -> tuple[np.ndarray, ...]:
+    """Per-row totals of simulated hours: utility, episode reward, wait,
+    vehicles, platoons, and the size of the forced platoon when length
+    leaves it out (else 0)."""
+    # Float totals are folded in arrival (vehicles) and release (platoons)
+    # order, so results do not move with numpy's pairwise summation.
+    utility = _row_folds(
+        per_vehicle_utility(hours.vehicle_wait, hours.vehicle_is_lead, config.ratio),
+        hours.vehicles,
+    )
+    episode = _row_folds(
+        release_reward(hours.platoon_size,
+                       hours.platoon_release_step - hours.platoon_episode_start, config.ratio),
+        hours.platoons,
+    )
+    wait = np.add.reduceat(hours.vehicle_wait, np.cumsum(hours.vehicles) - hours.vehicles)
+    forced = np.zeros_like(hours.platoons)
+    if not config.include_forced_in_length:
+        last = np.cumsum(hours.platoons) - 1
+        forced = np.where(hours.platoon_forced[last], hours.platoon_size[last], 0)
+    return utility, episode, wait, hours.vehicles, hours.platoons, forced
 
-    def __init__(self, config: SimConfig) -> None:
-        n = config.samples
-        self.config = config
-        self.utility = np.empty(n)
-        self.episode = np.empty(n)
-        self.wait = np.empty(n, dtype=np.int64)
-        # Size of the hour's forced platoon when length leaves it out, else 0.
-        self.forced = np.zeros(n, dtype=np.int64)
-        self.vehicles = np.empty(n, dtype=np.int64)
-        self.platoons = np.empty(n, dtype=np.int64)
 
-    def add(self, first: int, hours: HourResult) -> None:
-        ratio = self.config.ratio
-        rows = slice(first, first + hours.vehicles.size)
-        # Float totals are folded in arrival (vehicles) and release
-        # (platoons) order, so results do not move with numpy's pairwise
-        # summation.
-        self.utility[rows] = _row_folds(
-            per_vehicle_utility(hours.vehicle_wait, hours.vehicle_is_lead, ratio),
-            hours.vehicles,
-        )
-        self.episode[rows] = _row_folds(
-            release_reward(hours.platoon_size,
-                           hours.platoon_release_step - hours.platoon_episode_start, ratio),
-            hours.platoons,
-        )
-        self.wait[rows] = np.add.reduceat(
-            hours.vehicle_wait, np.cumsum(hours.vehicles) - hours.vehicles
-        )
-        self.vehicles[rows] = hours.vehicles
-        self.platoons[rows] = hours.platoons
-        if not self.config.include_forced_in_length:
-            last = np.cumsum(hours.platoons) - 1
-            self.forced[rows] = np.where(hours.platoon_forced[last], hours.platoon_size[last], 0)
-
-    def summary(self) -> MetricsSummary:
-        vehicles = self.vehicles
-        n = vehicles.size
-        length = vehicles - self.forced
-        length_count = self.platoons - (self.forced > 0)
-        # The pooled totals fold the per-sample totals in sample order.
-        utility_sum, episode_sum, wait_sum, length_sum = _row_folds(
-            np.concatenate((self.utility, self.episode, self.wait, length)),
-            np.full(4, n),
-        ).tolist()
-        has_length = length_count > 0
-        sample_length = np.full(n, np.nan)
-        sample_length[has_length] = length[has_length] / length_count[has_length]
-        vehicles_total = int(vehicles.sum())
-        length_count = int(length_count.sum())
-        return MetricsSummary(
-            mean_utility=utility_sum / vehicles_total,
-            ci_utility=_half_width(self.utility / vehicles),
-            mean_platoon_len=length_sum / length_count if length_count else float("nan"),
-            ci_platoon_len=_half_width(sample_length),
-            mean_wait_steps=wait_sum / vehicles_total,
-            ci_wait_steps=_half_width(self.wait / vehicles),
-            mean_episode_utility=episode_sum / vehicles_total,
-            ci_episode_utility=_half_width(self.episode / vehicles),
-            samples=n,
-            vehicles=vehicles_total,
-            platoons=int(self.platoons.sum()),
-        )
+def _summary(utility: np.ndarray, episode: np.ndarray, wait: np.ndarray,
+             vehicles: np.ndarray, platoons: np.ndarray, forced: np.ndarray) -> MetricsSummary:
+    """A cell's metrics from its per-sample totals."""
+    n = vehicles.size
+    length = vehicles - forced
+    length_count = platoons - (forced > 0)
+    # The pooled totals fold the per-sample totals in sample order.
+    utility_sum, episode_sum, wait_sum, length_sum = _row_folds(
+        np.concatenate((utility, episode, wait, length)), np.full(4, n)).tolist()
+    has_length = length_count > 0
+    sample_length = np.full(n, np.nan)
+    sample_length[has_length] = length[has_length] / length_count[has_length]
+    vehicles_total = int(vehicles.sum())
+    length_count = int(length_count.sum())
+    return MetricsSummary(
+        mean_utility=utility_sum / vehicles_total,
+        ci_utility=_half_width(utility / vehicles),
+        mean_platoon_len=length_sum / length_count if length_count else float("nan"),
+        ci_platoon_len=_half_width(sample_length),
+        mean_wait_steps=wait_sum / vehicles_total,
+        ci_wait_steps=_half_width(wait / vehicles),
+        mean_episode_utility=episode_sum / vehicles_total,
+        ci_episode_utility=_half_width(episode / vehicles),
+        samples=n,
+        vehicles=vehicles_total,
+        platoons=int(platoons.sum()),
+    )
 
 
 def _simulate_cells(configs: Sequence[SimConfig]) -> list[MetricsSummary]:
@@ -372,16 +364,16 @@ def _simulate_cells(configs: Sequence[SimConfig]) -> list[MetricsSummary]:
     policy runs on the same chunk.
     """
     base = configs[0]
-    totals = [_CellTotals(config) for config in configs]
-    initial, batch = _cell_distributions(base.lam, base.initial_lam)
-    expected_vehicles = initial.mean + (base.horizon_steps - 1) * batch.mean
-    chunk = max(1, int(_CHUNK_ITEMS // (base.horizon_steps + expected_vehicles)))
+    chunk = max(1, int(_CHUNK_ITEMS // _row_items(base.horizon_steps, base.lam,
+                                                   base.initial_lam)))
+    totals: list[list[tuple[np.ndarray, ...]]] = [[] for _ in configs]
     for first in range(0, base.samples, chunk):
         arrivals = _draw_arrivals(base, first, min(first + chunk, base.samples))
         cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
-        for config, cell in zip(configs, totals):
-            cell.add(first, _simulate(config.policy, arrivals, cumulative, config.ratio))
-    return [cell.summary() for cell in totals]
+        for config, chunks in zip(configs, totals):
+            hours = _simulate(config.policy, arrivals, cumulative, config.ratio)
+            chunks.append(_row_totals(config, hours))
+    return [_summary(*map(np.concatenate, zip(*chunks))) for chunks in totals]
 
 
 def monte_carlo(config: SimConfig) -> MetricsSummary:

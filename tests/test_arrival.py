@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import pdtrc
 
 from hubrelease.arrival import (
+    _LOG_FACTORIAL,
+    MAX_COUNT,
     MAX_RATE,
     PMF_SUM_TOL,
     TAIL_MASS,
@@ -349,8 +351,25 @@ class TestFromPmf:
         with pytest.raises(ValueError, match="at least one"):
             from_pmf([])
 
+    def test_count_past_the_limit_rejected(self):
+        # Refused before the dense pmf of 10**12 + 1 entries is allocated.
+        with pytest.raises(ValueError, match=r"^count 1000000000000 is more than MAX_COUNT"):
+            from_pmf([(10**12, 1.0)])
+
+    def test_largest_count_is_the_end_of_the_bracket_at_the_top_rate(self):
+        # Every Poisson pmf fits: its truncation ends inside the bracket.
+        assert len(poisson_truncated(MAX_RATE).probabilities) <= MAX_COUNT + 1
+        assert _LOG_FACTORIAL.size == MAX_COUNT + 1
+        assert from_pmf([(MAX_COUNT, 1.0)]).support_max == MAX_COUNT
+        with pytest.raises(ValueError, match=f"MAX_COUNT = {MAX_COUNT}"):
+            from_pmf([(0, 0.5), (MAX_COUNT + 1, 0.5)])
+
 
 class TestValidation:
+    def test_empty_pmf_rejected(self):
+        with pytest.raises(ValueError, match="^pmf must have at least one entry$"):
+            ArrivalDistribution(())
+
     def test_sum_tolerance_is_tight(self):
         with pytest.raises(ValueError, match="sums to"):
             ArrivalDistribution((0.5, 0.5 + 1e-9))

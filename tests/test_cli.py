@@ -199,6 +199,18 @@ class TestThreshold:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("count", [3_000_000, 10**12])
+    def test_a_huge_count_is_refused_before_the_pmf_is_built(self, tmp_path, count):
+        # A dense pmf up to 10**12 would be an 8 TB list; the child's 2 GiB
+        # address-space limit turns any attempt into a traceback.
+        (tmp_path / "pmf.csv").write_text(f"count,probability\n0,0.5\n{count},0.5\n")
+        [[code, err]] = run_in_child(
+            [["threshold", "--pmf-file", "pmf.csv", "--ratio", "0.005"]], tmp_path,
+            prelude=GUARDED_MAIN)
+        assert code == 1
+        assert err == (f"error: count {count} is more than MAX_COUNT = 21454, "
+                       "the largest batch a pmf may hold\n")
+
 
 class TestDpVerify:
     def test_match_at_small_scale(self, capsys, tmp_path):
@@ -750,6 +762,12 @@ class TestParser:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert out.strip() == cli.__version__
+
+    def test_module_prints_its_version(self):
+        done = subprocess.run([sys.executable, "-m", "hubrelease", "--version"],
+                              capture_output=True, text=True, env=child_env(), timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == f"{cli.__version__}\n"
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys)

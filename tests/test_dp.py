@@ -168,6 +168,17 @@ class TestThresholdComparison:
         # Tables that would fail any recomputation: none is done.
         assert split_ties(dp.DpSolution(config, None, None), []) == ([], [])
 
+    def test_never_release_threshold_flags_every_release_before_the_deadline(self):
+        dist = poisson_truncated(1.0 / 6.0)
+        cap = suggest_max_count(dist, 40)
+        solution = solve(DpConfig(40, cap, dist, 0.005))
+        never = Threshold(None, 0.005, dist)
+        assert never.never_release
+        # The solver releases from n_star = 6 at every step before the
+        # deadline, where both force release and nothing is compared.
+        assert compare_with_threshold(solution, never) == [
+            (k, n) for k in range(40) for n in range(6, cap + 1)]
+
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
         solution = solve(DpConfig(30, 60, dist, 0.005))
@@ -212,6 +223,16 @@ class TestOccupancyCap:
     def test_suggestion_rejects_a_horizon_below_one(self, horizon):
         with pytest.raises(ValueError, match="^horizon must be >= 1"):
             suggest_max_count(BERNOULLI, horizon)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_config_rejects_a_horizon_below_one(self, horizon):
+        with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+            DpConfig(horizon, 12, BERNOULLI, 0.005)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_config_rejects_a_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match=f"^max_count must be >= 1, got {cap}$"):
+            DpConfig(30, cap, BERNOULLI, 0.005)
 
     @pytest.mark.parametrize("ratio", [-0.1, math.nan, math.inf])
     def test_config_rejects_a_bad_ratio(self, ratio):

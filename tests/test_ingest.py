@@ -166,3 +166,9 @@ class TestParsePmfCsv:
         path.write_text("count,probability\n1.5,0.5\n")
         with pytest.raises(IngestError, match=r"line 2.*'1.5'"):
             parse_pmf_csv(str(path))
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "pmf.csv"
+        path.write_text("count,probability\n\n")
+        with pytest.raises(IngestError, match="^file has a header but no data rows$"):
+            parse_pmf_csv(str(path))

@@ -308,9 +308,7 @@ def per_hour_summary(cfg):
 
 def chunk_items(cfg, rows):
     """A value of sim._CHUNK_ITEMS that makes chunks of `rows` rows for cfg."""
-    initial, batch = sim._cell_distributions(cfg.lam, cfg.initial_lam)
-    per_row = cfg.horizon_steps + initial.mean + (cfg.horizon_steps - 1) * batch.mean
-    return (rows + 0.5) * per_row
+    return (rows + 0.5) * sim._row_items(cfg.horizon_steps, cfg.lam, cfg.initial_lam)
 
 
 class TestCellKernel:
@@ -547,6 +545,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="non-empty"):
             sweep([], ["threshold"], ratio=RATIO)
 
+    def test_empty_policy_list_rejected(self):
+        with pytest.raises(ValueError, match="^policy_names must be non-empty$"):
+            sweep([0.1], [], ratio=RATIO)
+
 
 class TestConfigValidation:
     def test_negative_rate_rejected(self):
@@ -589,6 +591,11 @@ class TestConfigValidation:
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             SimConfig(lam=0.1, ratio=RATIO, policy=ThresholdPolicy(6), samples=0)
+
+    @pytest.mark.parametrize("field", ["master_seed", "cell_index"])
+    def test_negative_stream_key_rejected(self, field):
+        with pytest.raises(ValueError, match="^master_seed and cell_index must be nonnegative$"):
+            SimConfig(lam=0.1, ratio=RATIO, policy=ThresholdPolicy(6), **{field: -1})
 
     def test_negative_sample_index_rejected(self):
         with pytest.raises(ValueError, match="sample_index"):
