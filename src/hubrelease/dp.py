@@ -347,11 +347,25 @@ def split_ties(
 
 
 def write_action_table(solution: DpSolution, path: str) -> None:
-    """Dump the action table as CSV rows (k, n, action) for inspection."""
+    """Dump the action table as CSV rows (k, n, action) for inspection.
+
+    Step k's lines are written as one string: the "n,action" cells of its
+    row, each behind "k,".  The cells are picked from two columns of strings
+    made once per table, and picked again only for a row unlike the one
+    before; where the solver matches a threshold, every row before the
+    deadline is the same.
+    """
+    actions = solution.actions[:, 1:]
+    counts = range(1, actions.shape[1] + 1)
+    release = np.array([f"{n},release\r\n" for n in counts], dtype=object)
+    wait = np.array([f"{n},wait\r\n" for n in counts], dtype=object)
     with atomic_writer(path) as fh:
         fh.write("k,n,action\r\n")
-        for k, row in enumerate(solution.actions[:, 1:]):
-            fh.write("".join(
-                f"{k},{n},{'release' if act else 'wait'}\r\n"
-                for n, act in enumerate(row.tolist(), 1)
-            ))
+        previous = None
+        for k, row in enumerate(actions):
+            # Comparing a row's bytes takes a tenth of np.array_equal's time.
+            key = row.tobytes()
+            if key != previous:
+                cells = np.where(row, release, wait).tolist()
+                previous = key
+            fh.write(f"{k}," + f"{k},".join(cells))

@@ -98,7 +98,13 @@ class PeriodicPolicy:
 
 @dataclass(frozen=True)
 class NonCausalPolicy:
-    """Clairvoyant per-episode optimum; an upper bound for causal rules."""
+    """Clairvoyant per-episode optimum: each episode releases at its best step.
+
+    It maximizes each episode's reward greedily, not the hour's total, so
+    it does not bound what a causal rule earns in an hour: on an episode
+    metric whose clock starts at the first arrival it falls below the
+    threshold rule.
+    """
 
     def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         # Each episode releases at the step, among those with a nonempty hub,

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hubrelease.arrival import from_pmf, poisson_truncated
 from hubrelease.dp import (
     CAP_TOLERANCE,
     DpConfig,
+    DpSolution,
     compare_with_threshold,
     solve,
     split_ties,
@@ -651,3 +653,99 @@ def test_action_table_dump_round_trips(tmp_path):
         if int(k) < 5:
             expected = "release" if int(n) >= threshold.n_star else "wait"
             assert action == expected
+
+
+def per_state_action_table(solution):
+    """The action table as one f-string per state, the writer's reference."""
+    return ("k,n,action\r\n" + "".join(
+        f"{k},{n},{'release' if act else 'wait'}\r\n"
+        for k, row in enumerate(solution.actions[:, 1:])
+        for n, act in enumerate(row.tolist(), 1)
+    )).encode()
+
+
+def hand_built(actions):
+    """A solution whose (horizon + 1) x max_count action table is `actions`."""
+    actions = np.asarray(actions, dtype=bool)
+    table = np.zeros((actions.shape[0], actions.shape[1] + 1), dtype=bool)
+    table[:, 1:] = actions
+    config = DpConfig(actions.shape[0] - 1, actions.shape[1], from_pmf([(0, 1.0)]), 0.005)
+    return DpSolution(config, np.full(table.shape, np.nan), table)
+
+
+def threshold_table(horizon, cap, n_star):
+    actions = np.broadcast_to(np.arange(1, cap + 1) >= n_star, (horizon + 1, cap)).copy()
+    actions[horizon] = True
+    return actions
+
+
+class TestActionTableWriter:
+    """The row-at-a-time writer gives the per-state writer's bytes."""
+
+    def written(self, tmp_path, solution):
+        path = tmp_path / "actions.csv"
+        write_action_table(solution, str(path))
+        return path.read_bytes()
+
+    # Horizon 1 and cap 1; caps where n gains a digit; horizons where k does.
+    @pytest.mark.parametrize("horizon, cap", [
+        (1, 1), (1, 9), (3, 1), (2, 9), (2, 10), (2, 99), (2, 100), (2, 101),
+        (9, 4), (10, 4), (11, 12), (99, 3), (100, 3), (101, 11),
+    ])
+    def test_threshold_all_release_and_all_wait_tables(self, tmp_path, horizon, cap):
+        for actions in (
+            threshold_table(horizon, cap, (cap + 1) // 2),
+            np.ones((horizon + 1, cap), dtype=bool),
+            np.zeros((horizon + 1, cap), dtype=bool),
+        ):
+            solution = hand_built(actions)
+            assert self.written(tmp_path, solution) == per_state_action_table(solution)
+
+    def test_random_tables_whose_rows_alternate_and_repeat(self, tmp_path):
+        rng = np.random.default_rng(2121)
+        repeats = changes = 0
+        for _ in range(20):
+            horizon = int(rng.integers(1, 130))
+            cap = int(rng.integers(1, 130))
+            # Rows drawn from a pool of three, in runs of one to four.
+            pool = rng.random((3, cap)) < rng.uniform(0.1, 0.9)
+            picks = np.repeat(rng.integers(0, 3, size=horizon + 1),
+                              rng.integers(1, 5, size=horizon + 1))
+            actions = pool[picks[: horizon + 1]]
+            changed = (actions[1:] != actions[:-1]).any(axis=1)
+            repeats += int((~changed).sum())
+            changes += int(changed.sum())
+            solution = hand_built(actions)
+            assert self.written(tmp_path, solution) == per_state_action_table(solution)
+        assert repeats > 100 and changes > 100
+
+    def test_random_tables_with_every_row_drawn_afresh(self, tmp_path):
+        rng = np.random.default_rng(2122)
+        for horizon, cap in [(1, 1), (1, 7), (12, 1), (40, 33), (105, 101)]:
+            solution = hand_built(rng.random((horizon + 1, cap)) < 0.5)
+            assert self.written(tmp_path, solution) == per_state_action_table(solution)
+
+    def test_a_solved_table_at_rate_2(self, tmp_path):
+        dist = poisson_truncated(2.0)
+        threshold = compute_threshold(dist, 0.005)
+        cap = max(suggest_max_count(dist, 90), threshold.n_star + dist.support_max)
+        solution = solve(DpConfig(90, cap, dist, 0.005))
+        assert self.written(tmp_path, solution) == per_state_action_table(solution)
+
+    def test_the_largest_benchmarked_table_is_written_in_little_memory(self, tmp_path):
+        # Rate 2 over 720 steps: a 20.7 MB table.  The writer holds about a
+        # row at a time, 0.2-0.4 MB of Python allocations; one string for
+        # the whole file would take over 20 MB.
+        dist = poisson_truncated(2.0)
+        threshold = compute_threshold(dist, 0.005)
+        cap = max(suggest_max_count(dist, 720), threshold.n_star + dist.support_max)
+        solution = solve(DpConfig(720, cap, dist, 0.005))
+        path = tmp_path / "actions.csv"
+        tracemalloc.start()
+        try:
+            write_action_table(solution, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cap == 1674 and path.stat().st_size > 20e6
+        assert peak < 2e6
