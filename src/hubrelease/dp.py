@@ -255,17 +255,21 @@ def _release_floor(dist: ArrivalDistribution, ratio: float) -> int:
 def solve(config: DpConfig) -> DpSolution:
     """Backward induction; release is forced at k = horizon.
 
-    From _release_floor on, release is optimal at every step, so those
-    states are filled in closed form and the induction runs below it.
+    Every state starts at its release value (n - 1)/n - ratio * k, marked
+    release, and the induction raises only the states where waiting is
+    worth more.  From _release_floor on, release is optimal at every step,
+    so those states keep their start and the induction runs below it.
     """
     horizon, cap, ratio = config.horizon, config.max_count, config.ratio
     probs = np.asarray(config.dist.probabilities)
-    xs = np.arange(probs.size)
     n = np.arange(1, cap + 1)
     benefit = (n - 1) / n
 
-    values = np.full((horizon + 1, cap + 1), np.nan)
+    values = np.empty((horizon + 1, cap + 1))
+    values[:, 0] = np.nan
+    np.subtract(benefit, ratio * np.arange(horizon + 1)[:, None], out=values[:, 1:])
     actions = np.zeros((horizon + 1, cap + 1), dtype=bool)
+    actions[:, 1:] = True
     # Induction over counts 1..rows, closed form above.  Past the floor
     # waiting loses at least ratio/2 a step in exact arithmetic, and a
     # comparison errs by at most the comparison bound plus the 3 u V error
@@ -279,20 +283,27 @@ def solve(config: DpConfig) -> DpSolution:
     rows = cap
     if ratio > 4 * _comparison_bound(config):
         rows = min(-(-(_release_floor(config.dist, ratio) - 1) // 8) * 8, cap)
-    np.subtract(benefit[rows:], ratio * np.arange(horizon + 1)[:, None],
-                out=values[:, rows + 1 :])
-    actions[:, rows + 1 :] = True
-    values[horizon, 1:] = benefit - ratio * horizon
-    actions[horizon, 1:] = True
 
-    # next_idx[i, j] = state reached from count n[i] after arrival xs[j].
-    next_idx = np.minimum(n[:rows, None] + xs[None, :], cap)
-    for k in range(horizon - 1, -1, -1):
-        continuation = values[k + 1][next_idx] @ probs
-        release_value = benefit[:rows] - ratio * k
-        release = release_value >= continuation
-        actions[k, 1 : rows + 1] = release
-        values[k, 1 : rows + 1] = np.where(release, release_value, continuation)
+    # next_idx[i, j] = state reached from count n[i] after arrival j.
+    next_idx = np.minimum(n[:rows, None] + np.arange(probs.size), cap)
+    continuation = np.empty(rows)
+    # wait[k] marks the states of step k where waiting is worth more than
+    # releasing: the action table's induction block, inverted after the
+    # loop.  A state waits iff its release value is below the continuation,
+    # and only then takes the continuation, which gives the bits of
+    # np.where(release_value >= continuation, release_value, continuation),
+    # a signed zero included.  np.maximum would keep the continuation's
+    # zero at a tie of -0.0 and +0.0, and a sliding-window view of the next
+    # row in place of the gather takes matmul off the BLAS kernel, which
+    # sums in another order (the last bit of 49 of 80 rows in a seeded trial).
+    wait = actions[:horizon, 1 : rows + 1]
+    # Steps k = horizon - 1 down to 0, with the values of step k + 1.
+    steps = zip(values[-2::-1, 1 : rows + 1], wait[::-1], values[:0:-1])
+    for row, wait_k, after in steps:
+        np.matmul(after[next_idx], probs, out=continuation)
+        np.less(row, continuation, out=wait_k)
+        np.copyto(row, continuation, where=wait_k)
+    np.logical_not(wait, out=wait)
     return DpSolution(config, values, actions)
 
 
@@ -317,7 +328,10 @@ def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[t
     else:
         rule = n >= threshold.n_star
     diff = solution.actions[:config.horizon, 1:] != rule[None, :]
-    return [(int(k), int(i) + 1) for k, i in np.argwhere(diff)]
+    # Flat indices of the fresh row-major table, a thirtieth of argwhere's
+    # time on a 720 x 1674 table.
+    k, i = np.divmod(np.flatnonzero(diff), config.max_count)
+    return list(zip(k.tolist(), (i + 1).tolist()))
 
 
 def split_ties(

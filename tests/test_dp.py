@@ -123,6 +123,18 @@ class TestSolutionInvariants:
         assert (actions == actions[0]).all()
 
 
+def argwhere_mismatches(solution, threshold):
+    """compare_with_threshold's listing by 2-D argwhere, kept as its oracle."""
+    config = solution.config
+    n = np.arange(1, config.max_count + 1)
+    if threshold.never_release:
+        rule = np.zeros(n.size, dtype=bool)
+    else:
+        rule = n >= threshold.n_star
+    diff = solution.actions[:config.horizon, 1:] != rule[None, :]
+    return [(int(k), int(i) + 1) for k, i in np.argwhere(diff)]
+
+
 class TestThresholdComparison:
     def test_matches_threshold_rule(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -180,6 +192,47 @@ class TestThresholdComparison:
         # deadline, where both force release and nothing is compared.
         assert compare_with_threshold(solution, never) == [
             (k, n) for k in range(40) for n in range(6, cap + 1)]
+
+    # Horizon 1 and cap 1, a one-row and a one-column table, and wider ones.
+    @pytest.mark.parametrize("horizon, cap", [
+        (1, 1), (1, 9), (4, 1), (7, 13), (60, 40), (120, 193),
+    ])
+    def test_flat_indices_list_what_argwhere_lists(self, horizon, cap):
+        rng = np.random.default_rng(2220 + horizon * 1000 + cap)
+        n_star = int(rng.integers(1, cap + 1))
+        actions = threshold_table(horizon, cap, n_star)
+        # The corners of the compared block, and seeded states inside it.
+        flips = {(0, 1), (0, cap), (horizon - 1, 1), (horizon - 1, cap)}
+        flips |= set(zip(rng.integers(0, horizon, 20).tolist(),
+                         rng.integers(1, cap + 1, 20).tolist()))
+        for k, n in flips:
+            actions[k, n - 1] = not actions[k, n - 1]
+        # The deadline row, where both force release, is never compared.
+        actions[horizon, rng.integers(0, cap, 3)] = False
+        actions[horizon, [0, cap - 1]] = False
+        solution = hand_built(actions)
+        dist = solution.config.dist
+        threshold = Threshold(n_star, 0.005, dist)
+        got = compare_with_threshold(solution, threshold)
+        assert got == argwhere_mismatches(solution, threshold) == sorted(flips)
+        assert all(type(k) is int and type(n) is int for k, n in got)
+        never = Threshold(None, 0.005, dist)
+        assert compare_with_threshold(solution, never) == argwhere_mismatches(solution, never)
+        matching = hand_built(threshold_table(horizon, cap, n_star))
+        assert compare_with_threshold(matching, threshold) == []
+        assert argwhere_mismatches(matching, threshold) == []
+
+    def test_a_solved_table_lists_what_argwhere_lists(self):
+        dist = poisson_truncated(2.0)
+        solution = solve(DpConfig(90, suggest_max_count(dist, 90), dist, 0.005))
+        for n_star in (None, 1, 18, 20, 60):
+            threshold = Threshold(n_star, 0.005, dist)
+            got = compare_with_threshold(solution, threshold)
+            assert got == argwhere_mismatches(solution, threshold)
+            assert all(type(k) is int and type(n) is int for k, n in got)
+        # The solver releases from n* = 19 on, so a rule from 60 on differs
+        # at 41 counts of every step.
+        assert len(compare_with_threshold(solution, Threshold(60, 0.005, dist))) == 90 * 41
 
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -560,11 +613,16 @@ def table_digests(values, actions):
     return hashlib.sha256(values.tobytes()).hexdigest(), hashlib.sha256(actions.tobytes()).hexdigest()
 
 
+def induction_rows(config):
+    """The counts solve runs its induction over, by solve's own rule."""
+    if config.ratio > 4 * dp._comparison_bound(config):
+        floor = dp._release_floor(config.dist, config.ratio)
+        return min(-(-(floor - 1) // 8) * 8, config.max_count)
+    return config.max_count
+
+
 def closed_form_runs(config):
-    # solve rounds the counts of its induction up to a multiple of 8, so a
-    # floor 7 below the cap leaves it at least the cap itself.
-    return (config.ratio > 4 * dp._comparison_bound(config)
-            and dp._release_floor(config.dist, config.ratio) + 7 <= config.max_count)
+    return induction_rows(config) < config.max_count
 
 
 class TestClosedFormReleaseRegion:
@@ -620,6 +678,55 @@ class TestClosedFormReleaseRegion:
         got = table_digests(solution.values, solution.actions)
         del solution
         assert got == table_digests(*full_table_solve(config))
+
+    def test_same_bits_where_the_transition_clamps_at_the_cap(self):
+        # Short horizons let the cap sit just above n* + s, so counts of the
+        # induction reach past the cap in one step and next_idx clamps them;
+        # caps above the induction's rows keep a closed-form region too.
+        configs = []
+        for dist, ratio in [
+            (poisson_truncated(2.0), 0.05),
+            (poisson_truncated(2.0), 0.5),
+            (poisson_truncated(20.0), 0.05),
+            (BERNOULLI, 1.0 / 24.0),
+            (from_pmf([(0, 0.5), (3, 0.25), (7, 0.25)]), 0.1),
+        ]:
+            s = dist.support_max
+            for horizon in (1, 2, 3):
+                rows = induction_rows(DpConfig(horizon, 4096, dist, ratio))
+                low = max(compute_threshold(dist, ratio).n_star + s,
+                          suggest_max_count(dist, horizon))
+                configs += [DpConfig(horizon, cap, dist, ratio)
+                            for cap in range(low, rows + s + 2)]
+        # The floor rounds up to the cap itself at a wide pmf (s = 59): the
+        # induction covers every count, and each clamps past row 69.
+        wide = DpConfig(3, 128, poisson_truncated(20.0), 0.005)
+        assert induction_rows(wide) == wide.max_count
+        configs.append(wide)
+        for config in configs:
+            solution = solve(config)
+            assert table_digests(solution.values, solution.actions) == table_digests(
+                *full_table_solve(config)), config
+        clamped = [c for c in configs if induction_rows(c) + c.dist.support_max > c.max_count]
+        assert sum(map(closed_form_runs, clamped)) >= 40
+
+    def test_the_largest_benchmarked_solve_allocates_only_its_tables(self):
+        # Rate 2 over 720 steps: 9.7 MB of values and 1.2 MB of actions.
+        # Besides them the solve holds about 0.07 MB; a temporary as large
+        # as the table, such as a prefill computed before it is copied in,
+        # would take 9.7 MB more.
+        dist = poisson_truncated(2.0)
+        threshold = compute_threshold(dist, 0.005)
+        cap = max(suggest_max_count(dist, 720), threshold.n_star + dist.support_max)
+        config = DpConfig(720, cap, dist, 0.005)
+        tracemalloc.start()
+        try:
+            solution = solve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cap == 1674
+        assert peak < solution.values.nbytes + solution.actions.nbytes + 1e6
 
 
 # sha256 of `dp-verify --lambda 1/6 --ratio 0.005 --horizon 720 --dump-actions`,
