@@ -21,13 +21,17 @@ from .stopping import Threshold, check_ratio
 # unless the probability of exceeding the cap within the horizon stays
 # below this bound.
 CAP_TOLERANCE = 1e-9
-# Largest grid the cap search may sweep or the solver may tabulate: (step,
-# count) states, or the solver's (count, batch size) transitions.  The
-# solver's value and action tables then take about 270 MB.  It is over
-# twenty times the largest grid of the benchmarked settings (rate 2,
-# horizon 720: 721 x 1750 solver states), leaves room for a 5000-step cap
-# search of certain growth (5000 x 5018), and turns a tiny ratio, a huge
-# horizon or a huge rate into an error before anything is allocated.
+# Largest grid the cap search may sweep or the solver may span: (step,
+# count) states up to the cap, or the solver's (count, batch size)
+# transitions.  The solver stores only the counts its induction reads
+# (rate 2, ratio 0.005, horizon 720: 721 x 99 values of 721 x 1675 states),
+# but the limits still charge horizon x cap on purpose, so that no input
+# moves between accepted and refused while the solver keeps a cap.  It is
+# over twenty times the largest grid of the benchmarked settings (rate 2,
+# horizon 720: 721 x 1750 states up to the cap), leaves room for a
+# 5000-step cap search of certain growth (5000 x 5018), and turns a tiny
+# ratio, a huge horizon or a huge rate into an error before anything is
+# allocated.
 MAX_STATES = 30_000_000
 # Largest number of multiply-adds the cap search or the solver may spend,
 # charged as one weighing of every count by the whole pmf per step.  A pass
@@ -195,11 +199,18 @@ class DpConfig:
 
 @dataclass(frozen=True, eq=False)
 class DpSolution:
-    """Value and action tables indexed [k, n] for k in 0..horizon, n in 1..max_count.
+    """Value and action tables indexed [k, n] for k in 0..horizon, kept only
+    for the counts that the induction reads and decides.
 
+    actions[k, n] for n in 1..rows is True when releasing at (k, n) is
+    optimal, with ties resolved toward release; values[k, n] for n in
+    1..width, width = min(rows + s, max_count) with s the largest batch,
+    are the optimal values.  rows is the release floor rounded up to a
+    multiple of 8 (max_count when the closed form is not used, 0 when
+    releasing is optimal from one vehicle on).  Every state (k, n) with n
+    past those columns, up to max_count, releases, at (n - 1)/n - ratio * k.
     Column n = 0 is padding (values NaN, actions False); the hub is never
-    empty when a decision is made.  actions[k, n] is True when releasing
-    at (k, n) is optimal, with ties resolved toward release.
+    empty when a decision is made.
     """
 
     config: DpConfig
@@ -258,18 +269,11 @@ def solve(config: DpConfig) -> DpSolution:
     Every state starts at its release value (n - 1)/n - ratio * k, marked
     release, and the induction raises only the states where waiting is
     worth more.  From _release_floor on, release is optimal at every step,
-    so those states keep their start and the induction runs below it.
+    so the induction runs below it and the tables end where it stops
+    reading: the closed form past them is left to the readers.
     """
     horizon, cap, ratio = config.horizon, config.max_count, config.ratio
     probs = np.asarray(config.dist.probabilities)
-    n = np.arange(1, cap + 1)
-    benefit = (n - 1) / n
-
-    values = np.empty((horizon + 1, cap + 1))
-    values[:, 0] = np.nan
-    np.subtract(benefit, ratio * np.arange(horizon + 1)[:, None], out=values[:, 1:])
-    actions = np.zeros((horizon + 1, cap + 1), dtype=bool)
-    actions[:, 1:] = True
     # Induction over counts 1..rows, closed form above.  Past the floor
     # waiting loses at least ratio/2 a step in exact arithmetic, and a
     # comparison errs by at most the comparison bound plus the 3 u V error
@@ -283,6 +287,16 @@ def solve(config: DpConfig) -> DpSolution:
     rows = cap
     if ratio > 4 * _comparison_bound(config):
         rows = min(-(-(_release_floor(config.dist, ratio) - 1) // 8) * 8, cap)
+    # The induction reads the values of counts up to one batch past its
+    # rows, and decides only its rows; the rest is the closed form.
+    n = np.arange(1, min(rows + probs.size - 1, cap) + 1)
+    benefit = (n - 1) / n
+
+    values = np.empty((horizon + 1, n.size + 1))
+    values[:, 0] = np.nan
+    np.subtract(benefit, ratio * np.arange(horizon + 1)[:, None], out=values[:, 1:])
+    actions = np.zeros((horizon + 1, rows + 1), dtype=bool)
+    actions[:, 1:] = True
 
     # next_idx[i, j] = state reached from count n[i] after arrival j.
     next_idx = np.minimum(n[:rows, None] + np.arange(probs.size), cap)
@@ -296,7 +310,7 @@ def solve(config: DpConfig) -> DpSolution:
     # zero at a tie of -0.0 and +0.0, and a sliding-window view of the next
     # row in place of the gather takes matmul off the BLAS kernel, which
     # sums in another order (the last bit of 49 of 80 rows in a seeded trial).
-    wait = actions[:horizon, 1 : rows + 1]
+    wait = actions[:horizon, 1:]
     # Steps k = horizon - 1 down to 0, with the values of step k + 1.
     steps = zip(values[-2::-1, 1 : rows + 1], wait[::-1], values[:0:-1])
     for row, wait_k, after in steps:
@@ -322,15 +336,20 @@ def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[t
         raise ValueError(
             f"threshold ratio {threshold.ratio!r} does not match solver ratio {config.ratio!r}"
         )
-    n = np.arange(1, config.max_count + 1)
-    if threshold.never_release:
-        rule = np.zeros(n.size, dtype=bool)
-    else:
-        rule = n >= threshold.n_star
-    diff = solution.actions[:config.horizon, 1:] != rule[None, :]
+    # The solver releases past its action block, so there the two differ
+    # where the rule waits: below n_star, or everywhere when it never
+    # releases.  Those columns are appended as mismatches.
+    block = solution.actions.shape[1] - 1
+    n_star = config.max_count + 1 if threshold.never_release else threshold.n_star
+    width = max(block, min(n_star - 1, config.max_count))
+    diff = np.ones((config.horizon, width), dtype=bool)
+    np.not_equal(
+        solution.actions[: config.horizon, 1:], np.arange(1, block + 1) >= n_star,
+        out=diff[:, :block],
+    )
     # Flat indices of the fresh row-major table, a thirtieth of argwhere's
     # time on a 720 x 1674 table.
-    k, i = np.divmod(np.flatnonzero(diff), config.max_count)
+    k, i = np.divmod(np.flatnonzero(diff), width)
     return list(zip(k.tolist(), (i + 1).tolist()))
 
 
@@ -349,8 +368,17 @@ def split_ties(
     config = solution.config
     probs = np.asarray(config.dist.probabilities)
     k, n = np.array(mismatches).T
+    after = k[:, None] + 1
     next_idx = np.minimum(n[:, None] + np.arange(probs.size), config.max_count)
-    continuation = solution.values[k[:, None] + 1, next_idx] @ probs
+    # Past the stored columns the next step releases, at the closed form
+    # made with solve's operations, so the product sees the full table's bits.
+    width = solution.values.shape[1] - 1
+    next_values = np.where(
+        next_idx <= width,
+        solution.values[after, np.minimum(next_idx, width)],
+        (next_idx - 1) / next_idx - config.ratio * after,
+    )
+    continuation = next_values @ probs
     release_value = (n - 1) / n - config.ratio * k
     # Errors that the next-step values carry from later steps are left out
     # of the bound, so no state is excused for them.  The subtraction below
@@ -364,15 +392,17 @@ def write_action_table(solution: DpSolution, path: str) -> None:
     """Dump the action table as CSV rows (k, n, action) for inspection.
 
     Step k's lines are written as one string: the "n,action" cells of its
-    row, each behind "k,".  The cells are picked from two columns of strings
-    made once per table, and picked again only for a row unlike the one
-    before; where the solver matches a threshold, every row before the
-    deadline is the same.
+    row, each behind "k,".  The cells of the action block are picked from
+    two columns of strings made once per table, and picked again only for a
+    row unlike the one before; where the solver matches a threshold, every
+    row before the deadline is the same.  The counts past the block up to
+    max_count release, so their cells are the same in every row.
     """
     actions = solution.actions[:, 1:]
-    counts = range(1, actions.shape[1] + 1)
-    release = np.array([f"{n},release\r\n" for n in counts], dtype=object)
-    wait = np.array([f"{n},wait\r\n" for n in counts], dtype=object)
+    block = actions.shape[1]
+    release = [f"{n},release\r\n" for n in range(1, solution.config.max_count + 1)]
+    wait = np.array([f"{n},wait\r\n" for n in range(1, block + 1)], dtype=object)
+    release, past = np.array(release[:block], dtype=object), release[block:]
     with atomic_writer(path) as fh:
         fh.write("k,n,action\r\n")
         previous = None
@@ -380,6 +410,6 @@ def write_action_table(solution: DpSolution, path: str) -> None:
             # Comparing a row's bytes takes a tenth of np.array_equal's time.
             key = row.tobytes()
             if key != previous:
-                cells = np.where(row, release, wait).tolist()
+                cells = np.where(row, release, wait).tolist() + past
                 previous = key
             fh.write(f"{k}," + f"{k},".join(cells))

@@ -420,6 +420,31 @@ class TestDpVerify:
         assert code == 0
         assert out.startswith("MATCH n_star=1 states=5x")
 
+    # Release is optimal from one vehicle on, so the solver's induction
+    # block is empty and every state is the closed form.  The MATCH lines
+    # and sha256s of the dumps were recorded while the solver still
+    # tabulated every count up to the cap.
+    @pytest.mark.parametrize("pmf, argv, match, dump_sha", [
+        (None, ["--lambda", "0", "--ratio", "0.005"], "MATCH n_star=1 states=5x1\n",
+         "e360d5015a9db903d6187a5c19c8422192ba28893909a9d5b0774dcec9a81561"),
+        (BERNOULLI_PMF, ["--ratio", "1"], "MATCH n_star=1 states=5x6\n",
+         "9e3abe570ef73a96874f2014cc9999640d973275daec73104a73f98c6647195e"),
+        ("count,probability\n0,0.25\n3,0.5\n7,0.25\n", ["--ratio", "7"],
+         "MATCH n_star=1 states=5x36\n",
+         "ae7f2099e1dc95419413a248e2e05c54e1dced14c58bfbc2fd6b04da23503697"),
+    ])
+    def test_an_empty_induction_block_keeps_its_output(
+            self, capsys, tmp_path, pmf, argv, match, dump_sha):
+        if pmf is not None:
+            (tmp_path / "pmf.csv").write_text(pmf)
+            argv = ["--pmf-file", str(tmp_path / "pmf.csv"), *argv]
+        table = tmp_path / "actions.csv"
+        code, out, err = run(capsys, "dp-verify", *argv, "--horizon", "5",
+                             "--dump-actions", str(table))
+        assert (code, out, err) == (0, match, "")
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == dump_sha
+        assert table.read_bytes().startswith(b"k,n,action\r\n0,1,release\r\n")
+
     def test_disagreement_reporting(self, capsys, tmp_path, monkeypatch):
         # The solver and the rule genuinely agree, so fake a disagreement to
         # pin the failure-path output contract.

@@ -228,11 +228,38 @@ class TestThresholdComparison:
         for n_star in (None, 1, 18, 20, 60):
             threshold = Threshold(n_star, 0.005, dist)
             got = compare_with_threshold(solution, threshold)
-            assert got == argwhere_mismatches(solution, threshold)
+            assert got == argwhere_mismatches(full_solution(solution), threshold)
             assert all(type(k) is int and type(n) is int for k, n in got)
         # The solver releases from n* = 19 on, so a rule from 60 on differs
         # at 41 counts of every step.
         assert len(compare_with_threshold(solution, Threshold(60, 0.005, dist))) == 90 * 41
+
+    def test_thresholds_past_the_block_list_and_split_as_the_full_tables(self):
+        # The solver stores actions up to its induction rows and releases
+        # past them, so a rule that waits there differs in those columns too;
+        # their next-step values lie past the stored ones.
+        dist = poisson_truncated(2.0)
+        ties = 0
+        for config in (
+            DpConfig(90, suggest_max_count(dist, 90), dist, 0.005),
+            DpConfig(100, 80, BERNOULLI, 0.041666666666666664),
+        ):
+            solution = solve(config)
+            rows = solution.actions.shape[1] - 1
+            assert rows == induction_rows(config) < solution.values.shape[1] - 1 < config.max_count
+            full = DpSolution(config, *full_table_solve(config))
+            for n_star in (rows + 5, None):
+                threshold = Threshold(n_star, config.ratio, config.dist)
+                got = compare_with_threshold(solution, threshold)
+                assert got == argwhere_mismatches(full, threshold)
+                assert all(type(k) is int and type(n) is int for k, n in got)
+                assert any(n > rows for _, n in got)
+                split = split_ties(solution, got)
+                assert split == split_ties(full, got)
+                ties += len(split[1])
+        # Both rules wait at n = 3, where the solver's float pick releases
+        # at 52 of its 100 steps and ties: 2 x 52.
+        assert ties == 104
 
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -613,6 +640,42 @@ def table_digests(values, actions):
     return hashlib.sha256(values.tobytes()).hexdigest(), hashlib.sha256(actions.tobytes()).hexdigest()
 
 
+def full_tables(solution):
+    """The (horizon + 1) x (max_count + 1) tables: solve's stored columns, and
+    release at (n - 1)/n - ratio * k past them, made with solve's operations."""
+    config = solution.config
+    n = np.arange(1, config.max_count + 1)
+    values = np.empty((config.horizon + 1, n.size + 1))
+    np.subtract((n - 1) / n, config.ratio * np.arange(config.horizon + 1)[:, None],
+                out=values[:, 1:])
+    values[:, : solution.values.shape[1]] = solution.values
+    actions = np.ones(values.shape, dtype=bool)
+    actions[:, : solution.actions.shape[1]] = solution.actions
+    return values, actions
+
+
+def full_solution(solution):
+    return DpSolution(solution.config, *full_tables(solution))
+
+
+def largest_benchmarked_config():
+    """Rate 2 over 720 steps at ratio 0.005, with dp-verify's cap of 1674."""
+    dist = poisson_truncated(2.0)
+    threshold = compute_threshold(dist, 0.005)
+    cap = max(suggest_max_count(dist, 720), threshold.n_star + dist.support_max)
+    return DpConfig(720, cap, dist, 0.005)
+
+
+def traced_solve(config):
+    """(solution, tracemalloc peak of the solve in bytes)."""
+    tracemalloc.start()
+    try:
+        solution = solve(config)
+        return solution, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def induction_rows(config):
     """The counts solve runs its induction over, by solve's own rule."""
     if config.ratio > 4 * dp._comparison_bound(config):
@@ -662,8 +725,7 @@ class TestClosedFormReleaseRegion:
             cap = suggest_max_count(dist, horizon) + int(rng.integers(0, 40))
             configs.append(DpConfig(horizon, cap, dist, ratio))
         for config in configs:
-            solution = solve(config)
-            assert table_digests(solution.values, solution.actions) == table_digests(
+            assert table_digests(*full_tables(solve(config))) == table_digests(
                 *full_table_solve(config)), config
         assert closed_form_runs(configs[0]) and closed_form_runs(configs[1])
         assert not any(closed_form_runs(c) for c in configs[3:5])
@@ -704,29 +766,53 @@ class TestClosedFormReleaseRegion:
         assert induction_rows(wide) == wide.max_count
         configs.append(wide)
         for config in configs:
-            solution = solve(config)
-            assert table_digests(solution.values, solution.actions) == table_digests(
+            assert table_digests(*full_tables(solve(config))) == table_digests(
                 *full_table_solve(config)), config
         clamped = [c for c in configs if induction_rows(c) + c.dist.support_max > c.max_count]
         assert sum(map(closed_form_runs, clamped)) >= 40
 
-    def test_the_largest_benchmarked_solve_allocates_only_its_tables(self):
-        # Rate 2 over 720 steps: 9.7 MB of values and 1.2 MB of actions.
-        # Besides them the solve holds about 0.07 MB; a temporary as large
-        # as the table, such as a prefill computed before it is copied in,
-        # would take 9.7 MB more.
-        dist = poisson_truncated(2.0)
-        threshold = compute_threshold(dist, 0.005)
-        cap = max(suggest_max_count(dist, 720), threshold.n_star + dist.support_max)
-        config = DpConfig(720, cap, dist, 0.005)
-        tracemalloc.start()
-        try:
+    def test_an_empty_induction_block(self, tmp_path):
+        # Release is optimal from one vehicle on, so no count is induced: the
+        # tables hold the padding column and the values of one batch.
+        wide = from_pmf([(0, 0.25), (3, 0.5), (7, 0.25)])
+        for config in (
+            DpConfig(5, 1, from_pmf([(0, 1.0)]), 0.005),
+            DpConfig(5, 50, from_pmf([(0, 1.0)]), 0.005),
+            DpConfig(5, 6, BERNOULLI, 1.0),
+            DpConfig(30, suggest_max_count(wide, 30), wide, 7.0),
+        ):
             solution = solve(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cap == 1674
+            width = min(config.dist.support_max, config.max_count)
+            assert solution.actions.shape == (config.horizon + 1, 1)
+            assert solution.values.shape == (config.horizon + 1, width + 1)
+            full = DpSolution(config, *full_table_solve(config))
+            assert table_digests(*full_tables(solution)) == table_digests(
+                full.values, full.actions)
+            for n_star in (1, 3, None):
+                threshold = Threshold(n_star, config.ratio, config.dist)
+                got = compare_with_threshold(solution, threshold)
+                assert got == argwhere_mismatches(full, threshold)
+                assert split_ties(solution, got) == split_ties(full, got)
+            path = tmp_path / "actions.csv"
+            write_action_table(solution, str(path))
+            assert path.read_bytes() == per_state_action_table(full)
+
+    def test_the_largest_benchmarked_solve_allocates_only_its_tables(self):
+        # Besides its tables the solve holds about 0.15 MB, mostly numpy's
+        # buffers for the prefill; a temporary as large as a table up to
+        # the cap, such as a prefill computed before it is copied in, would
+        # take 9.7 MB more.
+        solution, peak = traced_solve(largest_benchmarked_config())
+        assert solution.config.max_count == 1674
         assert peak < solution.values.nbytes + solution.actions.nbytes + 1e6
+
+    def test_the_largest_benchmarked_solve_peaks_below_a_megabyte(self):
+        # Values for the 80 induced counts and one batch of 18 past them,
+        # 0.57 MB, and actions for the 80, 0.06 MB: tables up to the cap of
+        # 1674 would take 10.9 MB.
+        solution, peak = traced_solve(largest_benchmarked_config())
+        assert solution.values.shape == (721, 99) and solution.actions.shape == (721, 81)
+        assert peak < 1e6
 
 
 # sha256 of `dp-verify --lambda 1/6 --ratio 0.005 --horizon 720 --dump-actions`,
@@ -837,16 +923,15 @@ class TestActionTableWriter:
         threshold = compute_threshold(dist, 0.005)
         cap = max(suggest_max_count(dist, 90), threshold.n_star + dist.support_max)
         solution = solve(DpConfig(90, cap, dist, 0.005))
-        assert self.written(tmp_path, solution) == per_state_action_table(solution)
+        assert self.written(tmp_path, solution) == per_state_action_table(
+            full_solution(solution))
 
     def test_the_largest_benchmarked_table_is_written_in_little_memory(self, tmp_path):
         # Rate 2 over 720 steps: a 20.7 MB table.  The writer holds about a
         # row at a time, 0.2-0.4 MB of Python allocations; one string for
         # the whole file would take over 20 MB.
-        dist = poisson_truncated(2.0)
-        threshold = compute_threshold(dist, 0.005)
-        cap = max(suggest_max_count(dist, 720), threshold.n_star + dist.support_max)
-        solution = solve(DpConfig(720, cap, dist, 0.005))
+        solution = solve(largest_benchmarked_config())
+        cap = solution.config.max_count
         path = tmp_path / "actions.csv"
         tracemalloc.start()
         try:
