@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from typing import Iterator, TextIO
 
@@ -14,13 +15,18 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
     one file system), created like ``open(path, "w")`` would create it.  If
     the block raises, the temporary file is removed and any old ``path``
     stays as it was.  Newlines are written as given, on every platform.
-    An error in opening or replacing names ``path``, not the temporary file.
+    A temporary name left taken by a killed run is skipped, not reused.  An
+    error in opening or replacing names ``path``, not the temporary file.
     """
     temporary = f"{path}.{os.getpid()}.tmp"
-    try:
-        fh = open(temporary, "x", newline="")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+    for attempt in itertools.count(1):
+        try:
+            fh = open(temporary, "x", newline="")
+            break
+        except FileExistsError:
+            temporary = f"{path}.{os.getpid()}.{attempt}.tmp"
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh

@@ -11,9 +11,10 @@ mismatch), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
+import errno
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -96,15 +97,8 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
         )
     # The solver clamps counts at the cap, so the cap must also leave room
     # for one batch on top of n_star for the two rules to compare.
-    floor = threshold.n_star + dist.support_max
-    max_count = args.max_count
-    if max_count is None:
-        max_count = max(suggest_max_count(dist, args.horizon), floor)
-    elif max_count < floor:
-        raise ValueError(
-            f"--max-count {max_count} leaves no room for a batch of {dist.support_max} "
-            f"above n_star = {threshold.n_star}; the smallest usable cap is {floor}"
-        )
+    max_count = max(suggest_max_count(dist, args.horizon),
+                    threshold.n_star + dist.support_max)
     config = DpConfig(args.horizon, max_count, dist, args.ratio)
     solution = solve(config)
     mismatches, ties = split_ties(solution, compare_with_threshold(solution, threshold))
@@ -177,6 +171,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"step_seconds must be positive and finite, got {args.step_seconds!r}"
         )
+    # Refused before the simulation, which can take minutes.
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     rows = sweep(
         grid,
         policies,
@@ -240,9 +237,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-# Built once per process: a parser costs more than a threshold call, and
-# parse_args leaves it unchanged.
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hubrelease",
@@ -266,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_distribution_args(p_verify)
     p_verify.add_argument("--ratio", type=float, required=True)
     p_verify.add_argument("--horizon", type=int, default=720)
-    p_verify.add_argument("--max-count", type=int, default=None,
-                          help="occupancy cap (default: the smallest safe cap, "
-                               "raised to n_star plus the largest batch if lower)")
     p_verify.add_argument("--dump-actions", default=None,
                           help="write the k,n,action table to this CSV")
     p_verify.set_defaults(func=cmd_dp_verify)
@@ -311,6 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: a parser costs more than a threshold call, and
+# parse_args leaves it unchanged.
+PARSER = build_parser()
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -339,11 +335,10 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = PARSER.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

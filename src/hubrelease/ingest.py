@@ -44,19 +44,9 @@ def to_lambda(counts: HourlyCounts, stop_fraction: float, step_seconds: float) -
 
 def parse_counts_csv(path: str) -> list[HourlyCounts]:
     """Read an ``hour,count`` CSV; whitespace is tolerated, errors carry line numbers."""
-    rows = _read_rows(path, ("hour", "count"))
     out: list[HourlyCounts] = []
     seen: dict[int, int] = {}
-    for line_no, fields in rows:
-        hour_text, count_text = fields
-        try:
-            hour = int(hour_text)
-        except ValueError:
-            raise IngestError(f"line {line_no}: hour {hour_text!r} is not an integer")
-        try:
-            count = float(count_text)
-        except ValueError:
-            raise IngestError(f"line {line_no}: count {count_text!r} is not numeric")
+    for line_no, hour, count in _read_rows(path, ("hour", "count")):
         if hour in seen:
             raise IngestError(
                 f"line {line_no}: hour {hour} already given on line {seen[hour]}"
@@ -66,39 +56,24 @@ def parse_counts_csv(path: str) -> list[HourlyCounts]:
             out.append(HourlyCounts(hour, count))
         except ValueError as exc:
             raise IngestError(f"line {line_no}: {exc}")
-    if not out:
-        raise IngestError("file has a header but no data rows")
     return out
 
 
 def parse_pmf_csv(path: str) -> list[tuple[int, float]]:
     """Read a ``count,probability`` CSV into pairs for building a pmf."""
-    rows = _read_rows(path, ("count", "probability"))
-    out: list[tuple[int, float]] = []
-    for line_no, fields in rows:
-        count_text, prob_text = fields
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise IngestError(f"line {line_no}: count {count_text!r} is not an integer")
-        try:
-            prob = float(prob_text)
-        except ValueError:
-            raise IngestError(
-                f"line {line_no}: probability {prob_text!r} is not numeric"
-            )
-        out.append((count, prob))
-    if not out:
-        raise IngestError("file has a header but no data rows")
-    return out
+    return [(count, prob) for _, count, prob in _read_rows(path, ("count", "probability"))]
 
 
-def _read_rows(path: str, header: tuple[str, str]) -> list[tuple[int, list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows: list[tuple[int, list[str]]] = []
-        header_seen = False
-        for line_no, raw in enumerate(reader, start=1):
+def _read_rows(path: str, header: tuple[str, str]) -> list[tuple[int, int, float]]:
+    """``(line, integer, number)`` for each data row of a two-column CSV.
+
+    The header names the columns: an integer, then a number.  A byte-order
+    mark, as spreadsheets write one, is not part of the header.
+    """
+    rows: list[tuple[int, int, float]] = []
+    header_seen = False
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for line_no, raw in enumerate(csv.reader(fh), start=1):
             fields = [f.strip() for f in raw]
             if not any(fields):
                 continue
@@ -114,7 +89,22 @@ def _read_rows(path: str, header: tuple[str, str]) -> list[tuple[int, list[str]]
                 raise IngestError(
                     f"line {line_no}: expected 2 fields, got {len(fields)}"
                 )
-            rows.append((line_no, fields))
+            integer_text, number_text = fields
+            try:
+                integer = int(integer_text)
+            except ValueError:
+                raise IngestError(
+                    f"line {line_no}: {header[0]} {integer_text!r} is not an integer"
+                )
+            try:
+                number = float(number_text)
+            except ValueError:
+                raise IngestError(
+                    f"line {line_no}: {header[1]} {number_text!r} is not numeric"
+                )
+            rows.append((line_no, integer, number))
     if not header_seen:
         raise IngestError("file is empty")
+    if not rows:
+        raise IngestError("file has a header but no data rows")
     return rows

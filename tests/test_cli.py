@@ -223,59 +223,25 @@ class TestDpVerify:
         assert code == 0
         assert out.startswith("MATCH n_star=3 states=60x")
 
-    def test_explicit_cap_accepted_when_safe(self, capsys, tmp_path):
-        pmf = tmp_path / "pmf.csv"
-        pmf.write_text(BERNOULLI_PMF)
-        code, out, _ = run(
-            capsys, "dp-verify", "--pmf-file", str(pmf), "--ratio", "0.05",
-            "--horizon", "40", "--max-count", "41",
-        )
-        assert code == 0
-        assert "states=40x41" in out
-
-    @pytest.mark.parametrize("cap", [[], ["--max-count", "400"]])
-    def test_a_rare_far_batch_gets_a_cap(self, capsys, tmp_path, cap):
+    def test_a_rare_far_batch_gets_a_cap(self, capsys, tmp_path):
         # Three batches of 100 in 100 steps have probability 1.6e-7, past the
         # cap search's first bound; the search widens and finds 301.
         pmf = tmp_path / "pmf.csv"
         pmf.write_text("count,probability\n0,0.9999\n100,0.0001\n")
         code, out, _ = run(
             capsys, "dp-verify", "--pmf-file", str(pmf), "--ratio", "0.00001",
-            "--horizon", "100", *cap,
+            "--horizon", "100",
         )
         assert code == 0
-        assert out == f"MATCH n_star=10 states=100x{cap[1] if cap else 301}\n"
+        assert out == "MATCH n_star=10 states=100x301\n"
 
-    def test_reachable_cap_is_rejected(self, capsys, tmp_path):
-        pmf = tmp_path / "pmf.csv"
-        pmf.write_text(BERNOULLI_PMF)
-        code, _, err = run(
-            capsys, "dp-verify", "--pmf-file", str(pmf), "--ratio", "0.05",
-            "--horizon", "60", "--max-count", "10",
-        )
-        assert code == 1
-        assert "suggest_max_count" in err
-
-    def test_cap_without_room_above_n_star_is_rejected(self, capsys):
-        # A cap of 10 sits well above the safe cap but far below n* = 100:
-        # the solver would clamp the count at 10 and release there, where the
-        # rule waits.
-        code, out, err = run(
-            capsys, "dp-verify", "--lambda", "0.01", "--ratio", "1e-6", "--horizon", "30",
-            "--max-count", "10",
-        )
-        assert code == 1
+    def test_the_cap_is_not_an_option(self, capsys):
+        # The cap is derived from the pmf, the horizon and n_star, never chosen.
+        code, out, err = run(capsys, "dp-verify", "--lambda", "0.1", "--ratio", "0.005",
+                             "--max-count", "10")
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: --max-count 10 leaves no room")
-        assert "smallest usable cap is 104" in err
-
-    def test_smallest_usable_cap_matches(self, capsys):
-        code, out, _ = run(
-            capsys, "dp-verify", "--lambda", "0.01", "--ratio", "1e-6", "--horizon", "30",
-            "--max-count", "104",
-        )
-        assert code == 0
-        assert out == "MATCH n_star=100 states=30x104\n"
+        assert "unrecognized arguments: --max-count 10" in err
 
     @pytest.mark.parametrize("argv,ties", [
         # g(3) equals the ratio exactly: at n = 3 both actions are optimal.
@@ -378,27 +344,6 @@ class TestDpVerify:
         [(code, err)] = run_in_child([argv], tmp_path, guards)
         assert code == 1
         assert err.startswith("error: the occupancy-cap search needs 37 steps")
-        assert "MAX_CONVOLUTION_WORK" in err
-
-    def test_solver_work_is_checked_before_the_solve(self, tmp_path):
-        # An explicit cap far above the safe one (1: the batch of 900 has
-        # mass 1e-13) fits in MAX_STATES, but the solve would weigh 33000
-        # counts by 901 batch sizes at each of 900 steps: minutes of work.
-        (tmp_path / "pmf.csv").write_text("count,probability\n0,0.9999999999999\n900,1e-13\n")
-        guards = (
-            "import hubrelease.dp as dp\n"
-            "solve = cli.solve\n"
-            "def guarded_solve(config):\n"
-            "    work = config.horizon * config.max_count * (config.dist.support_max + 1)\n"
-            "    assert work <= dp.MAX_CONVOLUTION_WORK, 'solve past the limit'\n"
-            "    return solve(config)\n"
-            "cli.solve = guarded_solve\n"
-        )
-        argv = ["dp-verify", "--pmf-file", "pmf.csv", "--ratio", "0.01", "--horizon", "900",
-                "--max-count", "33000"]
-        [(code, err)] = run_in_child([argv], tmp_path, guards)
-        assert code == 1
-        assert err.startswith("error: the solver needs 900 steps x 33000 counts x 901 batch")
         assert "MAX_CONVOLUTION_WORK" in err
 
     def test_ratio_zero_with_arrivals_is_refused(self, capsys):
@@ -671,7 +616,7 @@ EDGE_VALUES = ["nan", "inf", "-inf", "0", "5e-324", "1e308", "-1", str(10**18)]
 
 def test_every_numeric_option_ends_promptly_without_a_traceback(tmp_path):
     options = numeric_options()
-    assert len(options) == 18
+    assert len(options) == 17
     (tmp_path / "counts.csv").write_text("hour,count\n8,330\n")
     argvs = []
     for name, option in options:
@@ -740,6 +685,43 @@ class TestAtomicOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", *(
             ["out.csv"] if make_target == "directory" else [])]
 
+    def test_a_stale_temporary_file_is_left_alone(self, capsys, tmp_path, monkeypatch):
+        # A run killed mid-write leaves its temporary file behind; a later
+        # run with the same process id writes beside it instead of failing.
+        monkeypatch.setattr(os, "getpid", lambda: 7)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("hour,count\n8,330\n")
+        stale = [tmp_path / "rates.csv.7.tmp", tmp_path / "rates.csv.7.1.tmp"]
+        for path in stale:
+            path.write_text("half a fi")
+        out = tmp_path / "rates.csv"
+        code, _, err = run(capsys, "ingest", "--file", str(counts), "--stop-fraction", "0.5",
+                           "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_text() == "hour,lambda\n8,0.22916666666666666\n"
+        assert [path.read_text() for path in stale] == ["half a fi"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counts.csv", "rates.csv", "rates.csv.7.1.tmp", "rates.csv.7.tmp",
+            "rates.csv.manifest.json"]
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w"):
+            pass
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_sweep_into_a_missing_directory_is_refused_before_simulating(
+            self, capsys, tmp_path, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("simulated before checking the output directory")
+
+        monkeypatch.setattr(cli, "sweep", sweep)
+        target = tmp_path / "nodir" / "x.csv"
+        code, out, err = run(capsys, "sweep", "--points", "3", "--samples", "200",
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_an_error_while_writing_the_action_table_keeps_the_old_one(
             self, capsys, tmp_path, monkeypatch):
         table = tmp_path / "actions.csv"
@@ -770,10 +752,13 @@ class TestAtomicOutput:
 
 
 class TestParser:
-    def test_parser_is_built_once_and_reused(self, capsys, tmp_path):
-        cli.build_parser.cache_clear()
-        parser = cli.build_parser()
-        assert cli.build_parser() is parser
+    def test_parser_is_built_once_and_reused(self, capsys, tmp_path, monkeypatch):
+        # Built at import; main parses every command line with that parser.
+        def build_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        parser = cli.PARSER
         assert run(capsys, "threshold", "--lambda", "0.5", "--ratio", "0.005")[0] == 0
         assert run(capsys, "threshold", "--lambda", "0.1", "--ratio", "nan")[0] == 1
         code, out, _ = run(capsys, "threshold", "--pmf-file", str(tmp_path / "no.csv"),
@@ -781,7 +766,15 @@ class TestParser:
         assert code == 1
         assert run(capsys, "threshold", "--lambda", "0.16666666666666666",
                    "--ratio", "0.005")[1] == "n_star,6\n"
-        assert cli.build_parser() is parser
+        assert run(capsys, "dp-verify", "--lambda", "0.16666666666666666",
+                   "--ratio", "0.005")[1] == "MATCH n_star=6 states=720x192\n"
+        assert run(capsys, "sweep", "--points", "2", "--samples", "2", "--horizon", "5",
+                   "--out", str(tmp_path / "sweep.csv"))[0] == 0
+        counts = tmp_path / "counts.csv"
+        counts.write_text("hour,count\n8,330\n")
+        assert run(capsys, "ingest", "--file", str(counts), "--stop-fraction", "0.5")[0] == 0
+        assert run(capsys, "dp-verify", "--lambda", "0.1")[0] == 2
+        assert cli.PARSER is parser
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

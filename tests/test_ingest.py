@@ -142,6 +142,12 @@ class TestParseCountsCsv:
         with pytest.raises(IngestError, match="empty"):
             parse_counts_csv(str(path))
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading U+FEFF.
+        path = tmp_path / "counts.csv"
+        path.write_bytes("\ufeffhour,count\n8,330\n".encode())
+        assert parse_counts_csv(str(path)) == [HourlyCounts(8, 330.0)]
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("hour,count\n8,330,extra\n")
@@ -172,3 +178,8 @@ class TestParsePmfCsv:
         path.write_text("count,probability\n\n")
         with pytest.raises(IngestError, match="^file has a header but no data rows$"):
             parse_pmf_csv(str(path))
+
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "pmf.csv"
+        path.write_bytes("\ufeffcount,probability\n0,0.5\n2,0.5\n".encode())
+        assert parse_pmf_csv(str(path)) == [(0, 0.5), (2, 0.5)]
