@@ -243,6 +243,15 @@ class TestDpVerify:
         assert out == ""
         assert "unrecognized arguments: --max-count 10" in err
 
+    def test_smallest_usable_cap_matches(self, capsys):
+        # n* = 100 sits far above the safe cap here, so the derived cap is
+        # the smallest usable one: n* plus the largest batch, 104.
+        code, out, _ = run(
+            capsys, "dp-verify", "--lambda", "0.01", "--ratio", "1e-6", "--horizon", "30",
+        )
+        assert code == 0
+        assert out == "MATCH n_star=100 states=30x104\n"
+
     @pytest.mark.parametrize("argv,ties", [
         # g(3) equals the ratio exactly: at n = 3 both actions are optimal.
         (["--pmf-file", "PMF", "--ratio", "0.041666666666666664", "--horizon", "100"], 48),
@@ -344,6 +353,25 @@ class TestDpVerify:
         [(code, err)] = run_in_child([argv], tmp_path, guards)
         assert code == 1
         assert err.startswith("error: the occupancy-cap search needs 37 steps")
+        assert "MAX_CONVOLUTION_WORK" in err
+
+    def test_solver_work_is_checked_before_the_solve(self, tmp_path):
+        # The derived cap n* + 76 = 273922 fits in MAX_STATES, and the cap
+        # search is cheap, but the solve would weigh 273922 counts by 77
+        # batch sizes at each of 100 steps: past MAX_CONVOLUTION_WORK.
+        guards = (
+            "import hubrelease.dp as dp\n"
+            "solve = cli.solve\n"
+            "def guarded_solve(config):\n"
+            "    work = config.horizon * config.max_count * (config.dist.support_max + 1)\n"
+            "    assert work <= dp.MAX_CONVOLUTION_WORK, 'solve past the limit'\n"
+            "    return solve(config)\n"
+            "cli.solve = guarded_solve\n"
+        )
+        argv = ["dp-verify", "--lambda", "30", "--ratio", "4e-10", "--horizon", "100"]
+        [(code, err)] = run_in_child([argv], tmp_path, guards)
+        assert code == 1
+        assert err.startswith("error: the solver needs 100 steps x 273922 counts x 77 batch")
         assert "MAX_CONVOLUTION_WORK" in err
 
     def test_ratio_zero_with_arrivals_is_refused(self, capsys):
