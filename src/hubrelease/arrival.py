@@ -185,6 +185,8 @@ def from_pmf(pairs: Iterable[tuple[int, float]]) -> ArrivalDistribution:
                              f"the largest batch a pmf may hold")
         if prob < 0:
             raise ValueError(f"probability {prob!r} for count {count} is negative")
+        if math.isnan(prob):
+            raise ValueError(f"probability of count {count} is nan")
         if count in seen:
             raise ValueError(f"count {count} appears more than once")
         seen[count] = float(prob)

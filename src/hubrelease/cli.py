@@ -28,7 +28,6 @@ from .dp import (
     compare_with_threshold,
     solve,
     split_ties,
-    suggest_max_count,
     write_action_table,
 )
 from .ingest import parse_counts_csv, parse_pmf_csv, to_lambda
@@ -97,9 +96,7 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
         )
     # The solver clamps counts at the cap, so the cap must also leave room
     # for one batch on top of n_star for the two rules to compare.
-    max_count = max(suggest_max_count(dist, args.horizon),
-                    threshold.n_star + dist.support_max)
-    config = DpConfig(args.horizon, max_count, dist, args.ratio)
+    config = DpConfig(args.horizon, threshold.n_star + dist.support_max, dist, args.ratio)
     solution = solve(config)
     mismatches, ties = split_ties(solution, compare_with_threshold(solution, threshold))
     if args.dump_actions is not None:
@@ -112,14 +109,14 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
                 "pmf_file": args.pmf_file,
                 "ratio": args.ratio,
                 "horizon": args.horizon,
-                "max_count": max_count,
+                "max_count": config.max_count,
             },
         )
     if ties:
         print(f"{len(ties)} indifferent states: releasing and waiting tie within "
               "the solver's rounding error", file=sys.stderr)
     if not mismatches:
-        print(f"MATCH n_star={threshold.n_star} states={args.horizon}x{max_count}")
+        print(f"MATCH n_star={threshold.n_star} states={args.horizon}x{config.max_count}")
         return 0
     for k, n in mismatches[:50]:
         rule = n >= threshold.n_star
@@ -174,6 +171,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Refused before the simulation, which can take minutes.
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    for path in (args.out, args.out + ".manifest.json"):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     rows = sweep(
         grid,
         policies,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -17,8 +16,8 @@ from .atomic import atomic_writer
 from .stopping import Threshold, check_ratio
 
 # An occupancy cap makes the state space finite.  It is only sound when the
-# count has effectively no chance of reaching it, so configs are rejected
-# unless the probability of exceeding the cap within the horizon stays
+# count has effectively no chance of reaching it, so a config's cap is
+# raised until the probability of exceeding it within the horizon stays
 # below this bound.
 CAP_TOLERANCE = 1e-9
 # Largest grid the cap search may sweep or the solver may span: (step,
@@ -124,9 +123,6 @@ def _final_count_tail(dist: ArrivalDistribution, horizon: int, bound: int) -> np
     return np.cumsum(probs[::-1])[::-1] + total[1]
 
 
-# One dp-verify run asks twice (for its cap, then in the config's check),
-# so the last answer is kept.
-@lru_cache(maxsize=1)
 def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
     """Smallest occupancy cap that the count passes within `horizon` steps,
     starting from one vehicle, with probability below CAP_TOLERANCE.
@@ -161,9 +157,9 @@ def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
 class DpConfig:
     """Problem instance for the solver.
 
-    The construction check guarantees the occupancy cap is effectively
-    unreachable, so clamping the transition at max_count cannot distort
-    the computed actions.
+    A max_count below suggest_max_count(dist, horizon) is raised to it (so 1
+    gives the smallest safe cap): clamping the transition at an effectively
+    unreachable cap cannot distort the computed actions.
     """
 
     horizon: int
@@ -183,18 +179,14 @@ class DpConfig:
             )
         if self.max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {self.max_count}")
+        object.__setattr__(
+            self, "max_count", max(self.max_count, suggest_max_count(self.dist, self.horizon))
+        )
         _check_states(self.horizon + 1, self.max_count + 1, "the solver")
         _check_states(
             self.max_count, self.dist.support_max + 1, "the solver's transition table"
         )
         _check_work(self.horizon, self.max_count, self.dist.support_max + 1, "the solver")
-        safe = suggest_max_count(self.dist, self.horizon)
-        if self.max_count < safe:
-            raise ValueError(
-                f"max_count={self.max_count} can be exceeded with probability "
-                f">= {CAP_TOLERANCE} within {self.horizon} steps; the smallest "
-                f"safe cap is {safe} (suggest_max_count)"
-            )
 
 
 @dataclass(frozen=True, eq=False)

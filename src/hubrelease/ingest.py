@@ -73,36 +73,41 @@ def _read_rows(path: str, header: tuple[str, str]) -> list[tuple[int, int, float
     rows: list[tuple[int, int, float]] = []
     header_seen = False
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(csv.reader(fh), start=1):
-            fields = [f.strip() for f in raw]
-            if not any(fields):
-                continue
-            if not header_seen:
-                if [f.lower() for f in fields] != list(header):
+        reader = csv.reader(fh)
+        try:
+            for line_no, raw in enumerate(reader, start=1):
+                fields = [f.strip() for f in raw]
+                if not any(fields):
+                    continue
+                if not header_seen:
+                    if [f.lower() for f in fields] != list(header):
+                        raise IngestError(
+                            f"line {line_no}: expected header {','.join(header)!r}, "
+                            f"got {','.join(fields)!r}"
+                        )
+                    header_seen = True
+                    continue
+                if len(fields) != 2:
                     raise IngestError(
-                        f"line {line_no}: expected header {','.join(header)!r}, "
-                        f"got {','.join(fields)!r}"
+                        f"line {line_no}: expected 2 fields, got {len(fields)}"
                     )
-                header_seen = True
-                continue
-            if len(fields) != 2:
-                raise IngestError(
-                    f"line {line_no}: expected 2 fields, got {len(fields)}"
-                )
-            integer_text, number_text = fields
-            try:
-                integer = int(integer_text)
-            except ValueError:
-                raise IngestError(
-                    f"line {line_no}: {header[0]} {integer_text!r} is not an integer"
-                )
-            try:
-                number = float(number_text)
-            except ValueError:
-                raise IngestError(
-                    f"line {line_no}: {header[1]} {number_text!r} is not numeric"
-                )
-            rows.append((line_no, integer, number))
+                integer_text, number_text = fields
+                try:
+                    integer = int(integer_text)
+                except ValueError:
+                    raise IngestError(
+                        f"line {line_no}: {header[0]} {integer_text!r} is not an integer"
+                    )
+                try:
+                    number = float(number_text)
+                except ValueError:
+                    raise IngestError(
+                        f"line {line_no}: {header[1]} {number_text!r} is not numeric"
+                    )
+                rows.append((line_no, integer, number))
+        # csv.Error (a field past the size limit) is neither ValueError nor OSError.
+        except csv.Error as exc:
+            raise IngestError(f"line {reader.line_num}: {exc}")
     if not header_seen:
         raise IngestError("file is empty")
     if not rows:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -188,9 +187,6 @@ class SweepRow:
     metrics: MetricsSummary
 
 
-# One entry: a sweep handles one rate at a time, and repeated
-# run_episode_hour calls reuse one config.
-@lru_cache(maxsize=1)
 def _cell_distributions(lam: float, initial_lam: float | None
                         ) -> tuple[InitialCountDistribution, ArrivalDistribution]:
     """The initial-count and per-step batch pmfs of a cell at rate ``lam``."""
@@ -205,18 +201,19 @@ def _cell_distributions(lam: float, initial_lam: float | None
 _CHUNK_ITEMS = 1 << 15
 
 
-def _draw_arrivals(config: SimConfig, first: int, stop: int) -> np.ndarray:
+def _draw_arrivals(config: SimConfig, distributions: tuple[InitialCountDistribution,
+                   ArrivalDistribution], first: int, stop: int) -> np.ndarray:
     """Arrival matrix of samples first..stop-1, one row per sample.
 
     Row i comes from the stream keyed by (master_seed, cell_index, i): its
-    first uniform draws the initial count, the next horizon-1 one batch per
-    step.
+    first uniform draws the initial count from the first of the cell's
+    ``distributions``, the next horizon-1 one batch per step from the second.
     """
     horizon = config.horizon_steps
     uniforms = np.empty((stop - first, horizon))
     for row, i in enumerate(range(first, stop)):
         substream(config.master_seed, config.cell_index, i).random(out=uniforms[row])
-    initial, batch = _cell_distributions(config.lam, config.initial_lam)
+    initial, batch = distributions
     arrivals = np.empty(uniforms.shape, dtype=np.int64)
     arrivals[:, 0] = initial.counts_at(uniforms[:, 0])
     arrivals[:, 1:] = batch.counts_at(uniforms[:, 1:])
@@ -271,7 +268,8 @@ def run_episode_hour(config: SimConfig, sample_index: int) -> HourResult:
     """
     if sample_index < 0:
         raise ValueError(f"sample_index must be nonnegative, got {sample_index}")
-    arrivals = _draw_arrivals(config, sample_index, sample_index + 1)
+    distributions = _cell_distributions(config.lam, config.initial_lam)
+    arrivals = _draw_arrivals(config, distributions, sample_index, sample_index + 1)
     cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
     return _simulate(config.policy, arrivals, cumulative, config.ratio)
 
@@ -357,8 +355,9 @@ def _summary(utility: np.ndarray, episode: np.ndarray, wait: np.ndarray,
     )
 
 
-def _simulate_cells(configs: Sequence[SimConfig]) -> list[MetricsSummary]:
-    """Metrics of cells that differ only in their policy.
+def _simulate_cells(configs: Sequence[SimConfig], distributions: tuple[
+        InitialCountDistribution, ArrivalDistribution]) -> list[MetricsSummary]:
+    """Metrics of cells that differ only in their policy, from their pmfs.
 
     The arrivals are drawn once, a chunk of samples at a time, and every
     policy runs on the same chunk.
@@ -368,7 +367,7 @@ def _simulate_cells(configs: Sequence[SimConfig]) -> list[MetricsSummary]:
                                                    base.initial_lam)))
     totals: list[list[tuple[np.ndarray, ...]]] = [[] for _ in configs]
     for first in range(0, base.samples, chunk):
-        arrivals = _draw_arrivals(base, first, min(first + chunk, base.samples))
+        arrivals = _draw_arrivals(base, distributions, first, min(first + chunk, base.samples))
         cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
         for config, chunks in zip(configs, totals):
             hours = _simulate(config.policy, arrivals, cumulative, config.ratio)
@@ -378,7 +377,7 @@ def _simulate_cells(configs: Sequence[SimConfig]) -> list[MetricsSummary]:
 
 def monte_carlo(config: SimConfig) -> MetricsSummary:
     """Run all samples of one cell and aggregate."""
-    return _simulate_cells([config])[0]
+    return _simulate_cells([config], _cell_distributions(config.lam, config.initial_lam))[0]
 
 
 def sweep(
@@ -405,7 +404,8 @@ def sweep(
         raise ValueError("policy_names must be non-empty")
     rows: list[SweepRow] = []
     for cell_index, lam in enumerate(lambda_grid):
-        threshold = compute_threshold(_cell_distributions(lam, initial_lam)[1], ratio)
+        distributions = _cell_distributions(lam, initial_lam)
+        threshold = compute_threshold(distributions[1], ratio)
         configs = [
             SimConfig(
                 lam=lam,
@@ -420,6 +420,6 @@ def sweep(
             )
             for name in policy_names
         ]
-        for name, metrics in zip(policy_names, _simulate_cells(configs)):
+        for name, metrics in zip(policy_names, _simulate_cells(configs, distributions)):
             rows.append(SweepRow(lam, name, threshold.n_star, metrics))
     return rows

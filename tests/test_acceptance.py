@@ -357,7 +357,8 @@ def test_criterion_08_conservation_across_the_sweep():
             master_seed=SEED,
             cell_index=cell_index,
         )
-        arrivals = sim._draw_arrivals(config, 0, SAMPLES)
+        distributions = sim._cell_distributions(lam, None)
+        arrivals = sim._draw_arrivals(config, distributions, 0, SAMPLES)
         cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
         for policy in policies:
             result = sim._simulate(policy, arrivals, cumulative, RATIO)
@@ -374,7 +375,8 @@ def test_criterion_08_conservation_across_the_sweep():
 def test_criterion_08_check_marks_the_hour_of_a_corrupted_column():
     config = SimConfig(lam=REFERENCE_RATE, ratio=RATIO, policy=ThresholdPolicy(6),
                        horizon_steps=HORIZON, samples=5, master_seed=SEED)
-    arrivals = sim._draw_arrivals(config, 0, 5)
+    distributions = sim._cell_distributions(REFERENCE_RATE, None)
+    arrivals = sim._draw_arrivals(config, distributions, 0, 5)
     cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
     result = sim._simulate(config.policy, arrivals, cumulative, RATIO)
     assert not _hours_violating_conservation(result, arrivals).any()

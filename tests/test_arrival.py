@@ -343,6 +343,14 @@ class TestFromPmf:
         with pytest.raises(ValueError, match="negative"):
             from_pmf([(0, 1.2), (1, -0.2)])
 
+    def test_nan_probability_rejected_at_its_own_count(self):
+        # nan passes a "< 0" test; taken into the total it would make every
+        # entry nan, and count 0 would be blamed.
+        with pytest.raises(ValueError, match="^probability of count 3 is nan$"):
+            from_pmf([(0, 0.5), (3, float("nan"))])
+        with pytest.raises(ValueError, match="^probability of count 0 is nan$"):
+            from_pmf([(0, float("nan")), (3, 0.5)])
+
     def test_duplicate_count_rejected(self):
         with pytest.raises(ValueError, match="more than once"):
             from_pmf([(2, 0.5), (2, 0.5)])

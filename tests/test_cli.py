@@ -191,6 +191,14 @@ class TestThreshold:
         assert code == 2
         assert "-1e-3" in err
 
+    def test_a_nan_probability_names_its_own_count(self, capsys, tmp_path):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("count,probability\n0,0.5\n3,nan\n")
+        code, out, err = run(capsys, "threshold", "--pmf-file", str(pmf), "--ratio", "0.005")
+        assert code == 1
+        assert out == ""
+        assert err == "error: probability of count 3 is nan\n"
+
     def test_missing_pmf_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "threshold", "--pmf-file", str(tmp_path / "nope.csv"),
@@ -618,6 +626,22 @@ class TestIngest:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("argv,header", [
+        (["ingest", "--file", "big.csv", "--stop-fraction", "0.5"], "hour,count"),
+        (["threshold", "--pmf-file", "big.csv", "--ratio", "0.005"], "count,probability"),
+    ])
+    def test_an_oversized_field_is_a_domain_error(self, tmp_path, argv, header):
+        # The csv module refuses a field past its size limit with csv.Error,
+        # which is neither ValueError nor OSError.
+        (tmp_path / "big.csv").write_text(f"{header}\n0,{'9' * 200_000}\n")
+        done = subprocess.run([sys.executable, "-m", "hubrelease", *argv],
+                              capture_output=True, text=True, env=child_env(),
+                              cwd=tmp_path, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert re.fullmatch(r"error: line 2: field larger than field limit \(\d+\)\n",
+                            done.stderr), done.stderr
+
 
 def numeric_options() -> list[tuple[str, str]]:
     """(subcommand, option) for every option the parser reads as a number."""
@@ -749,6 +773,24 @@ class TestAtomicOutput:
         assert out == ""
         assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("directory", ["x.csv", "x.csv.manifest.json"])
+    def test_sweep_onto_a_directory_is_refused_before_simulating(
+            self, capsys, tmp_path, monkeypatch, directory):
+        # Without the check the grid is simulated first, and with only the
+        # manifest a directory the CSV is written with no manifest beside it.
+        def sweep(*args, **kwargs):
+            raise AssertionError("simulated before checking the output paths")
+
+        monkeypatch.setattr(cli, "sweep", sweep)
+        (tmp_path / directory).mkdir()
+        target = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--points", "3", "--samples", "200",
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path / directory)!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
 
     def test_an_error_while_writing_the_action_table_keeps_the_old_one(
             self, capsys, tmp_path, monkeypatch):

@@ -329,14 +329,11 @@ class TestOccupancyCap:
         with pytest.raises(ValueError, match=r"^ratio 1e\+308 x horizon 5 .*MAX_HORIZON_COST"):
             DpConfig(5, 12, BERNOULLI, 1e308)
 
-    def test_config_rejects_reachable_cap(self):
+    def test_config_raises_a_reachable_cap_to_the_safe_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
         cap = suggest_max_count(dist, 720)
-        with pytest.raises(ValueError,
-                           match=rf"exceeded.*smallest safe cap is {cap} \(suggest_max_count\)$"):
-            DpConfig(720, 60, dist, 0.005)
-        with pytest.raises(ValueError, match=f"^max_count={cap - 1} can be exceeded"):
-            DpConfig(720, cap - 1, dist, 0.005)
+        assert DpConfig(720, 60, dist, 0.005).max_count == cap
+        assert DpConfig(720, cap - 1, dist, 0.005).max_count == cap
 
     def test_config_accepts_suggested_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -345,11 +342,11 @@ class TestOccupancyCap:
         assert config.max_count == cap
 
     def test_config_accepts_the_caps_the_overflow_probability_allows(self):
-        # Before the check compared caps with suggest_max_count, DpConfig
-        # accepted a cap exactly when the chance of passing it, computed by
-        # absorbing the overflow step by step, was below CAP_TOLERANCE.
-        # Caps from 1 to twice the search bound, over Poisson and explicit
-        # pmfs and short to long horizons, are accepted and refused as then.
+        # DpConfig keeps a cap exactly when the chance of passing it,
+        # computed by absorbing the overflow step by step, is below
+        # CAP_TOLERANCE, and raises any other to suggest_max_count, where
+        # that chance is below it.  Caps from 1 to twice the search bound,
+        # over Poisson and explicit pmfs and short to long horizons.
         rng = np.random.default_rng(15)
         dists = [poisson_truncated(lam) for lam in (1e-6, 0.05, 1.0 / 6.0, 1.9)]
         dists.append(RARE_FAR_BATCH)
@@ -366,13 +363,10 @@ class TestOccupancyCap:
                 caps = {1, 2, bound, 2 * bound, *range(max(suggested - 2, 1), suggested + 3)}
                 for cap in sorted(caps):
                     safe = absorbed_past_cap(dist, horizon, cap) < CAP_TOLERANCE
-                    try:
-                        DpConfig(horizon, cap, dist, 0.005)
-                        accepted = True
-                    except ValueError as exc:
-                        assert "can be exceeded" in str(exc)
-                        accepted = False
-                    assert accepted == safe, (dist, horizon, cap)
+                    config = DpConfig(horizon, cap, dist, 0.005)
+                    assert config.max_count == max(cap, suggested), (dist, horizon, cap)
+                    assert (config.max_count == cap) == safe, (dist, horizon, cap)
+                    assert absorbed_past_cap(dist, horizon, config.max_count) < CAP_TOLERANCE
                     cases += 1
         assert cases >= 200
 
@@ -436,11 +430,11 @@ class TestStateLimit:
                            match="occupancy-cap search needs 37 steps.*MAX_CONVOLUTION_WORK"):
             DpConfig(37, 1000, dist, 0.005)
 
-    def test_solver_work_past_the_limit_is_refused_before_the_cap_check(self, monkeypatch):
+    def test_solver_work_past_the_limit_is_refused_at_construction(self):
         # The batch of 900 is so rare that the safe cap is 1, and 901 x 33001
         # states fit in MAX_STATES, but the solve would weigh 33000 counts by
         # 901 batch sizes at each of 900 steps: 2.7e10 multiply-adds, minutes.
-        monkeypatch.setattr(dp, "suggest_max_count", never("the cap check"))
+        # The cap search runs first, within its own limits.
         sparse = from_pmf([(0, 1 - 1e-13), (900, 1e-13)])
         with pytest.raises(ValueError, match=r"^the solver needs 900 steps x 33000 counts "
                                              r"x 901 batch sizes = 2.68e\+10 .*"
@@ -477,10 +471,10 @@ class TestStateLimit:
         with pytest.raises(ValueError, match="solver needs.*MAX_STATES"):
             DpConfig(at_limit + 1, 1, empty, 0.005)
 
-    def test_transition_table_is_bounded_before_the_cap_check(self, monkeypatch):
+    def test_transition_table_is_bounded_at_construction(self):
         # At rate 2e4 the default cap of a one-step solve is 21202 counts,
         # each with 21004 batch sizes: 4.5e8 transitions, 3.6 GB of indices.
-        monkeypatch.setattr(dp, "suggest_max_count", never("the cap search"))
+        # The cap search runs first, within its own limits.
         dist = poisson_truncated(2e4)
         with pytest.raises(ValueError, match="transition table needs 21202 x 21004"):
             DpConfig(1, 21202, dist, 0.005)
@@ -500,7 +494,7 @@ def absorbed_past_cap(dist, horizon, cap):
 
 
 class TestSharedCapSearch:
-    def test_cap_suggestion_and_config_check_share_one_pass(self, monkeypatch):
+    def test_a_config_runs_one_cap_search(self, monkeypatch):
         calls = []
         convolve = np.convolve
 
@@ -510,16 +504,12 @@ class TestSharedCapSearch:
 
         dist = poisson_truncated(0.5)
         monkeypatch.setattr(dp.np, "convolve", counting)
-        suggest_max_count.cache_clear()
-        suggest_max_count(dist, 200)
-        one_search = len(calls)
-        calls.clear()
-        suggest_max_count.cache_clear()
-        cap = suggest_max_count(dist, 200)
-        DpConfig(200, cap, dist, 0.005)
-        assert len(calls) == one_search
+        config = DpConfig(200, 1, dist, 0.005)
         # 200 = 0b11001000: 7 squarings and 3 products.
-        assert one_search == 10
+        assert len(calls) == 10
+        calls.clear()
+        assert suggest_max_count(dist, 200) == config.max_count
+        assert len(calls) == 10
 
 
 def step_by_step_tail(dist, horizon, bound):
@@ -566,12 +556,11 @@ class TestCapSearchBySquaring:
                 if dist.mean * horizon < 2000:
                     cases.append((dist, horizon))
         cases.append((from_pmf([(1, 1.0)]), 5000))
-        search = suggest_max_count.__wrapped__
         for dist, horizon in cases:
-            cap = search(dist, horizon)
+            cap = suggest_max_count(dist, horizon)
             with monkeypatch.context() as m:
                 m.setattr(dp, "_final_count_tail", step_by_step_tail)
-                assert search(dist, horizon) == cap, (dist.support_max, horizon)
+                assert suggest_max_count(dist, horizon) == cap, (dist.support_max, horizon)
             bound = dp._search_bound(dist, horizon)
             got = dp._final_count_tail(dist, horizon, bound)
             want = step_by_step_tail(dist, horizon, bound)

@@ -148,6 +148,12 @@ class TestParseCountsCsv:
         path.write_bytes("\ufeffhour,count\n8,330\n".encode())
         assert parse_counts_csv(str(path)) == [HourlyCounts(8, 330.0)]
 
+    def test_an_oversized_field_reports_line_number(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"hour,count\n8,330\n9,{'9' * 200_000}\n")
+        with pytest.raises(IngestError, match=r"^line 3: field larger than field limit"):
+            parse_counts_csv(str(path))
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("hour,count\n8,330,extra\n")

@@ -175,7 +175,8 @@ def step_loop_hour(arrivals, policy, ratio):
 
 def simulate_rows(cfg, samples):
     """Rows 0..samples-1 of cfg's arrival matrix, simulated together."""
-    arrivals = sim._draw_arrivals(cfg, 0, samples)
+    distributions = sim._cell_distributions(cfg.lam, cfg.initial_lam)
+    arrivals = sim._draw_arrivals(cfg, distributions, 0, samples)
     cumulative = np.cumsum(arrivals).reshape(arrivals.shape)
     return arrivals, sim._simulate(cfg.policy, arrivals, cumulative, cfg.ratio)
 
@@ -334,9 +335,9 @@ class TestCellKernel:
         chunks = []
         draw = sim._draw_arrivals
 
-        def spy(config, first, stop):
+        def spy(config, distributions, first, stop):
             chunks.append(stop - first)
-            return draw(config, first, stop)
+            return draw(config, distributions, first, stop)
 
         monkeypatch.setattr(sim, "_draw_arrivals", spy)
         monkeypatch.setattr(sim, "_CHUNK_ITEMS", 1 if rows == 1 else chunk_items(cfg, rows))
@@ -348,9 +349,9 @@ class TestCellKernel:
         draws = []
         draw = sim._draw_arrivals
 
-        def spy(config, first, stop):
+        def spy(config, distributions, first, stop):
             draws.append(config.cell_index)
-            return draw(config, first, stop)
+            return draw(config, distributions, first, stop)
 
         monkeypatch.setattr(sim, "_draw_arrivals", spy)
         rows = sweep([0.0, 0.1, 0.4], ["threshold", "periodic", "spontaneous",
@@ -633,13 +634,6 @@ class TestConfigValidation:
 
 
 class TestDistributionCaches:
-    def test_a_sweep_keeps_the_distributions_of_one_rate(self):
-        # A pmf at a large rate takes megabytes, and a sweep needs one rate
-        # at a time.
-        sweep([0.1, 0.2, 0.3, 0.4], ["threshold"], ratio=RATIO, samples=2,
-              horizon_steps=5)
-        assert sim._cell_distributions.cache_info().currsize == 1
-
     @pytest.mark.parametrize("initial_lam", [None, 0.0, 0.3])
     def test_a_sweep_builds_each_rate_once(self, monkeypatch, initial_lam):
         # The threshold and the simulated cells of a rate share its pmf.
@@ -650,7 +644,6 @@ class TestDistributionCaches:
             built.append(lam)
             return build(lam)
 
-        sim._cell_distributions.cache_clear()
         monkeypatch.setattr(sim, "poisson_truncated", spy)
         grid = [0.0, 0.1, 0.2, 0.4]
         sweep(grid, ["threshold", "periodic"], ratio=RATIO, samples=3, horizon_steps=5,
