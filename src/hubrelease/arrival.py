@@ -172,8 +172,9 @@ def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
 def from_pmf(pairs: Iterable[tuple[int, float]]) -> ArrivalDistribution:
     """Build a distribution from (count, probability) pairs.
 
-    Counts must be distinct integers in [0, MAX_COUNT].  A total mass within
-    1e-9 of 1 is rescaled exactly to 1; anything further off is rejected.
+    Counts must be distinct integers in [0, MAX_COUNT] and probabilities in
+    [0, 1].  A total mass within 1e-9 of 1 is rescaled exactly to 1;
+    anything further off is rejected.
     """
     seen: dict[int, float] = {}
     for count, prob in pairs:
@@ -183,10 +184,10 @@ def from_pmf(pairs: Iterable[tuple[int, float]]) -> ArrivalDistribution:
         if count > MAX_COUNT:
             raise ValueError(f"count {count} is more than MAX_COUNT = {MAX_COUNT}, "
                              f"the largest batch a pmf may hold")
-        if prob < 0:
-            raise ValueError(f"probability {prob!r} for count {count} is negative")
         if math.isnan(prob):
             raise ValueError(f"probability of count {count} is nan")
+        if not 0 <= prob <= 1:
+            raise ValueError(f"probability of count {count} is {prob!r}, outside [0, 1]")
         if count in seen:
             raise ValueError(f"count {count} appears more than once")
         seen[count] = float(prob)

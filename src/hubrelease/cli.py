@@ -23,13 +23,7 @@ import numpy as np
 from . import __version__
 from .arrival import MAX_RATE, ArrivalDistribution, from_pmf, poisson_truncated
 from .atomic import atomic_writer
-from .dp import (
-    DpConfig,
-    compare_with_threshold,
-    solve,
-    split_ties,
-    write_action_table,
-)
+from .dp import DpConfig, compare_with_threshold, solve, write_action_table
 from .ingest import parse_counts_csv, parse_pmf_csv, to_lambda
 from .policies import POLICY_NAMES
 from .sim import SweepRow, check_sweep_size, sweep
@@ -98,7 +92,8 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
     # for one batch on top of n_star for the two rules to compare.
     config = DpConfig(args.horizon, threshold.n_star + dist.support_max, dist, args.ratio)
     solution = solve(config)
-    mismatches, ties = split_ties(solution, compare_with_threshold(solution, threshold))
+    differing = compare_with_threshold(solution, threshold)
+    mismatches = [(k, n) for k, n, tie in differing if not tie]
     if args.dump_actions is not None:
         write_action_table(solution, args.dump_actions)
         _write_manifest(
@@ -112,8 +107,9 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
                 "max_count": config.max_count,
             },
         )
+    ties = len(differing) - len(mismatches)
     if ties:
-        print(f"{len(ties)} indifferent states: releasing and waiting tie within "
+        print(f"{ties} indifferent states: releasing and waiting tie within "
               "the solver's rounding error", file=sys.stderr)
     if not mismatches:
         print(f"MATCH n_star={threshold.n_star} states={args.horizon}x{config.max_count}")

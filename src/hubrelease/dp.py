@@ -1,8 +1,8 @@
 """Finite-horizon stochastic dynamic program for the release decision.
 
 Backward induction over states (step k, hub count n) with forced release
-at the deadline.  This solver never looks at the threshold formula; it is
-kept independent on purpose so the two can be checked against each other.
+at the deadline.  It never looks at the threshold formula, on purpose:
+compare_with_threshold checks the two against each other, ties apart.
 """
 from __future__ import annotations
 
@@ -200,9 +200,9 @@ class DpSolution:
     are the optimal values.  rows is the release floor rounded up to a
     multiple of 8 (max_count when the closed form is not used, 0 when
     releasing is optimal from one vehicle on).  Every state (k, n) with n
-    past those columns, up to max_count, releases, at (n - 1)/n - ratio * k.
-    Column n = 0 is padding (values NaN, actions False); the hub is never
-    empty when a decision is made.
+    past those columns, up to max_count, releases, at (n - 1)/n - ratio * k,
+    a value that no reader computes.  Column n = 0 is padding (values NaN,
+    actions False); the hub is never empty when a decision is made.
     """
 
     config: DpConfig
@@ -313,13 +313,14 @@ def solve(config: DpConfig) -> DpSolution:
     return DpSolution(config, values, actions)
 
 
-def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[tuple[int, int]]:
-    """Mismatched (k, n) states between the solver and the threshold rule.
-
-    The threshold rule releases iff n >= n_star (never, when n_star is
-    None).  Every step before the deadline is compared; at the deadline
-    both force release.  Empty result means the two independently derived
-    policies coincide.
+def compare_with_threshold(
+    solution: DpSolution, threshold: Threshold
+) -> list[tuple[int, int, bool]]:
+    """(k, n, tie) for each step k before the deadline and count n where
+    the solver and the rule "release iff n >= n_star" (never, when n_star
+    is None) differ; none means they coincide.  tie marks a state where
+    releasing and waiting are worth the same up to the rounding error of
+    solve's comparison there: both are optimal.
     """
     config = solution.config
     if threshold.distribution != config.dist:
@@ -330,7 +331,7 @@ def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[t
         )
     # The solver releases past its action block, so there the two differ
     # where the rule waits: below n_star, or everywhere when it never
-    # releases.  Those columns are appended as mismatches.
+    # releases.  Those columns are appended as differing states.
     block = solution.actions.shape[1] - 1
     n_star = config.max_count + 1 if threshold.never_release else threshold.n_star
     width = max(block, min(n_star - 1, config.max_count))
@@ -341,43 +342,25 @@ def compare_with_threshold(solution: DpSolution, threshold: Threshold) -> list[t
     )
     # Flat indices of the fresh row-major table, a thirtieth of argwhere's
     # time on a 720 x 1674 table.
-    k, i = np.divmod(np.flatnonzero(diff), width)
-    return list(zip(k.tolist(), (i + 1).tolist()))
-
-
-def split_ties(
-    solution: DpSolution, mismatches: list[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(real mismatches, ties) among states that compare_with_threshold reported.
-
-    At a tie, releasing and waiting are worth the same up to the rounding
-    error of the comparison that solve made there, so both actions are
-    optimal and the solver's pick says nothing against the rule.  The gap is
-    recomputed at the given states only.
-    """
-    if not mismatches:
-        return [], []
-    config = solution.config
-    probs = np.asarray(config.dist.probabilities)
-    k, n = np.array(mismatches).T
-    after = k[:, None] + 1
-    next_idx = np.minimum(n[:, None] + np.arange(probs.size), config.max_count)
-    # Past the stored columns the next step releases, at the closed form
-    # made with solve's operations, so the product sees the full table's bits.
-    width = solution.values.shape[1] - 1
-    next_values = np.where(
-        next_idx <= width,
-        solution.values[after, np.minimum(next_idx, width)],
-        (next_idx - 1) / next_idx - config.ratio * after,
-    )
-    continuation = next_values @ probs
-    release_value = (n - 1) / n - config.ratio * k
-    # Errors that the next-step values carry from later steps are left out
-    # of the bound, so no state is excused for them.  The subtraction below
-    # rounds by at most u times the gap.
-    tie = (np.abs(release_value - continuation) <= _comparison_bound(config)).tolist()
-    real = [state for state, t in zip(mismatches, tie) if not t]
-    return real, [state for state, t in zip(mismatches, tie) if t]
+    k, n = np.divmod(np.flatnonzero(diff), width)
+    n += 1
+    # Past the block, solve releases only where waiting loses at least
+    # ratio/2 in exact arithmetic, more than its rounding can cover, so a
+    # rule that waits there is wrong.  In one step a state of the block
+    # reaches only stored counts, up to min(rows + s, max_count).
+    tie = np.zeros(k.size, dtype=bool)
+    inside = n <= block
+    if inside.any():
+        probs = np.asarray(config.dist.probabilities)
+        k_in, n_in = k[inside], n[inside]
+        next_idx = np.minimum(n_in[:, None] + np.arange(probs.size), config.max_count)
+        continuation = solution.values[k_in[:, None] + 1, next_idx] @ probs
+        # Errors that the next-step values carry from later steps are left
+        # out of the bound, so no state is excused for them.  The
+        # subtraction rounds by at most u times the gap.
+        gap = (n_in - 1) / n_in - config.ratio * k_in - continuation
+        tie[inside] = np.abs(gap) <= _comparison_bound(config)
+    return list(zip(k.tolist(), n.tolist(), tie.tolist()))
 
 
 def write_action_table(solution: DpSolution, path: str) -> None:

@@ -75,7 +75,10 @@ def _read_rows(path: str, header: tuple[str, str]) -> list[tuple[int, int, float
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            for line_no, raw in enumerate(reader, start=1):
+            for raw in reader:
+                # The file line the record ended on: a quoted field can hold
+                # a newline, so records and lines need not pair up.
+                line_no = reader.line_num
                 fields = [f.strip() for f in raw]
                 if not any(fields):
                     continue

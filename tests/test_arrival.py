@@ -339,9 +339,15 @@ class TestFromPmf:
         with pytest.raises(ValueError, match="negative"):
             from_pmf([(-1, 1.0)])
 
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
+    def test_probability_outside_the_unit_interval_rejected_at_its_own_count(self):
+        # Each entry is range-checked before the total is taken, so the
+        # first entry out of [0, 1] is named, not the sum.
+        with pytest.raises(ValueError, match=r"^probability of count 1 is -0.2, outside \[0, 1\]$"):
+            from_pmf([(0, 0.5), (1, -0.2)])
+        with pytest.raises(ValueError, match=r"^probability of count 0 is 1.2, outside \[0, 1\]$"):
             from_pmf([(0, 1.2), (1, -0.2)])
+        with pytest.raises(ValueError, match=r"^probability of count 3 is inf, outside \[0, 1\]$"):
+            from_pmf([(0, 0.5), (3, float("inf"))])
 
     def test_nan_probability_rejected_at_its_own_count(self):
         # nan passes a "< 0" test; taken into the total it would make every

@@ -199,6 +199,15 @@ class TestThreshold:
         assert out == ""
         assert err == "error: probability of count 3 is nan\n"
 
+    @pytest.mark.parametrize("prob", ["inf", "1.5"])
+    def test_a_probability_past_one_names_its_own_count(self, capsys, tmp_path, prob):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text(f"count,probability\n0,0.5\n3,{prob}\n")
+        code, out, err = run(capsys, "threshold", "--pmf-file", str(pmf), "--ratio", "0.005")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: probability of count 3 is {float(prob)!r}, outside [0, 1]\n"
+
     def test_missing_pmf_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "threshold", "--pmf-file", str(tmp_path / "nope.csv"),
@@ -427,18 +436,20 @@ class TestDpVerify:
         assert table.read_bytes().startswith(b"k,n,action\r\n0,1,release\r\n")
 
     def test_disagreement_reporting(self, capsys, tmp_path, monkeypatch):
-        # The solver and the rule genuinely agree, so fake a disagreement to
-        # pin the failure-path output contract.
-        monkeypatch.setattr(cli, "compare_with_threshold", lambda *a, **k: [(4, 6)])
+        # The solver and the rule genuinely agree, so fake a disagreement,
+        # next to a tie, to pin the failure-path output contract.
+        monkeypatch.setattr(cli, "compare_with_threshold",
+                            lambda *a, **k: [(4, 5, True), (4, 6, False)])
         pmf = tmp_path / "pmf.csv"
         pmf.write_text(BERNOULLI_PMF)
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "dp-verify", "--pmf-file", str(pmf), "--ratio", "0.05",
             "--horizon", "20",
         )
         assert code == 1
-        assert "MISMATCH k=4 n=6" in out
-        assert "1 mismatched states" in out
+        assert out == "MISMATCH k=4 n=6 dp=wait rule=release\n1 mismatched states\n"
+        assert err == ("1 indifferent states: releasing and waiting tie within "
+                       "the solver's rounding error\n")
 
 
 class TestSweep:
@@ -625,6 +636,16 @@ class TestIngest:
         )
         assert code == 1
         assert "line 2" in err
+
+    def test_errors_name_the_file_line_past_a_quoted_newline(self, capsys, tmp_path):
+        # The first record spans lines 2 and 3, so "9,x" is on line 4.
+        counts = tmp_path / "counts.csv"
+        counts.write_text('hour,count\n"8\n",330\n9,x\n')
+        code, out, err = run(
+            capsys, "ingest", "--file", str(counts), "--stop-fraction", "0.5"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: line 4: count 'x' is not numeric\n"
 
     @pytest.mark.parametrize("argv,header", [
         (["ingest", "--file", "big.csv", "--stop-fraction", "0.5"], "hour,count"),

@@ -16,11 +16,10 @@ from hubrelease.dp import (
     DpSolution,
     compare_with_threshold,
     solve,
-    split_ties,
     suggest_max_count,
     write_action_table,
 )
-from hubrelease.stopping import Threshold, compute_threshold, release_reward
+from hubrelease.stopping import Threshold, _waiting_gain, compute_threshold, release_reward
 
 BERNOULLI = from_pmf([(0, 0.5), (1, 0.5)])
 # A rare batch far larger than the spread of the count: three batches of
@@ -135,6 +134,53 @@ def argwhere_mismatches(solution, threshold):
     return [(int(k), int(i) + 1) for k, i in np.argwhere(diff)]
 
 
+def split_ties(solution, mismatches):
+    """(real mismatches, ties) among the listed states: the verdict's former
+    second pass, kept as compare_with_threshold's oracle for the tie flags.
+
+    The gap is recomputed at every listed state; past the stored value
+    columns the next step releases, at the closed form made with solve's
+    operations.
+    """
+    if not mismatches:
+        return [], []
+    config = solution.config
+    probs = np.asarray(config.dist.probabilities)
+    k, n = np.array(mismatches).T
+    after = k[:, None] + 1
+    next_idx = np.minimum(n[:, None] + np.arange(probs.size), config.max_count)
+    width = solution.values.shape[1] - 1
+    next_values = np.where(
+        next_idx <= width,
+        solution.values[after, np.minimum(next_idx, width)],
+        (next_idx - 1) / next_idx - config.ratio * after,
+    )
+    continuation = next_values @ probs
+    release_value = (n - 1) / n - config.ratio * k
+    tie = (np.abs(release_value - continuation) <= dp._comparison_bound(config)).tolist()
+    real = [state for state, t in zip(mismatches, tie) if not t]
+    return real, [state for state, t in zip(mismatches, tie) if t]
+
+
+def two_step_verdict(solution, threshold):
+    """compare_with_threshold's triples by the former two steps: argwhere over
+    the action table up to the cap, then split_ties."""
+    config = solution.config
+    actions = np.ones((config.horizon + 1, config.max_count + 1), dtype=bool)
+    actions[:, : solution.actions.shape[1]] = solution.actions
+    listed = argwhere_mismatches(DpSolution(config, None, actions), threshold)
+    tied = set(split_ties(solution, listed)[1])
+    return [(k, n, (k, n) in tied) for k, n in listed]
+
+
+def states(verdict):
+    return [(k, n) for k, n, _ in verdict]
+
+
+def ties(verdict):
+    return [(k, n) for k, n, tie in verdict if tie]
+
+
 class TestThresholdComparison:
     def test_matches_threshold_rule(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -152,8 +198,9 @@ class TestThresholdComparison:
         mismatches = compare_with_threshold(solution, corrupted)
         assert mismatches
         # The disagreement is exactly the column the corruption moved.
-        assert {n for _, n in mismatches} == {6}
-        assert {k for k, _ in mismatches} == set(range(60))
+        assert {n for _, n, _ in mismatches} == {6}
+        assert {k for k, _, _ in mismatches} == set(range(60))
+        assert ties(mismatches) == []
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_corrupted_threshold_has_no_state_excused_as_a_tie(self, shift):
@@ -162,9 +209,10 @@ class TestThresholdComparison:
         corrupted = Threshold(6 + shift, 0.005, dist)
         mismatches = compare_with_threshold(solution, corrupted)
         assert len(mismatches) == 60
-        assert split_ties(solution, mismatches) == (mismatches, [])
+        assert ties(mismatches) == []
+        assert mismatches == two_step_verdict(solution, corrupted)
 
-    def test_exact_tie_is_split_off_as_indifferent(self):
+    def test_exact_tie_is_flagged_as_indifferent(self):
         # g(3) = 1/24 exactly for {0: .5, 1: .5}, so at n = 3 releasing and
         # waiting are worth the same, and the solver's float pick is noise.
         ratio = 0.041666666666666664
@@ -173,14 +221,16 @@ class TestThresholdComparison:
         solution = solve(DpConfig(100, 80, BERNOULLI, ratio))
         mismatches = compare_with_threshold(solution, threshold)
         assert len(mismatches) == 48
-        assert {n for _, n in mismatches} == {3}
-        assert split_ties(solution, mismatches) == ([], mismatches)
+        assert {n for _, n, _ in mismatches} == {3}
+        assert ties(mismatches) == states(mismatches)
+        assert mismatches == two_step_verdict(solution, threshold)
 
-    def test_a_matching_run_recomputes_nothing(self):
+    def test_a_match_reads_no_values(self):
         dist = poisson_truncated(1.0 / 6.0)
-        config = DpConfig(30, 60, dist, 0.005)
-        # Tables that would fail any recomputation: none is done.
-        assert split_ties(dp.DpSolution(config, None, None), []) == ([], [])
+        solution = solve(DpConfig(30, 60, dist, 0.005))
+        # No value table: a tie flag computed anyway would fail on it.
+        blind = DpSolution(solution.config, None, solution.actions)
+        assert compare_with_threshold(blind, compute_threshold(dist, 0.005)) == []
 
     def test_never_release_threshold_flags_every_release_before_the_deadline(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -190,8 +240,9 @@ class TestThresholdComparison:
         assert never.never_release
         # The solver releases from n_star = 6 at every step before the
         # deadline, where both force release and nothing is compared.
-        assert compare_with_threshold(solution, never) == [
-            (k, n) for k in range(40) for n in range(6, cap + 1)]
+        got = compare_with_threshold(solution, never)
+        assert got == [(k, n, False) for k in range(40) for n in range(6, cap + 1)]
+        assert got == two_step_verdict(solution, never)
 
     # Horizon 1 and cap 1, a one-row and a one-column table, and wider ones.
     @pytest.mark.parametrize("horizon, cap", [
@@ -213,11 +264,14 @@ class TestThresholdComparison:
         solution = hand_built(actions)
         dist = solution.config.dist
         threshold = Threshold(n_star, 0.005, dist)
+        # The hand-built values are NaN, so no state is a tie.
         got = compare_with_threshold(solution, threshold)
-        assert got == argwhere_mismatches(solution, threshold) == sorted(flips)
-        assert all(type(k) is int and type(n) is int for k, n in got)
+        assert got == [(k, n, False) for k, n in sorted(flips)]
+        assert states(got) == argwhere_mismatches(solution, threshold)
+        assert all(type(k) is int and type(n) is int and type(t) is bool for k, n, t in got)
         never = Threshold(None, 0.005, dist)
-        assert compare_with_threshold(solution, never) == argwhere_mismatches(solution, never)
+        assert states(compare_with_threshold(solution, never)) == argwhere_mismatches(
+            solution, never)
         matching = hand_built(threshold_table(horizon, cap, n_star))
         assert compare_with_threshold(matching, threshold) == []
         assert argwhere_mismatches(matching, threshold) == []
@@ -228,18 +282,20 @@ class TestThresholdComparison:
         for n_star in (None, 1, 18, 20, 60):
             threshold = Threshold(n_star, 0.005, dist)
             got = compare_with_threshold(solution, threshold)
-            assert got == argwhere_mismatches(full_solution(solution), threshold)
-            assert all(type(k) is int and type(n) is int for k, n in got)
+            assert states(got) == argwhere_mismatches(full_solution(solution), threshold)
+            assert got == two_step_verdict(solution, threshold)
+            assert all(type(k) is int and type(n) is int and type(t) is bool
+                       for k, n, t in got)
         # The solver releases from n* = 19 on, so a rule from 60 on differs
         # at 41 counts of every step.
         assert len(compare_with_threshold(solution, Threshold(60, 0.005, dist))) == 90 * 41
 
-    def test_thresholds_past_the_block_list_and_split_as_the_full_tables(self):
+    def test_thresholds_past_the_block_list_and_flag_as_the_full_tables(self):
         # The solver stores actions up to its induction rows and releases
         # past them, so a rule that waits there differs in those columns too;
         # their next-step values lie past the stored ones.
         dist = poisson_truncated(2.0)
-        ties = 0
+        tied = 0
         for config in (
             DpConfig(90, suggest_max_count(dist, 90), dist, 0.005),
             DpConfig(100, 80, BERNOULLI, 0.041666666666666664),
@@ -248,18 +304,61 @@ class TestThresholdComparison:
             rows = solution.actions.shape[1] - 1
             assert rows == induction_rows(config) < solution.values.shape[1] - 1 < config.max_count
             full = DpSolution(config, *full_table_solve(config))
+            # The value columns past the stored ones, poisoned: the verdict
+            # reads none of them.
+            width = solution.values.shape[1]
+            poisoned = full.values.copy()
+            poisoned[:, width:] = np.nan
+            poisoned = DpSolution(config, poisoned, solution.actions)
             for n_star in (rows + 5, None):
                 threshold = Threshold(n_star, config.ratio, config.dist)
                 got = compare_with_threshold(solution, threshold)
-                assert got == argwhere_mismatches(full, threshold)
-                assert all(type(k) is int and type(n) is int for k, n in got)
-                assert any(n > rows for _, n in got)
-                split = split_ties(solution, got)
-                assert split == split_ties(full, got)
-                ties += len(split[1])
+                assert states(got) == argwhere_mismatches(full, threshold)
+                assert got == two_step_verdict(solution, threshold)
+                assert got == two_step_verdict(full, threshold)
+                assert got == compare_with_threshold(poisoned, threshold)
+                assert any(n > rows for _, n, _ in got)
+                assert all(not tie for _, n, tie in got if n > rows)
+                tied += len(ties(got))
         # Both rules wait at n = 3, where the solver's float pick releases
         # at 52 of its 100 steps and ties: 2 x 52.
-        assert ties == 104
+        assert tied == 104
+
+    def test_the_former_two_steps_give_the_same_triples(self):
+        # Seeded Poisson and sparse pmfs, each against its own rule, the
+        # rule moved by one either way, a rule past the block and one that
+        # never releases.  Every second ratio is g(m) for a small m, where
+        # releasing and waiting tie at n = m.
+        rng = np.random.default_rng(26)
+        dists = [poisson_truncated(float(lam)) for lam in 10.0 ** rng.uniform(-3, 0.7, 12)]
+        dists += sparse_pmfs(rng, 12, 30)
+        checked = tied = 0
+        for i, dist in enumerate(dists):
+            horizon = int(10.0 ** rng.uniform(0, np.log10(200)))
+            ratio = float(10.0 ** rng.uniform(-4, 0))
+            if i % 2:
+                ratio = _waiting_gain(int(rng.integers(1, 12)), dist)
+            n_star = compute_threshold(dist, ratio).n_star
+            config = DpConfig(horizon, n_star + dist.support_max, dist, ratio)
+            solution = solve(config)
+            rows = solution.actions.shape[1] - 1
+            for rule in (n_star, n_star - 1, n_star + 1, rows + 5, None):
+                if rule is not None and rule < 1:
+                    continue
+                threshold = Threshold(rule, ratio, dist)
+                got = compare_with_threshold(solution, threshold)
+                assert got == two_step_verdict(solution, threshold), (config, rule)
+                checked += len(got)
+                tied += len(ties(got))
+        assert checked > 100_000 and tied > 500
+
+    def test_the_264_tie_repro_gives_the_two_step_triples(self):
+        dist = poisson_truncated(0.05)
+        threshold = compute_threshold(dist, 1e-12)
+        solution = solve(DpConfig(90, threshold.n_star + dist.support_max, dist, 1e-12))
+        got = compare_with_threshold(solution, threshold)
+        assert len(ties(got)) == len(got) == 264
+        assert got == two_step_verdict(solution, threshold)
 
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -780,8 +879,8 @@ class TestClosedFormReleaseRegion:
             for n_star in (1, 3, None):
                 threshold = Threshold(n_star, config.ratio, config.dist)
                 got = compare_with_threshold(solution, threshold)
-                assert got == argwhere_mismatches(full, threshold)
-                assert split_ties(solution, got) == split_ties(full, got)
+                assert states(got) == argwhere_mismatches(full, threshold)
+                assert got == two_step_verdict(solution, threshold)
             path = tmp_path / "actions.csv"
             write_action_table(solution, str(path))
             assert path.read_bytes() == per_state_action_table(full)

@@ -118,6 +118,13 @@ class TestParseCountsCsv:
         with pytest.raises(IngestError, match=r"line 3.*already given on line 2"):
             parse_counts_csv(str(path))
 
+    def test_lines_are_counted_in_the_file_past_a_quoted_newline(self, tmp_path):
+        # A record is numbered by the file line it ends on.
+        path = tmp_path / "counts.csv"
+        path.write_text('hour,count\n"8\n",330\n8,331\n')
+        with pytest.raises(IngestError, match=r"^line 4: hour 8 already given on line 3$"):
+            parse_counts_csv(str(path))
+
     def test_out_of_range_hour_reports_line(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("hour,count\n25,330\n")
