@@ -6,6 +6,7 @@ compare_with_threshold checks the two against each other, ties apart.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,14 +49,6 @@ MAX_STATES = 30_000_000
 # largest benchmarked solve (2.5e7) and 40 times the 5000-step cap search
 # the tests run (5e7).
 MAX_CONVOLUTION_WORK = 2_000_000_000
-# Rewards are in units of the benefit, so every solver value lies in
-# [-ratio * horizon, 1].  A continuation value weighs the next step's values
-# by a pmf whose mass is 1 within PMF_SUM_TOL, so its partial sums stay
-# below (1 + 1e-12) * (ratio * horizon + 1) in magnitude: finite while
-# ratio * horizon is at most 1e308, below the float maximum 1.797e308.  A
-# value that overflowed to inf would turn nan where it meets a zero
-# probability.
-MAX_HORIZON_COST = 1e308
 
 
 def _check_states(rows: int, cols: int, what: str) -> None:
@@ -171,12 +164,6 @@ class DpConfig:
         check_ratio(self.ratio)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.ratio * self.horizon > MAX_HORIZON_COST:
-            raise ValueError(
-                f"ratio {self.ratio!r} x horizon {self.horizon} is more than "
-                f"MAX_HORIZON_COST = {MAX_HORIZON_COST:.3g}: the solver's values "
-                f"would overflow; use a smaller ratio or a shorter horizon"
-            )
         if self.max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {self.max_count}")
         object.__setattr__(
@@ -194,46 +181,53 @@ class DpSolution:
     """Value and action tables indexed [k, n] for k in 0..horizon, kept only
     for the counts that the induction reads and decides.
 
-    actions[k, n] for n in 1..rows is True when releasing at (k, n) is
-    optimal, with ties resolved toward release; values[k, n] for n in
-    1..width, width = min(rows + s, max_count) with s the largest batch,
-    are the optimal values.  rows is the release floor rounded up to a
-    multiple of 8 (max_count when the closed form is not used, 0 when
+    The values are net of the cost already spent: values[k, n] is the
+    optimal expected reward from (k, n) plus ratio * k, so the deadline
+    row is (n - 1)/n and every earlier row follows from the one after it by
+    the same map.  actions[k, n] for n in 1..rows is True when releasing at
+    (k, n) is optimal, with ties resolved toward release; values[k, n] for
+    n in 1..width, width = min(rows + s, max_count) with s the largest
+    batch, are the optimal values.  rows is the release floor rounded up to
+    a multiple of 8 (max_count when the closed form is not used, 0 when
     releasing is optimal from one vehicle on).  Every state (k, n) with n
-    past those columns, up to max_count, releases, at (n - 1)/n - ratio * k,
-    a value that no reader computes.  Column n = 0 is padding (values NaN,
-    actions False); the hub is never empty when a decision is made.
+    past those columns, up to max_count, releases, at (n - 1)/n, a value
+    that no reader computes.  Column n = 0 holds -ratio, the cost of one
+    step, which every continuation adds as one more weighed cell; its
+    actions are False, since the hub is never empty when a decision is
+    made.  settled is the step k at which the induction found row k equal
+    to row k + 1, bit for bit, and stopped: every row before it is a copy
+    of row k.  It is None when no checked step repeated its successor.
     """
 
     config: DpConfig
     values: np.ndarray
     actions: np.ndarray
+    settled: int | None = None
 
 
 def _comparison_bound(config: DpConfig) -> float:
     """Largest rounding error of one release-or-wait comparison in `solve`.
 
     Within it, the two actions can trade places in exact arithmetic on the
-    same next-step values.  With u = 2^-53 the unit roundoff: solver values
-    lie in [-ratio * horizon, 1], so none exceeds V = max(1, ratio * horizon)
-    in magnitude.
-    - The release value (n - 1)/n - ratio * k is off by at most u for the
-      division, u * ratio * k for the product and u * V for the
-      difference: 3 u V.
-    - The continuation is one dot product of the s + 1 next-step values
-      with the pmf.  In any summation order it is off by at most
-      gamma * sum_x p_x |v_x| <= gamma * (1 + d) * V, with
-      gamma = (s + 1) u / (1 - (s + 1) u) and d = |fsum(pmf) - 1|.
+    same next-step values.  With u = 2^-53 the unit roundoff and d =
+    |fsum(pmf) - 1| the pmf's mass error: solver values lie in [0, W], W =
+    (1 + d)^horizon, since the benefit is below 1 and each step weighs the
+    values after it by a mass of at most 1 + d.
+    - The release value (n - 1)/n is off by at most u.
+    - The continuation is one dot product of s + 2 terms: the s + 1
+      next-step values weighed by the pmf, and -ratio weighed by 1.  In any
+      summation order it is off by at most
+      gamma * (sum_x p_x |v_x| + ratio) <= gamma * ((1 + d) * W + ratio),
+      with gamma = (s + 2) u / (1 - (s + 2) u).
     - The rule's expectation has weights of mass 1; the pmf's extra mass
-      d moves the continuation from it by up to d * V.
+      d moves the continuation from it by up to d * W.
     Errors that the next-step values carry from later steps are left out.
     """
     u = np.finfo(float).eps / 2
-    terms = len(config.dist.probabilities) * u
+    terms = (len(config.dist.probabilities) + 1) * u
     excess = abs(math.fsum(config.dist.probabilities) - 1.0)
-    return (3 * u + terms / (1 - terms) * (1 + excess) + excess) * max(
-        1.0, config.ratio * config.horizon
-    )
+    top = (1 + excess) ** config.horizon
+    return u + terms / (1 - terms) * ((1 + excess) * top + config.ratio) + excess * top
 
 
 def _release_floor(dist: ArrivalDistribution, ratio: float) -> int:
@@ -255,23 +249,38 @@ def _release_floor(dist: ArrivalDistribution, ratio: float) -> int:
     return max(n, 1)
 
 
-def solve(config: DpConfig) -> DpSolution:
-    """Backward induction; release is forced at k = horizon.
+def _continuation_terms(n: np.ndarray, config: DpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, weights) of the continuation E[value(n + X)] - ratio of
+    each count in n as one product: row i of columns holds the counts
+    reached from n[i] after each batch size, clamped at the cap, and then
+    column 0, which holds -ratio and is weighed by 1.0.
+    """
+    probs = config.dist.probabilities
+    columns = np.zeros((n.size, len(probs) + 1), dtype=np.intp)
+    np.minimum(n[:, None] + np.arange(len(probs)), config.max_count, out=columns[:, :-1])
+    return columns, np.append(probs, 1.0)
 
-    Every state starts at its release value (n - 1)/n - ratio * k, marked
-    release, and the induction raises only the states where waiting is
-    worth more.  From _release_floor on, release is optimal at every step,
-    so the induction runs below it and the tables end where it stops
-    reading: the closed form past them is left to the readers.
+
+def solve(config: DpConfig) -> DpSolution:
+    """Backward induction in values net of the elapsed cost; release is
+    forced at k = horizon.
+
+    Every state starts at its release value (n - 1)/n, marked release, and
+    the induction raises only the states where waiting is worth more.
+    Every step applies the same map to the row after it, so once a row
+    repeats its successor bit for bit, every earlier row repeats it too:
+    rows are compared every 16 steps, and the first repeat fills the rows
+    before it and stops.  From _release_floor on, release is optimal at
+    every step, so the induction runs below it and the tables end where it
+    stops reading: the closed form past them is left to the readers.
     """
     horizon, cap, ratio = config.horizon, config.max_count, config.ratio
-    probs = np.asarray(config.dist.probabilities)
     # Induction over counts 1..rows, closed form above.  Past the floor
     # waiting loses at least ratio/2 a step in exact arithmetic, and a
-    # comparison errs by at most the comparison bound plus the 3 u V error
-    # of the next-step release values, together at most twice the bound;
-    # when that stays below ratio/2, the float comparison picks release
-    # there too, and by induction from the deadline the closed form has the
+    # comparison errs by at most the comparison bound plus the u error of
+    # the next-step release values, together at most twice the bound; when
+    # that stays below ratio/2, the float comparison picks release there
+    # too, and by induction from the deadline the closed form has the
     # induction's bits.  The BLAS matrix-vector kernels sum a row in another
     # order when it falls in a ragged last group of rows (groups of 4 in
     # OpenBLAS on x86-64), so rows is a multiple of 8 and every row it keeps
@@ -281,17 +290,18 @@ def solve(config: DpConfig) -> DpSolution:
         rows = min(-(-(_release_floor(config.dist, ratio) - 1) // 8) * 8, cap)
     # The induction reads the values of counts up to one batch past its
     # rows, and decides only its rows; the rest is the closed form.
-    n = np.arange(1, min(rows + probs.size - 1, cap) + 1)
-    benefit = (n - 1) / n
+    n = np.arange(1, min(rows + config.dist.support_max, cap) + 1)
 
     values = np.empty((horizon + 1, n.size + 1))
-    values[:, 0] = np.nan
-    np.subtract(benefit, ratio * np.arange(horizon + 1)[:, None], out=values[:, 1:])
+    values[:, 0] = -ratio
+    values[:, 1:] = (n - 1) / n
     actions = np.zeros((horizon + 1, rows + 1), dtype=bool)
     actions[:, 1:] = True
 
-    # next_idx[i, j] = state reached from count n[i] after arrival j.
-    next_idx = np.minimum(n[:rows, None] + np.arange(probs.size), cap)
+    # The step cost rides in the product as one more gathered cell: a fifth
+    # array call per step to subtract it would slow the solves that never
+    # settle.
+    columns, weights = _continuation_terms(n[:rows], config)
     continuation = np.empty(rows)
     # wait[k] marks the states of step k where waiting is worth more than
     # releasing: the action table's induction block, inverted after the
@@ -303,14 +313,25 @@ def solve(config: DpConfig) -> DpSolution:
     # row in place of the gather takes matmul off the BLAS kernel, which
     # sums in another order (the last bit of 49 of 80 rows in a seeded trial).
     wait = actions[:horizon, 1:]
-    # Steps k = horizon - 1 down to 0, with the values of step k + 1.
+    settled = None
+    # Steps k = horizon - 1 down to 0, with the values of step k + 1, run
+    # 16 at a time; a row's bytes are compared after each full 16, which
+    # costs less than one step and keeps the loop free of a step counter.
     steps = zip(values[-2::-1, 1 : rows + 1], wait[::-1], values[:0:-1])
-    for row, wait_k, after in steps:
-        np.matmul(after[next_idx], probs, out=continuation)
-        np.less(row, continuation, out=wait_k)
-        np.copyto(row, continuation, where=wait_k)
+    done = 0
+    while done < horizon:
+        for row, wait_k, after in itertools.islice(steps, 16):
+            np.matmul(after[columns], weights, out=continuation)
+            np.less(row, continuation, out=wait_k)
+            np.copyto(row, continuation, where=wait_k)
+        done += 16
+        if done <= horizon and row.tobytes() == after[1 : rows + 1].tobytes():
+            settled = horizon - done
+            values[:settled] = values[settled]
+            wait[:settled] = wait_k
+            break
     np.logical_not(wait, out=wait)
-    return DpSolution(config, values, actions)
+    return DpSolution(config, values, actions, settled)
 
 
 def compare_with_threshold(
@@ -351,14 +372,13 @@ def compare_with_threshold(
     tie = np.zeros(k.size, dtype=bool)
     inside = n <= block
     if inside.any():
-        probs = np.asarray(config.dist.probabilities)
         k_in, n_in = k[inside], n[inside]
-        next_idx = np.minimum(n_in[:, None] + np.arange(probs.size), config.max_count)
-        continuation = solution.values[k_in[:, None] + 1, next_idx] @ probs
+        columns, weights = _continuation_terms(n_in, config)
+        continuation = solution.values[k_in[:, None] + 1, columns] @ weights
         # Errors that the next-step values carry from later steps are left
         # out of the bound, so no state is excused for them.  The
         # subtraction rounds by at most u times the gap.
-        gap = (n_in - 1) / n_in - config.ratio * k_in - continuation
+        gap = (n_in - 1) / n_in - continuation
         tie[inside] = np.abs(gap) <= _comparison_bound(config)
     return list(zip(k.tolist(), n.tolist(), tie.tolist()))
 

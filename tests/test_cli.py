@@ -150,18 +150,22 @@ class TestThreshold:
             # An hour's waiting cost of 5e308 would overflow the utilities.
             (["sweep", "--points", "2", "--samples", "2", "--horizon", "5",
               "--ratio", "1e308", "--out", "never.csv"], "ratio 1e+308 x horizon_steps 5"),
-            # 1e308 x 5 rounds to inf, and the zero probability of count 1
-            # times an infinite solver value would be nan.
-            (["dp-verify", "--pmf-file", "gap.csv", "--ratio", "1e308", "--horizon", "5"],
-             "ratio 1e+308 x horizon 5"),
         ]
-        (tmp_path / "gap.csv").write_text("count,probability\n0,0.5\n2,0.5\n")
         results = run_in_child([argv for argv, _ in cases], tmp_path)
         for (argv, word), (code, err) in zip(cases, results):
             assert code == 1, argv
             assert err.startswith("error:") and word in err, argv
             assert "Warning" not in err, argv
         assert not (tmp_path / "never.csv").exists()
+
+    def test_a_huge_cost_over_the_horizon_verifies(self, capsys, tmp_path):
+        # The solver's values are net of the elapsed cost, so 1e308 x 5,
+        # past the float range, never appears, and the zero probability of
+        # count 1 never meets an infinite value.
+        (tmp_path / "gap.csv").write_text("count,probability\n0,0.5\n2,0.5\n")
+        code, out, err = run(capsys, "dp-verify", "--pmf-file", str(tmp_path / "gap.csv"),
+                             "--ratio", "1e308", "--horizon", "5")
+        assert (code, out, err) == (0, "MATCH n_star=1 states=5x11\n", "")
 
     @pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan", "-1E5", "-1"])
     def test_negative_values_reach_the_range_checks(self, capsys, tmp_path, value):
@@ -270,12 +274,17 @@ class TestDpVerify:
         assert out == "MATCH n_star=100 states=30x104\n"
 
     @pytest.mark.parametrize("argv,ties", [
-        # g(3) equals the ratio exactly: at n = 3 both actions are optimal.
-        (["--pmf-file", "PMF", "--ratio", "0.041666666666666664", "--horizon", "100"], 48),
+        # g(3) equals the ratio exactly: at n = 3 both actions are optimal,
+        # and the solver's float values tie exactly too, so it releases as
+        # the rule does and nothing is reported.
+        (["--pmf-file", "PMF", "--ratio", "0.041666666666666664", "--horizon", "100"], 0),
+        # g(6) equals the ratio: the solver's continuation lands just above
+        # the release value at n = 6 and waits at all 30 steps.
+        (["--lambda", "0.1", "--ratio", "0.0023515178869356894", "--horizon", "30"], 30),
         # g(n) - ratio near n* = 223607 is far below the rounding of values
         # near 1.  Which of the states next to n* the solver's rounding flips
         # depends on the last bits of the pmf, so the count moves with them.
-        (["--lambda", "0.05", "--ratio", "1e-12", "--horizon", "90"], 264),
+        (["--lambda", "0.05", "--ratio", "1e-12", "--horizon", "90"], 387),
     ])
     def test_float_ties_are_reported_as_indifferent(self, capsys, tmp_path, argv, ties):
         pmf = tmp_path / "pmf.csv"
@@ -285,7 +294,7 @@ class TestDpVerify:
         assert code == 0
         assert out.startswith("MATCH ") and out.count("\n") == 1
         assert err == (f"{ties} indifferent states: releasing and waiting tie within "
-                       "the solver's rounding error\n")
+                       "the solver's rounding error\n" if ties else "")
 
     def test_dump_actions_writes_table_and_manifest(self, capsys, tmp_path):
         pmf = tmp_path / "pmf.csv"

@@ -91,11 +91,11 @@ class TestSolutionInvariants:
         return solve(DpConfig(horizon, cap, dist, ratio))
 
     def test_terminal_values_equal_forced_release_reward(self):
+        # Values are net of the elapsed cost: the reward plus ratio * k.
         solution = self._solution()
         horizon = solution.config.horizon
         n = np.arange(1, solution.config.max_count + 1)
-        expected = (n - 1) / n - 0.005 * horizon
-        assert np.array_equal(solution.values[horizon, 1:], expected)
+        assert np.array_equal(solution.values[horizon, 1:], (n - 1) / n)
         assert solution.actions[horizon, 1:].all()
 
     def test_value_dominates_immediate_release(self):
@@ -103,12 +103,14 @@ class TestSolutionInvariants:
         n = np.arange(1, solution.config.max_count + 1)
         for k in range(solution.config.horizon + 1):
             release_value = (n - 1) / n - 0.005 * k
-            assert (solution.values[k, 1:] >= release_value).all()
+            reward = solution.values[k, 1:] - 0.005 * k
+            assert (reward >= release_value).all()
 
     def test_waiting_one_step_costs_at_most_the_step_cost(self):
         solution = self._solution()
-        values = solution.values[:, 1:]
-        assert (values[:-1] >= values[1:] - 0.005 - 1e-12).all()
+        steps = np.arange(solution.config.horizon + 1)[:, None]
+        rewards = solution.values[:, 1:] - 0.005 * steps
+        assert (rewards[:-1] >= rewards[1:] - 0.005 - 1e-12).all()
 
     def test_release_regions_are_upward_closed(self):
         solution = self._solution()
@@ -138,26 +140,25 @@ def split_ties(solution, mismatches):
     """(real mismatches, ties) among the listed states: the verdict's former
     second pass, kept as compare_with_threshold's oracle for the tie flags.
 
-    The gap is recomputed at every listed state; past the stored value
-    columns the next step releases, at the closed form made with solve's
-    operations.
+    The gap is recomputed at every listed state, in values net of the
+    elapsed cost; past the stored value columns the next step releases, at
+    the closed form (n - 1)/n.
     """
     if not mismatches:
         return [], []
     config = solution.config
     probs = np.asarray(config.dist.probabilities)
     k, n = np.array(mismatches).T
-    after = k[:, None] + 1
     next_idx = np.minimum(n[:, None] + np.arange(probs.size), config.max_count)
     width = solution.values.shape[1] - 1
     next_values = np.where(
         next_idx <= width,
-        solution.values[after, np.minimum(next_idx, width)],
-        (next_idx - 1) / next_idx - config.ratio * after,
+        solution.values[k[:, None] + 1, np.minimum(next_idx, width)],
+        (next_idx - 1) / next_idx,
     )
-    continuation = next_values @ probs
-    release_value = (n - 1) / n - config.ratio * k
-    tie = (np.abs(release_value - continuation) <= dp._comparison_bound(config)).tolist()
+    continuation = np.append(next_values, np.full((k.size, 1), -config.ratio), axis=1) @ (
+        np.append(probs, 1.0))
+    tie = (np.abs((n - 1) / n - continuation) <= dp._comparison_bound(config)).tolist()
     real = [state for state, t in zip(mismatches, tie) if not t]
     return real, [state for state, t in zip(mismatches, tie) if t]
 
@@ -212,16 +213,30 @@ class TestThresholdComparison:
         assert ties(mismatches) == []
         assert mismatches == two_step_verdict(solution, corrupted)
 
-    def test_exact_tie_is_flagged_as_indifferent(self):
+    def test_an_exact_tie_releases_as_the_rule_does(self):
         # g(3) = 1/24 exactly for {0: .5, 1: .5}, so at n = 3 releasing and
-        # waiting are worth the same, and the solver's float pick is noise.
+        # waiting are worth the same.  Net of the elapsed cost the float
+        # continuation equals the release value 2/3 at every step, and the
+        # solver breaks the tie toward release, as the rule does.
         ratio = 0.041666666666666664
         threshold = compute_threshold(BERNOULLI, ratio)
         assert threshold.n_star == 3
         solution = solve(DpConfig(100, 80, BERNOULLI, ratio))
+        assert compare_with_threshold(solution, threshold) == []
+        assert (solution.values[:, 3] == 2 / 3).all()
+
+    def test_float_ties_are_flagged_as_indifferent(self):
+        # The ratio is g(6) for rate 0.1, so at n = 6 releasing and waiting
+        # tie; the solver's float continuation lands just above the release
+        # value and waits, within the comparison bound.
+        dist = poisson_truncated(0.1)
+        ratio = 0.0023515178869356894
+        assert ratio == _waiting_gain(6, dist)
+        threshold = compute_threshold(dist, ratio)
+        assert threshold.n_star == 6
+        solution = solve(DpConfig(30, threshold.n_star + dist.support_max, dist, ratio))
         mismatches = compare_with_threshold(solution, threshold)
-        assert len(mismatches) == 48
-        assert {n for _, n, _ in mismatches} == {3}
+        assert states(mismatches) == [(k, 6) for k in range(30)]
         assert ties(mismatches) == states(mismatches)
         assert mismatches == two_step_verdict(solution, threshold)
 
@@ -320,9 +335,9 @@ class TestThresholdComparison:
                 assert any(n > rows for _, n, _ in got)
                 assert all(not tie for _, n, tie in got if n > rows)
                 tied += len(ties(got))
-        # Both rules wait at n = 3, where the solver's float pick releases
-        # at 52 of its 100 steps and ties: 2 x 52.
-        assert tied == 104
+        # Both rules wait at n = 3, where the solver releases at all 100
+        # steps at an exact tie: 2 x 100.
+        assert tied == 200
 
     def test_the_former_two_steps_give_the_same_triples(self):
         # Seeded Poisson and sparse pmfs, each against its own rule, the
@@ -352,13 +367,37 @@ class TestThresholdComparison:
                 tied += len(ties(got))
         assert checked > 100_000 and tied > 500
 
-    def test_the_264_tie_repro_gives_the_two_step_triples(self):
+    def test_the_tiny_ratio_tie_repro_gives_the_two_step_triples(self):
         dist = poisson_truncated(0.05)
         threshold = compute_threshold(dist, 1e-12)
         solution = solve(DpConfig(90, threshold.n_star + dist.support_max, dist, 1e-12))
         got = compare_with_threshold(solution, threshold)
-        assert len(ties(got)) == len(got) == 264
+        assert len(ties(got)) == len(got) == 387
         assert got == two_step_verdict(solution, threshold)
+
+    def test_the_tie_bound_is_pinned_on_both_sides(self):
+        # No arrivals and one count: the continuation at n = 1 is the next
+        # value minus the ratio, exact when the two lie within a factor of 2
+        # of each other, so a hand-set next value puts the gap |0 -
+        # continuation| anywhere.  A gap just inside the bound is a tie, one
+        # just outside a real mismatch: a bound half as large or a thousand
+        # times larger fails here.
+        ratio = 2.0 ** -30
+        empty = from_pmf([(0, 1.0)])
+        config = DpConfig(2, 1, empty, ratio)
+        bound = dp._comparison_bound(config)
+        # u for the release value, and the two-term product's gamma times
+        # its magnitudes: the next value, at most 1, and the ratio.
+        u = 2.0 ** -53
+        assert bound == pytest.approx(u + 2 * u / (1 - 2 * u) * (1 + ratio), rel=1e-12, abs=0)
+        inside, outside = ratio + bound * (1 - 2 ** -10), ratio + bound * (1 + 2 ** -10)
+        assert 0.5 * bound < inside - ratio <= bound < outside - ratio < 1e3 * bound
+        values = np.array([[-ratio, 0.0], [-ratio, inside], [-ratio, outside]])
+        actions = np.array([[False, True]] * 3)
+        solution = DpSolution(config, values, actions)
+        # The rule waits at n = 1; the table releases there at steps 0 and 1.
+        got = compare_with_threshold(solution, Threshold(2, ratio, empty))
+        assert got == [(0, 1, True), (1, 1, False)]
 
     def test_distribution_mismatch_rejected(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -420,13 +459,16 @@ class TestOccupancyCap:
         with pytest.raises(ValueError, match="^ratio must be nonnegative and finite"):
             DpConfig(3, 12, BERNOULLI, ratio)
 
-    def test_config_rejects_a_cost_past_the_float_range(self):
-        # The deadline value -ratio * horizon must stay finite: as -inf, a
-        # zero probability inside the support would make it nan.
-        values = solve(DpConfig(1, 12, BERNOULLI, dp.MAX_HORIZON_COST)).values
-        assert np.isfinite(values[:, 1:]).all()
-        with pytest.raises(ValueError, match=r"^ratio 1e\+308 x horizon 5 .*MAX_HORIZON_COST"):
-            DpConfig(5, 12, BERNOULLI, 1e308)
+    def test_a_cost_near_the_float_maximum_solves_with_finite_values(self):
+        # Values net of the elapsed cost lie in [0, (1 + d)^horizon], d the
+        # pmf's mass error: no cost over the horizon can overflow them, and
+        # a zero probability inside the support never meets an inf.
+        gap = from_pmf([(0, 0.5), (2, 0.5)])
+        for dist in (BERNOULLI, gap):
+            solution = solve(DpConfig(5, 12, dist, 1.79e308))
+            assert np.isfinite(solution.values).all()
+            threshold = compute_threshold(dist, 1.79e308)
+            assert compare_with_threshold(solution, threshold) == []
 
     def test_config_raises_a_reachable_cap_to_the_safe_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -542,7 +584,7 @@ class TestStateLimit:
 
     def test_largest_benchmarked_and_tied_solves_stay_inside_the_work_limit(self):
         # perfbench's largest solve (rate 2 moved up 5%, 720 steps, at its
-        # safe cap) and the 264-tie solve of the CLI tests (rate 0.05, ratio
+        # safe cap) and the 387-tie solve of the CLI tests (rate 0.05, ratio
         # 1e-12, 90 steps, at n_star plus the largest batch).
         dist = poisson_truncated(2.1)
         cap = suggest_max_count(dist, 720)
@@ -702,26 +744,78 @@ class TestCapSearchBySquaring:
 
 
 def full_table_solve(config):
-    """Reference: backward induction over every count up to the cap."""
+    """Reference: backward induction in values net of the elapsed cost over
+    every count up to the cap, at every step, with no stop.
+
+    The continuation is solve's one product, with the step cost as a last
+    cell of -ratio weighed by 1.0, so its bits are solve's.
+    """
     horizon, cap, ratio = config.horizon, config.max_count, config.ratio
     probs = np.asarray(config.dist.probabilities)
-    xs = np.arange(probs.size)
     n = np.arange(1, cap + 1)
     benefit = (n - 1) / n
 
-    values = np.full((horizon + 1, cap + 1), np.nan)
+    values = np.empty((horizon + 1, cap + 1))
+    values[:, 0] = -ratio
     actions = np.zeros((horizon + 1, cap + 1), dtype=bool)
-    values[horizon, 1:] = benefit - ratio * horizon
+    values[horizon, 1:] = benefit
     actions[horizon, 1:] = True
 
-    next_idx = np.minimum(n[:, None] + xs[None, :], cap)
+    next_idx = np.zeros((cap, probs.size + 1), dtype=np.intp)
+    next_idx[:, :-1] = np.minimum(n[:, None] + np.arange(probs.size), cap)
+    weights = np.append(probs, 1.0)
     for k in range(horizon - 1, -1, -1):
-        continuation = values[k + 1][next_idx] @ probs
+        continuation = values[k + 1][next_idx] @ weights
+        release = benefit >= continuation
+        actions[k, 1:] = release
+        values[k, 1:] = np.where(release, benefit, continuation)
+    return values, actions
+
+
+def actions_by_reward(config):
+    """Second reference: the action table of backward induction in the
+    rewards themselves, as solve ran before its values were net of the
+    elapsed cost, over every count up to the cap.  Only the values of one
+    step are kept."""
+    horizon, cap, ratio = config.horizon, config.max_count, config.ratio
+    probs = np.asarray(config.dist.probabilities)
+    n = np.arange(1, cap + 1)
+    benefit = (n - 1) / n
+
+    actions = np.zeros((horizon + 1, cap + 1), dtype=bool)
+    actions[horizon, 1:] = True
+    values = np.empty(cap + 1)
+    values[1:] = benefit - ratio * horizon
+
+    next_idx = np.minimum(n[:, None] + np.arange(probs.size), cap)
+    for k in range(horizon - 1, -1, -1):
+        continuation = values[next_idx] @ probs
         release_value = benefit - ratio * k
         release = release_value >= continuation
         actions[k, 1:] = release
-        values[k, 1:] = np.where(release, release_value, continuation)
-    return values, actions
+        values[1:] = np.where(release, release_value, continuation)
+    return actions
+
+
+def assert_reward_actions_differ_only_at_ties(solution):
+    """The reward induction's actions equal solve's at every state where
+    solve's values do not show a tie: where solve differs from the
+    threshold rule there, compare_with_threshold flags it, and where solve
+    agrees with the rule, split_ties' recomputation of the same gap does.
+    Returns the number of states where the two differ."""
+    config = solution.config
+    horizon = config.horizon
+    actions = np.ones((horizon, config.max_count + 1), dtype=bool)
+    actions[:, : solution.actions.shape[1]] = solution.actions[:horizon]
+    differ = [(int(k), int(n)) for k, n in np.argwhere(
+        actions != actions_by_reward(config)[:horizon])]
+    if differ:
+        real, _ = split_ties(solution, differ)
+        assert real == [], (config, real[:5])
+        threshold = compute_threshold(config.dist, config.ratio)
+        flagged = {(k, n): tie for k, n, tie in compare_with_threshold(solution, threshold)}
+        assert all(flagged.get(state, True) for state in differ), config
+    return len(differ)
 
 
 def table_digests(values, actions):
@@ -730,12 +824,11 @@ def table_digests(values, actions):
 
 def full_tables(solution):
     """The (horizon + 1) x (max_count + 1) tables: solve's stored columns, and
-    release at (n - 1)/n - ratio * k past them, made with solve's operations."""
+    release at (n - 1)/n past them, made with solve's operations."""
     config = solution.config
     n = np.arange(1, config.max_count + 1)
     values = np.empty((config.horizon + 1, n.size + 1))
-    np.subtract((n - 1) / n, config.ratio * np.arange(config.horizon + 1)[:, None],
-                out=values[:, 1:])
+    values[:, 1:] = (n - 1) / n
     values[:, : solution.values.shape[1]] = solution.values
     actions = np.ones(values.shape, dtype=bool)
     actions[:, : solution.actions.shape[1]] = solution.actions
@@ -793,8 +886,8 @@ class TestClosedFormReleaseRegion:
     def test_same_bits_as_the_full_table(self):
         rng = np.random.default_rng(21)
         configs = [
-            # The tie repros of the CLI tests: 48 ties at n = 3, where the
-            # closed form starts at 8; and 264 near n* = 223607, below it.
+            # The exact tie of the CLI tests at n = 3, where the closed form
+            # starts at 8.
             DpConfig(100, 80, BERNOULLI, 0.041666666666666664),
             DpConfig(720, 192, poisson_truncated(1.0 / 6.0), 0.005),
             DpConfig(720, 1674, poisson_truncated(2.0), 0.005),
@@ -812,19 +905,27 @@ class TestClosedFormReleaseRegion:
             ratio = float(10.0 ** rng.uniform(-6, 0))
             cap = suggest_max_count(dist, horizon) + int(rng.integers(0, 40))
             configs.append(DpConfig(horizon, cap, dist, ratio))
+        differing = 0
         for config in configs:
-            assert table_digests(*full_tables(solve(config))) == table_digests(
+            solution = solve(config)
+            assert table_digests(*full_tables(solution)) == table_digests(
                 *full_table_solve(config)), config
+            differing += assert_reward_actions_differ_only_at_ties(solution)
+        # The reward induction waits at 48 of the exact tie's steps at n = 3.
+        assert differing == 48
         assert closed_form_runs(configs[0]) and closed_form_runs(configs[1])
         assert not any(closed_form_runs(c) for c in configs[3:5])
         assert sum(map(closed_form_runs, configs)) >= 40
 
-    def test_same_bits_at_the_264_tie_repro(self):
+    def test_same_bits_at_the_tiny_ratio_tie_repro(self):
+        # 387 ties near n* = 223607, and no checked row repeats its successor.
         dist = poisson_truncated(0.05)
         config = DpConfig(90, compute_threshold(dist, 1e-12).n_star + dist.support_max,
                           dist, 1e-12)
         assert not closed_form_runs(config)
         solution = solve(config)
+        assert solution.settled is None
+        assert assert_reward_actions_differ_only_at_ties(solution) > 0
         got = table_digests(solution.values, solution.actions)
         del solution
         assert got == table_digests(*full_table_solve(config))
@@ -853,9 +954,18 @@ class TestClosedFormReleaseRegion:
         wide = DpConfig(3, 128, poisson_truncated(20.0), 0.005)
         assert induction_rows(wide) == wide.max_count
         configs.append(wide)
+        differing = {}
         for config in configs:
-            assert table_digests(*full_tables(solve(config))) == table_digests(
+            solution = solve(config)
+            assert table_digests(*full_tables(solution)) == table_digests(
                 *full_table_solve(config)), config
+            differing[config] = assert_reward_actions_differ_only_at_ties(solution)
+        # Both pmfs tie exactly at n = 3: g(3) = 1/24 for Bernoulli and 0.1
+        # for {0: .5, 3: .25, 7: .25}.  The reward induction waits at one
+        # such state in 30 of these solves.
+        tied = [c for c, d in differing.items() if d]
+        assert {c.dist.support_max for c in tied} == {1, 7}
+        assert [differing[c] for c in tied] == [1] * 30
         clamped = [c for c in configs if induction_rows(c) + c.dist.support_max > c.max_count]
         assert sum(map(closed_form_runs, clamped)) >= 40
 
@@ -901,6 +1011,40 @@ class TestClosedFormReleaseRegion:
         solution, peak = traced_solve(largest_benchmarked_config())
         assert solution.values.shape == (721, 99) and solution.actions.shape == (721, 81)
         assert peak < 1e6
+
+
+class TestFixedPoint:
+    """Every induction step applies the same map to the values after it, so
+    solve stops where a row repeats its successor."""
+
+    def test_a_busy_hour_settles_near_the_deadline(self):
+        # The benchmarked rate 2 over an hour: the values stop changing
+        # within 48 steps of the deadline, where the check every 16 steps
+        # finds them at step 672.  A solve that ran every step would
+        # report no settled step.
+        solution = solve(largest_benchmarked_config())
+        assert solution.settled is not None and solution.settled >= 600
+        settled = solution.settled
+        assert (solution.values[:settled] == solution.values[settled]).all()
+        assert (solution.actions[:settled] == solution.actions[settled]).all()
+
+    def test_row_zero_does_not_depend_on_the_horizon(self):
+        # The map never reads k, so a settled solve has the same first row
+        # at a horizon twice as long.
+        dist = poisson_truncated(1.0)
+        cap = compute_threshold(dist, 0.005).n_star + dist.support_max
+        short, long = (solve(DpConfig(h, cap, dist, 0.005)) for h in (180, 360))
+        assert short.settled is not None and long.settled is not None
+        assert long.settled - short.settled == 180
+        assert short.values[0].tobytes() == long.values[0].tobytes()
+        assert short.actions[0].tobytes() == long.actions[0].tobytes()
+
+    def test_no_repeat_leaves_settled_empty(self):
+        # Fewer than 16 steps are never checked, and at rate 0.05 the values
+        # still change 90 steps before the deadline.
+        dist = poisson_truncated(0.05)
+        assert solve(DpConfig(15, 1, dist, 0.005)).settled is None
+        assert solve(DpConfig(90, 1, dist, 0.01)).settled is None
 
 
 # sha256 of `dp-verify --lambda 1/6 --ratio 0.005 --horizon 720 --dump-actions`,
