@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .arrival import MAX_RATE, ArrivalDistribution, from_pmf, poisson_truncated
 from .atomic import atomic_writer
-from .dp import DpConfig, compare_with_threshold, solve, write_action_table
+from .dp import DpConfig, compare_with_threshold, solve, suggest_max_count, write_action_table
 from .ingest import parse_counts_csv, parse_pmf_csv, to_lambda
 from .policies import POLICY_NAMES
 from .sim import SweepRow, check_sweep_size, sweep
@@ -89,8 +89,13 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
             "occupancy cap makes releasing and waiting tie at the cap"
         )
     # The solver clamps counts at the cap, so the cap must also leave room
-    # for one batch on top of n_star for the two rules to compare.
-    config = DpConfig(args.horizon, threshold.n_star + dist.support_max, dist, args.ratio)
+    # for one batch on top of n_star for the two rules to compare.  DpConfig
+    # raises it only as far as the solver reads; the dump lists every count
+    # up to the cap, so there the cap is also the safe one.
+    cap = threshold.n_star + dist.support_max
+    if args.dump_actions is not None:
+        cap = max(cap, suggest_max_count(dist, args.horizon))
+    config = DpConfig(args.horizon, cap, dist, args.ratio)
     solution = solve(config)
     differing = compare_with_threshold(solution, threshold)
     mismatches = [(k, n) for k, n, tie in differing if not tie]

@@ -19,19 +19,28 @@ from .stopping import Threshold, check_ratio
 # An occupancy cap makes the state space finite.  It is only sound when the
 # count has effectively no chance of reaching it, so a config's cap is
 # raised until the probability of exceeding it within the horizon stays
-# below this bound.
+# below this bound, or until the solver reads no count past it.
 CAP_TOLERANCE = 1e-9
+# Relative margin by which a tail must clear CAP_TOLERANCE before DpConfig
+# takes it as proof that the cap search would end at the solver's reach or
+# past it.  _final_count_tail adds and multiplies nonnegative terms only, so
+# one convolution over counts up to B errs by at most (B + 2) u relative, u
+# = 2^-53; a squaring at most doubles the error its inputs carry, so the
+# horizon-th power, and the tail, err by at most about 2 horizon (B + 2) u.
+# Within MAX_STATES that is below 1e-8, for the certificate's tail and the
+# search's alike, a hundredth of this margin.
+CERTIFICATE_MARGIN = 1e-6
 # Largest grid the cap search may sweep or the solver may span: (step,
 # count) states up to the cap, or the solver's (count, batch size)
-# transitions.  The solver stores only the counts its induction reads
-# (rate 2, ratio 0.005, horizon 720: 721 x 99 values of 721 x 1675 states),
-# but the limits still charge horizon x cap on purpose, so that no input
-# moves between accepted and refused while the solver keeps a cap.  It is
-# over twenty times the largest grid of the benchmarked settings (rate 2,
-# horizon 720: 721 x 1750 states up to the cap), leaves room for a
-# 5000-step cap search of certain growth (5000 x 5018), and turns a tiny
-# ratio, a huge horizon or a huge rate into an error before anything is
-# allocated.
+# transitions.  The solver stores only the counts its induction reads, and
+# DpConfig raises a cap no further than those (rate 2, ratio 0.005,
+# horizon 720: 721 x 99 states); the limits charge horizon x the cap that
+# is used, which an explicit cap past the reach can still make large.  It is
+# over twenty times the grid of a dump at the busiest benchmarked rate
+# (rate 2.1, horizon 720: 721 x 1753 states up to the safe cap), leaves
+# room for a 5000-step cap search of certain growth (5000 x 5018), and
+# turns a tiny ratio, a huge horizon or a huge rate into an error before
+# anything is allocated.
 MAX_STATES = 30_000_000
 # Largest number of multiply-adds the cap search or the solver may spend,
 # charged as one weighing of every count by the whole pmf per step.  A pass
@@ -44,10 +53,11 @@ MAX_STATES = 30_000_000
 # solve at the limit takes about ten seconds, and a search near it a
 # fraction of one: rate 30 over 720 steps (1.3e9) 265 ms, rate 1000 over 37
 # steps (1.85e9) 244 ms, one step at rate 2e4 (9e8) 1.4 ms, where one
-# convolution per step took 470, 293 and 163 ms.  The limit is 76 times the
-# largest benchmarked search (rate 2, horizon 720: 2.6e7), 79 times the
-# largest benchmarked solve (2.5e7) and 40 times the 5000-step cap search
-# the tests run (5e7).
+# convolution per step took 470, 293 and 163 ms.  The limit is 76 times a
+# cap search at rate 2 over 720 steps (2.6e7), which a dump there runs, 79
+# times a solve at that search's cap (2.5e7) and 40 times the 5000-step cap
+# search the tests run (5e7); the benchmarked solves at their reach are
+# charged at most 1.4e6.
 MAX_CONVOLUTION_WORK = 2_000_000_000
 
 
@@ -146,13 +156,37 @@ def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
         bound *= 2
 
 
+def _safe_cap_reaches(dist: ArrivalDistribution, horizon: int, reach: int) -> bool:
+    """True when suggest_max_count(dist, horizon) is certainly at least
+    `reach`: the count ends at `reach` or past it with probability at least
+    CAP_TOLERANCE, read from one tail over counts up to `reach` and cleared
+    by CERTIFICATE_MARGIN.  False leaves the answer to the search, as does a
+    reach past the search's first bound, where this tail would cost more
+    than the search's first pass.  Charged as a search over `reach` counts.
+    """
+    if reach > _search_bound(dist, horizon):
+        return False
+    _check_states(horizon, reach + 2, "the occupancy-cap search")
+    _check_work(horizon, reach + 1, dist.support_max + 1, "the occupancy-cap search")
+    tail = _final_count_tail(dist, horizon, reach)
+    return tail[reach] >= CAP_TOLERANCE * (1 + CERTIFICATE_MARGIN)
+
+
 @dataclass(frozen=True)
 class DpConfig:
     """Problem instance for the solver.
 
-    A max_count below suggest_max_count(dist, horizon) is raised to it (so 1
-    gives the smallest safe cap): clamping the transition at an effectively
-    unreachable cap cannot distort the computed actions.
+    max_count is the occupancy cap, where the solver clamps the count.  solve
+    reads no count past its reach, rows + s: rows is the release floor less
+    one, rounded up to a multiple of 8, and s the largest batch (no reach
+    where the closed form is not used).  It tabulates min(rows + s,
+    max_count) counts, so every cap at or past the reach gives the same
+    tables bit for bit.  A cap at or past the reach is kept.  A lower one is
+    raised to the reach when one tail up to it proves the smallest safe cap
+    at least that high (_safe_cap_reaches), and otherwise to
+    suggest_max_count(dist, horizon).  So 1 gives the smallest safe cap, or
+    the reach where that tail shows the safe cap past it.  Clamping at an
+    effectively unreachable cap cannot distort the computed actions.
     """
 
     horizon: int
@@ -166,9 +200,14 @@ class DpConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {self.max_count}")
-        object.__setattr__(
-            self, "max_count", max(self.max_count, suggest_max_count(self.dist, self.horizon))
-        )
+        rows = _induction_rows(self)
+        reach = None if rows is None else rows + self.dist.support_max
+        if reach is None or (self.max_count < reach
+                             and not _safe_cap_reaches(self.dist, self.horizon, reach)):
+            cap = max(self.max_count, suggest_max_count(self.dist, self.horizon))
+        else:
+            cap = max(self.max_count, reach)
+        object.__setattr__(self, "max_count", cap)
         _check_states(self.horizon + 1, self.max_count + 1, "the solver")
         _check_states(
             self.max_count, self.dist.support_max + 1, "the solver's transition table"
@@ -249,6 +288,25 @@ def _release_floor(dist: ArrivalDistribution, ratio: float) -> int:
     return max(n, 1)
 
 
+def _induction_rows(config: DpConfig) -> int | None:
+    """Counts 1..rows that solve runs its induction over before any cap, or
+    None where it runs it up to the cap.
+
+    Past the floor waiting loses at least ratio/2 a step in exact
+    arithmetic, and a comparison errs by at most the comparison bound plus
+    the u error of the next-step release values, together at most twice the
+    bound; when that stays below ratio/2, the float comparison picks release
+    there too, and by induction from the deadline the closed form has the
+    induction's bits.  The BLAS matrix-vector kernels sum a row in another
+    order when it falls in a ragged last group of rows (groups of 4 in
+    OpenBLAS on x86-64), so rows is a multiple of 8 and every row it keeps
+    is summed as in the full-height product.
+    """
+    if config.ratio > 4 * _comparison_bound(config):
+        return -(-(_release_floor(config.dist, config.ratio) - 1) // 8) * 8
+    return None
+
+
 def _continuation_terms(n: np.ndarray, config: DpConfig) -> tuple[np.ndarray, np.ndarray]:
     """(columns, weights) of the continuation E[value(n + X)] - ratio of
     each count in n as one product: row i of columns holds the counts
@@ -275,19 +333,8 @@ def solve(config: DpConfig) -> DpSolution:
     stops reading: the closed form past them is left to the readers.
     """
     horizon, cap, ratio = config.horizon, config.max_count, config.ratio
-    # Induction over counts 1..rows, closed form above.  Past the floor
-    # waiting loses at least ratio/2 a step in exact arithmetic, and a
-    # comparison errs by at most the comparison bound plus the u error of
-    # the next-step release values, together at most twice the bound; when
-    # that stays below ratio/2, the float comparison picks release there
-    # too, and by induction from the deadline the closed form has the
-    # induction's bits.  The BLAS matrix-vector kernels sum a row in another
-    # order when it falls in a ragged last group of rows (groups of 4 in
-    # OpenBLAS on x86-64), so rows is a multiple of 8 and every row it keeps
-    # is summed as in the full-height product.
-    rows = cap
-    if ratio > 4 * _comparison_bound(config):
-        rows = min(-(-(_release_floor(config.dist, ratio) - 1) // 8) * 8, cap)
+    rows = _induction_rows(config)
+    rows = cap if rows is None else min(rows, cap)
     # The induction reads the values of counts up to one batch past its
     # rows, and decides only its rows; the rest is the closed form.
     n = np.arange(1, min(rows + config.dist.support_max, cap) + 1)

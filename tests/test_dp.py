@@ -354,7 +354,11 @@ class TestThresholdComparison:
             if i % 2:
                 ratio = _waiting_gain(int(rng.integers(1, 12)), dist)
             n_star = compute_threshold(dist, ratio).n_star
-            config = DpConfig(horizon, n_star + dist.support_max, dist, ratio)
+            # At least the safe cap, so that a rule that never releases
+            # differs at every count up to it, as when DpConfig searched for
+            # the safe cap on every call.
+            cap = max(n_star + dist.support_max, suggest_max_count(dist, horizon))
+            config = DpConfig(horizon, cap, dist, ratio)
             solution = solve(config)
             rows = solution.actions.shape[1] - 1
             for rule in (n_star, n_star - 1, n_star + 1, rows + 5, None):
@@ -470,11 +474,17 @@ class TestOccupancyCap:
             threshold = compute_threshold(dist, 1.79e308)
             assert compare_with_threshold(solution, threshold) == []
 
-    def test_config_raises_a_reachable_cap_to_the_safe_cap(self):
+    def test_config_raises_a_reachable_cap_to_the_reach(self):
+        # At rate 1/6 over 720 steps the safe cap is 192, but the solver
+        # reads counts only up to 64 (56 induction rows and a batch of 8), so
+        # a lower cap is raised to 64 and a cap from 64 on is kept.
         dist = poisson_truncated(1.0 / 6.0)
         cap = suggest_max_count(dist, 720)
-        assert DpConfig(720, 60, dist, 0.005).max_count == cap
-        assert DpConfig(720, cap - 1, dist, 0.005).max_count == cap
+        assert (cap, solver_reach(DpConfig(720, cap, dist, 0.005))) == (192, 64)
+        assert DpConfig(720, 1, dist, 0.005).max_count == 64
+        assert DpConfig(720, 60, dist, 0.005).max_count == 64
+        assert DpConfig(720, 64, dist, 0.005).max_count == 64
+        assert DpConfig(720, cap - 1, dist, 0.005).max_count == cap - 1
 
     def test_config_accepts_suggested_cap(self):
         dist = poisson_truncated(1.0 / 6.0)
@@ -483,11 +493,13 @@ class TestOccupancyCap:
         assert config.max_count == cap
 
     def test_config_accepts_the_caps_the_overflow_probability_allows(self):
-        # DpConfig keeps a cap exactly when the chance of passing it,
-        # computed by absorbing the overflow step by step, is below
-        # CAP_TOLERANCE, and raises any other to suggest_max_count, where
-        # that chance is below it.  Caps from 1 to twice the search bound,
-        # over Poisson and explicit pmfs and short to long horizons.
+        # DpConfig keeps a cap at or past the solver's reach, and a lower
+        # cap exactly when the chance of passing it, computed by absorbing
+        # the overflow step by step, is below CAP_TOLERANCE.  It raises any
+        # other to the reach where the safe cap is at least that high, and
+        # else to suggest_max_count, where that chance is below it.  Caps
+        # from 1 to twice the search bound, over Poisson and explicit pmfs
+        # and short to long horizons, at ratio 0.005 (reach 25 to 260).
         rng = np.random.default_rng(15)
         dists = [poisson_truncated(lam) for lam in (1e-6, 0.05, 1.0 / 6.0, 1.9)]
         dists.append(RARE_FAR_BATCH)
@@ -502,12 +514,22 @@ class TestOccupancyCap:
                 suggested = suggest_max_count(dist, horizon)
                 bound = dp._search_bound(dist, horizon)
                 caps = {1, 2, bound, 2 * bound, *range(max(suggested - 2, 1), suggested + 3)}
+                reach = solver_reach(DpConfig(horizon, suggested, dist, 0.005))
+                caps |= {reach - 1, reach, reach + 1} - {0}
                 for cap in sorted(caps):
                     safe = absorbed_past_cap(dist, horizon, cap) < CAP_TOLERANCE
                     config = DpConfig(horizon, cap, dist, 0.005)
-                    assert config.max_count == max(cap, suggested), (dist, horizon, cap)
+                    if cap >= reach:
+                        assert config.max_count == cap, (dist, horizon, cap)
+                        continue
+                    if suggested < reach:
+                        assert config.max_count == max(cap, suggested), (dist, horizon, cap)
+                        assert absorbed_past_cap(dist, horizon, config.max_count) < CAP_TOLERANCE
+                    else:
+                        # The reach, or the safe cap past it where the reach
+                        # lies past the search's first bound: the same tables.
+                        assert config.max_count in (reach, suggested), (dist, horizon, cap)
                     assert (config.max_count == cap) == safe, (dist, horizon, cap)
-                    assert absorbed_past_cap(dist, horizon, config.max_count) < CAP_TOLERANCE
                     cases += 1
         assert cases >= 200
 
@@ -552,23 +574,36 @@ def never(what):
 
 class TestStateLimit:
     def test_cap_search_past_the_limit_is_refused_before_it_runs(self, monkeypatch):
-        monkeypatch.setattr(dp, "_final_count_tail", never("the cap search"))
+        # One arrival a step: the solver reads counts up to 25 (24 induction
+        # rows and one batch), and the count passes them for sure, so over
+        # 10**6 steps the cap is 25 and 10**6 x 26 solver states fit.  Over
+        # 2 x 10**6 steps the tail that proves it, charged as a search over
+        # 25 counts, does not.
         single = from_pmf([(1, 1.0)])
+        config = DpConfig(10**6, 1, single, 0.005)
+        assert config.max_count == 25
+        assert (config.horizon + 1) * (config.max_count + 1) <= dp.MAX_STATES
+        monkeypatch.setattr(dp, "_final_count_tail", never("the cap search"))
         with pytest.raises(ValueError, match="occupancy-cap search needs.*MAX_STATES"):
             suggest_max_count(single, 10**6)
-        with pytest.raises(ValueError, match="occupancy-cap search needs.*MAX_STATES"):
-            DpConfig(10**6, 1, single, 0.005)
+        with pytest.raises(ValueError, match=r"^the occupancy-cap search needs 2000000 x 27 "
+                                             r"= 5.4e\+07 states, .*MAX_STATES"):
+            DpConfig(2 * 10**6, 1, single, 0.005)
 
     def test_convolution_work_past_the_limit_is_refused_before_it_runs(self, monkeypatch):
         # Rate 2e4 over 37 steps: 37 x 771330 counts is inside MAX_STATES, but
-        # each step convolves with 21004 batch sizes, 6e11 multiply-adds.
+        # each step convolves with 21004 batch sizes, 6e11 multiply-adds.  A
+        # config's tail up to the solver's reach, 21395 counts, is charged
+        # 1.7e10.
         monkeypatch.setattr(dp, "_final_count_tail", never("the cap search"))
         dist = poisson_truncated(2e4)
         with pytest.raises(ValueError,
-                           match="occupancy-cap search needs 37 steps.*MAX_CONVOLUTION_WORK"):
+                           match="occupancy-cap search needs 37 steps x 771330 counts.*"
+                                 "MAX_CONVOLUTION_WORK"):
             suggest_max_count(dist, 37)
         with pytest.raises(ValueError,
-                           match="occupancy-cap search needs 37 steps.*MAX_CONVOLUTION_WORK"):
+                           match="occupancy-cap search needs 37 steps x 21396 counts.*"
+                                 "MAX_CONVOLUTION_WORK"):
             DpConfig(37, 1000, dist, 0.005)
 
     def test_solver_work_past_the_limit_is_refused_at_construction(self):
@@ -583,9 +618,10 @@ class TestStateLimit:
             DpConfig(900, 33000, sparse, 0.01)
 
     def test_largest_benchmarked_and_tied_solves_stay_inside_the_work_limit(self):
-        # perfbench's largest solve (rate 2 moved up 5%, 720 steps, at its
-        # safe cap) and the 387-tie solve of the CLI tests (rate 0.05, ratio
-        # 1e-12, 90 steps, at n_star plus the largest batch).
+        # The largest solve a benchmarked rate can ask for (rate 2 moved up
+        # 5%, 720 steps, at the safe cap that a dump there lists) and the
+        # 387-tie solve of the CLI tests (rate 0.05, ratio 1e-12, 90 steps,
+        # at n_star plus the largest batch).
         dist = poisson_truncated(2.1)
         cap = suggest_max_count(dist, 720)
         assert cap == 1752
@@ -595,7 +631,7 @@ class TestStateLimit:
         assert 90 * cap * (dist.support_max + 1) * 10 < dp.MAX_CONVOLUTION_WORK
 
     def test_largest_benchmarked_and_tested_searches_stay_inside_the_work_limit(self):
-        # perfbench's largest cap search (rate 2, 720 steps) and the 5000-step
+        # The cap search of a dump at rate 2 over 720 steps and the 5000-step
         # search of TestOccupancyCap, with the bounds the searches use.
         dist = poisson_truncated(2.0)
         bound = dp._search_bound(dist, 720)
@@ -645,12 +681,115 @@ class TestSharedCapSearch:
 
         dist = poisson_truncated(0.5)
         monkeypatch.setattr(dp.np, "convolve", counting)
+        # Over 200 steps the count passes the solver's reach (75) with
+        # certainty: one tail up to it, 200 = 0b11001000 giving 7 squarings
+        # and 3 products, and no search.
         config = DpConfig(200, 1, dist, 0.005)
-        # 200 = 0b11001000: 7 squarings and 3 products.
+        assert config.max_count == 75
         assert len(calls) == 10
+        # Over 20 steps the reach lies past the search's first bound (62),
+        # where a tail up to it would cost more than the search: one search,
+        # 20 = 0b10100 giving 4 squarings and 2 products.
+        assert dp._search_bound(dist, 20) == 62
         calls.clear()
-        assert suggest_max_count(dist, 200) == config.max_count
-        assert len(calls) == 10
+        config = DpConfig(20, 1, dist, 0.005)
+        assert len(calls) == 6
+        calls.clear()
+        assert suggest_max_count(dist, 20) == config.max_count
+        assert len(calls) == 6
+
+
+def solver_reach(config):
+    """The last count solve reads at a cap past it, rows + s by solve's own
+    rule, or None where its induction runs up to the cap."""
+    if config.ratio > 4 * dp._comparison_bound(config):
+        floor = dp._release_floor(config.dist, config.ratio)
+        return -(-(floor - 1) // 8) * 8 + config.dist.support_max
+    return None
+
+
+def counting_searches(monkeypatch):
+    """A list that gets one entry per suggest_max_count call DpConfig makes."""
+    calls = []
+    search = dp.suggest_max_count
+
+    def counting(dist, horizon):
+        calls.append((dist, horizon))
+        return search(dist, horizon)
+
+    monkeypatch.setattr(dp, "suggest_max_count", counting)
+    return calls
+
+
+class TestCapUpToTheReach:
+    def test_any_cap_from_the_reach_on_gives_the_same_tables(self, monkeypatch):
+        # The cap DpConfig derives from 1 against the safe cap, which
+        # DpConfig keeps: the same values, actions and settled step, byte
+        # for byte.  Where DpConfig ran no search, the search's cap is at
+        # least the reach.  Seeded Poisson rates 1e-3 to 50, sparse pmfs and
+        # a rare far batch, ratios 1e-6 to 0.3 and horizons 1 to 5000; a
+        # config past the limits, or whose solve would be charged more than
+        # 4e6 multiply-adds, is not solved, to keep the test short.
+        rng = np.random.default_rng(28)
+        dists = [poisson_truncated(float(lam)) for lam in 10.0 ** rng.uniform(-3, np.log10(50), 30)]
+        dists += [RARE_FAR_BATCH, *sparse_pmfs(rng, 12, 120)]
+        searches = counting_searches(monkeypatch)
+        solved = moved = 0
+        for dist in dists:
+            for _ in range(2):
+                horizon = int(10.0 ** rng.uniform(0, np.log10(5000)))
+                ratio = float(10.0 ** rng.uniform(-6, np.log10(0.3)))
+                searches.clear()
+                try:
+                    derived = DpConfig(horizon, 1, dist, ratio)
+                    searched = bool(searches)
+                    safe = suggest_max_count(dist, horizon)
+                except ValueError:
+                    continue
+                if not searched:
+                    assert safe >= solver_reach(derived), (dist.support_max, horizon, ratio)
+                    assert derived.max_count == max(solver_reach(derived), 1)
+                if horizon * derived.max_count * (dist.support_max + 1) > 4e6:
+                    continue
+                a, b = solve(derived), solve(DpConfig(horizon, safe, dist, ratio))
+                assert a.values.tobytes() == b.values.tobytes(), (dist.support_max, horizon, ratio)
+                assert a.actions.tobytes() == b.actions.tobytes(), (dist.support_max, horizon, ratio)
+                assert a.settled == b.settled
+                solved += 1
+                moved += derived.max_count != b.config.max_count
+        assert solved >= 60 and moved >= 20
+
+    @pytest.mark.parametrize("horizon, safe", [(23, 24), (24, 25), (25, 26)])
+    def test_the_search_runs_where_the_safe_cap_is_below_the_reach(
+            self, monkeypatch, horizon, safe):
+        # Bernoulli arrivals at ratio 0.005: the solver reads counts up to 25
+        # (24 induction rows and one batch).  Over h steps the count ends at
+        # h + 1 with probability 2^-h, above CAP_TOLERANCE, so the safe cap
+        # is h + 1: one below the reach, at it and one past it.
+        assert suggest_max_count(BERNOULLI, horizon) == safe
+        searches = counting_searches(monkeypatch)
+        config = DpConfig(horizon, 1, BERNOULLI, 0.005)
+        assert solver_reach(config) == 25
+        assert dp._safe_cap_reaches(BERNOULLI, horizon, 25) == (safe >= 25)
+        assert config.max_count == min(safe, 25)
+        assert len(searches) == (safe < 25)
+
+    def test_the_certificate_needs_its_margin(self, monkeypatch):
+        # Two arrivals a step with probability 1e-3, else none: over 3 steps
+        # the count ends at 7 with probability 1e-9, CAP_TOLERANCE itself.
+        # Counts are odd, so the search ends at 7 or at 5 as the tolerance
+        # moves by a hair; the certificate takes 7 only once the tail clears
+        # the tolerance by the margin.
+        pair = from_pmf([(0, 1 - 1e-3), (2, 1e-3)])
+        assert dp._final_count_tail(pair, 3, 7)[7] == pytest.approx(1e-9, rel=1e-12)
+        for scale, search, certified in ((1 + 2 * dp.CERTIFICATE_MARGIN, 5, False),
+                                         (1 + dp.CERTIFICATE_MARGIN / 2, 5, False),
+                                         (1.0, 7, False),
+                                         (1 / (1 + dp.CERTIFICATE_MARGIN / 2), 7, False),
+                                         (1 / (1 + 2 * dp.CERTIFICATE_MARGIN), 7, True)):
+            monkeypatch.setattr(dp, "CAP_TOLERANCE", 1e-9 * scale)
+            assert suggest_max_count(pair, 3) == search, scale
+            assert dp._safe_cap_reaches(pair, 3, 7) == certified, scale
 
 
 def step_by_step_tail(dist, horizon, bound):
