@@ -19,17 +19,9 @@ from .stopping import Threshold, check_ratio
 # An occupancy cap makes the state space finite.  It is only sound when the
 # count has effectively no chance of reaching it, so a config's cap is
 # raised until the probability of exceeding it within the horizon stays
-# below this bound, or until the solver reads no count past it.
+# below this bound, or to the solver's reach, past which it reads no count:
+# one cap search, stopped at the reach, decides which comes first.
 CAP_TOLERANCE = 1e-9
-# Relative margin by which a tail must clear CAP_TOLERANCE before DpConfig
-# takes it as proof that the cap search would end at the solver's reach or
-# past it.  _final_count_tail adds and multiplies nonnegative terms only, so
-# one convolution over counts up to B errs by at most (B + 2) u relative, u
-# = 2^-53; a squaring at most doubles the error its inputs carry, so the
-# horizon-th power, and the tail, err by at most about 2 horizon (B + 2) u.
-# Within MAX_STATES that is below 1e-8, for the certificate's tail and the
-# search's alike, a hundredth of this margin.
-CERTIFICATE_MARGIN = 1e-6
 # Largest grid the cap search may sweep or the solver may span: (step,
 # count) states up to the cap, or the solver's (count, batch size)
 # transitions.  The solver stores only the counts its induction reads, and
@@ -40,7 +32,9 @@ CERTIFICATE_MARGIN = 1e-6
 # (rate 2.1, horizon 720: 721 x 1753 states up to the safe cap), leaves
 # room for a 5000-step cap search of certain growth (5000 x 5018), and
 # turns a tiny ratio, a huge horizon or a huge rate into an error before
-# anything is allocated.
+# anything is allocated.  A horizon whose solver grid cannot hold even
+# the smallest cap, (horizon + 1) x 2 states, is refused before any other
+# work.
 MAX_STATES = 30_000_000
 # Largest number of multiply-adds the cap search or the solver may spend,
 # charged as one weighing of every count by the whole pmf per step.  A pass
@@ -126,9 +120,10 @@ def _final_count_tail(dist: ArrivalDistribution, horizon: int, bound: int) -> np
     return np.cumsum(probs[::-1])[::-1] + total[1]
 
 
-def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
+def suggest_max_count(dist: ArrivalDistribution, horizon: int, limit: int | None = None) -> int:
     """Smallest occupancy cap that the count passes within `horizon` steps,
-    starting from one vehicle, with probability below CAP_TOLERANCE.
+    starting from one vehicle, with probability below CAP_TOLERANCE, or
+    `limit` where that cap lies past it: no count past `limit` is read.
 
     The count never falls, so that is the chance that one vehicle plus
     `horizon` i.i.d. arrival draws end past the cap, and it never rises as
@@ -141,35 +136,22 @@ def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if dist.support_max == 0:
         return 1
-    bound = _search_bound(dist, horizon)
+    top = math.inf if limit is None else limit
+    bound = min(_search_bound(dist, horizon), top)
     while True:
         _check_states(horizon, bound + 2, "the occupancy-cap search")
         _check_work(horizon, bound + 1, dist.support_max + 1, "the occupancy-cap search")
         tail = _final_count_tail(dist, horizon, bound)
         if tail[-1] < CAP_TOLERANCE:
             return max(int(np.flatnonzero(tail < CAP_TOLERANCE)[0]) - 1, 1)
+        if bound == top:
+            return bound
         # A rare large batch can leave more than CAP_TOLERANCE past the
         # cushion ({0: 0.9999, 100: 0.0001} over 100 steps: 1.6e-7 past
-        # 224), so the search is run again over twice the counts.  It ends:
-        # no count passes 1 + horizon * support_max, and the limits above
-        # refuse a bound that grows too far.
-        bound *= 2
-
-
-def _safe_cap_reaches(dist: ArrivalDistribution, horizon: int, reach: int) -> bool:
-    """True when suggest_max_count(dist, horizon) is certainly at least
-    `reach`: the count ends at `reach` or past it with probability at least
-    CAP_TOLERANCE, read from one tail over counts up to `reach` and cleared
-    by CERTIFICATE_MARGIN.  False leaves the answer to the search, as does a
-    reach past the search's first bound, where this tail would cost more
-    than the search's first pass.  Charged as a search over `reach` counts.
-    """
-    if reach > _search_bound(dist, horizon):
-        return False
-    _check_states(horizon, reach + 2, "the occupancy-cap search")
-    _check_work(horizon, reach + 1, dist.support_max + 1, "the occupancy-cap search")
-    tail = _final_count_tail(dist, horizon, reach)
-    return tail[reach] >= CAP_TOLERANCE * (1 + CERTIFICATE_MARGIN)
+        # 224), so the search is run again over twice the counts, or up to
+        # the limit.  It ends: no count passes 1 + horizon * support_max,
+        # and the limits above refuse a bound that grows too far.
+        bound = min(2 * bound, top)
 
 
 @dataclass(frozen=True)
@@ -181,12 +163,11 @@ class DpConfig:
     one, rounded up to a multiple of 8, and s the largest batch (no reach
     where the closed form is not used).  It tabulates min(rows + s,
     max_count) counts, so every cap at or past the reach gives the same
-    tables bit for bit.  A cap at or past the reach is kept.  A lower one is
-    raised to the reach when one tail up to it proves the smallest safe cap
-    at least that high (_safe_cap_reaches), and otherwise to
-    suggest_max_count(dist, horizon).  So 1 gives the smallest safe cap, or
-    the reach where that tail shows the safe cap past it.  Clamping at an
-    effectively unreachable cap cannot distort the computed actions.
+    tables bit for bit.  A cap at or past the reach is kept; a lower one is
+    raised to suggest_max_count(dist, horizon, reach), the smallest safe
+    cap or the reach, whichever comes first.  So 1 gives the smaller of the
+    two.  Clamping at an effectively unreachable cap cannot distort the
+    computed actions.
     """
 
     horizon: int
@@ -200,14 +181,16 @@ class DpConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {self.max_count}")
+        # Every cap is at least 1, so this refuses no horizon that a cap
+        # could fit.  It comes before _comparison_bound raises 1 plus the
+        # pmf's mass error, below 1e-12, to the horizon-th power, which stays
+        # finite up to 7e14 steps, far past any horizon this admits.
+        _check_states(self.horizon + 1, 2, "the solver")
         rows = _induction_rows(self)
         reach = None if rows is None else rows + self.dist.support_max
-        if reach is None or (self.max_count < reach
-                             and not _safe_cap_reaches(self.dist, self.horizon, reach)):
-            cap = max(self.max_count, suggest_max_count(self.dist, self.horizon))
-        else:
-            cap = max(self.max_count, reach)
-        object.__setattr__(self, "max_count", cap)
+        if reach is None or self.max_count < reach:
+            cap = suggest_max_count(self.dist, self.horizon, reach)
+            object.__setattr__(self, "max_count", max(self.max_count, cap))
         _check_states(self.horizon + 1, self.max_count + 1, "the solver")
         _check_states(
             self.max_count, self.dist.support_max + 1, "the solver's transition table"

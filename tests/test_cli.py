@@ -269,13 +269,22 @@ class TestDpVerify:
     ])
     def test_busy_hours_verify_with_no_cap_search(self, capsys, monkeypatch, lam, match):
         # The count passes the counts the solver reads (its induction rows
-        # and one batch) with certainty, so the cap is those counts and the
-        # search, whose safe caps here are 1126 to 1674, never runs.
-        monkeypatch.setattr(dp, "suggest_max_count", never_search)
+        # and one batch) with certainty, so the cap is those counts: the
+        # search stops at them after one tail, and reads none of the counts
+        # up to the safe caps here, 1126 to 1674.
+        bounds = []
+        tail = dp._final_count_tail
+
+        def reading(dist, horizon, bound):
+            bounds.append(bound)
+            return tail(dist, horizon, bound)
+
+        monkeypatch.setattr(dp, "_final_count_tail", reading)
         monkeypatch.setattr(cli, "suggest_max_count", never_search)
         code, out, err = run(capsys, "dp-verify", "--lambda", lam, "--ratio", "0.005",
                              "--horizon", "720")
         assert (code, out, err) == (0, match, "")
+        assert bounds == [int(match.split("x")[-1])]
 
     @pytest.mark.xfail(strict=True, reason=(
         "g(11) equals the ratio, and P(X = 0) is near 1: the waiting value at "
@@ -366,7 +375,11 @@ class TestDpVerify:
             # The solver reads counts up to 86 here, but proving that the
             # count passes 85 is charged as a search over 86 counts.
             (["dp-verify", "--lambda", "1", "--ratio", "0.005",
-              "--horizon", "1000000000"], "the occupancy-cap search needs 1000000000 x 88 "),
+              "--horizon", "1000000"], "the occupancy-cap search needs 1000000 x 88 "),
+            # No cap fits a solver grid of 10**9 steps: refused before the
+            # reach or the search.
+            (["dp-verify", "--lambda", "1", "--ratio", "0.005",
+              "--horizon", "1000000000"], "the solver needs 1000000001 x 2 "),
             (["dp-verify", "--lambda", "0", "--ratio", "0.005",
               "--horizon", "100000000"], "the solver needs"),
             # A one-step solve, but 21202 counts x 21004 batch sizes.
@@ -395,6 +408,17 @@ class TestDpVerify:
             assert code == 1, argv
             assert err.startswith("error:") and words in err, argv
             assert "MAX_STATES" in err, argv
+
+    def test_a_huge_horizon_is_refused_without_a_traceback(self, capsys):
+        # This pmf's mass is off by 3.3e-16, and the solver's rounding bound
+        # raises 1 + 3.3e-16 to the horizon-th power, past the float range
+        # at 10**19 steps.  No cap fits that solver grid, so it is refused
+        # first.
+        code, out, err = run(capsys, "dp-verify", "--lambda", "2.0892961308540396",
+                             "--ratio", "0.005", "--horizon", "10000000000000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the solver needs 10000000000000000001 x 2 = 2e+19 states")
+        assert err.count("\n") == 1 and "MAX_STATES" in err
 
     def test_convolution_work_is_checked_before_the_cap_search(self, tmp_path):
         # The solver reads counts up to 21395, one batch past its 392

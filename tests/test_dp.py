@@ -526,9 +526,7 @@ class TestOccupancyCap:
                         assert config.max_count == max(cap, suggested), (dist, horizon, cap)
                         assert absorbed_past_cap(dist, horizon, config.max_count) < CAP_TOLERANCE
                     else:
-                        # The reach, or the safe cap past it where the reach
-                        # lies past the search's first bound: the same tables.
-                        assert config.max_count in (reach, suggested), (dist, horizon, cap)
+                        assert config.max_count == reach, (dist, horizon, cap)
                     assert (config.max_count == cap) == safe, (dist, horizon, cap)
                     cases += 1
         assert cases >= 200
@@ -606,6 +604,18 @@ class TestStateLimit:
                                  "MAX_CONVOLUTION_WORK"):
             DpConfig(37, 1000, dist, 0.005)
 
+    def test_a_horizon_no_cap_fits_is_refused_before_the_rounding_bound(self):
+        # The pmf's mass is off by 3.3e-16: the comparison bound's
+        # (1 + 3.3e-16)^horizon would overflow at 10**19 steps, but no cap
+        # fits 10**19 + 1 solver rows, so the config is refused first.
+        dist = poisson_truncated(2.0892961308540396)
+        excess = abs(math.fsum(dist.probabilities) - 1.0)
+        with pytest.raises(OverflowError):
+            (1 + excess) ** 10**19
+        with pytest.raises(ValueError, match=r"^the solver needs 10000000000000000001 x 2 "
+                                             r"= 2e\+19 states, .*MAX_STATES"):
+            DpConfig(10**19, 1, dist, 0.005)
+
     def test_solver_work_past_the_limit_is_refused_at_construction(self):
         # The batch of 900 is so rare that the safe cap is 1, and 901 x 33001
         # states fit in MAX_STATES, but the solve would weigh 33000 counts by
@@ -682,14 +692,14 @@ class TestSharedCapSearch:
         dist = poisson_truncated(0.5)
         monkeypatch.setattr(dp.np, "convolve", counting)
         # Over 200 steps the count passes the solver's reach (75) with
-        # certainty: one tail up to it, 200 = 0b11001000 giving 7 squarings
-        # and 3 products, and no search.
+        # certainty: the search stops at it after one tail, 200 = 0b11001000
+        # giving 7 squarings and 3 products.
         config = DpConfig(200, 1, dist, 0.005)
         assert config.max_count == 75
         assert len(calls) == 10
-        # Over 20 steps the reach lies past the search's first bound (62),
-        # where a tail up to it would cost more than the search: one search,
-        # 20 = 0b10100 giving 4 squarings and 2 products.
+        # Over 20 steps the search's first bound (62) lies below the reach,
+        # and the safe cap below that bound: one tail, 20 = 0b10100 giving 4
+        # squarings and 2 products, the same as the search with no limit.
         assert dp._search_bound(dist, 20) == 62
         calls.clear()
         config = DpConfig(20, 1, dist, 0.005)
@@ -709,13 +719,23 @@ def solver_reach(config):
 
 
 def counting_searches(monkeypatch):
-    """A list that gets one entry per suggest_max_count call DpConfig makes."""
+    """A list that gets one (limit, bounds) entry per suggest_max_count call
+    DpConfig makes: the limit it passes, and the bound of each tail the
+    search reads."""
     calls = []
-    search = dp.suggest_max_count
+    search, tail = dp.suggest_max_count, dp._final_count_tail
 
-    def counting(dist, horizon):
-        calls.append((dist, horizon))
-        return search(dist, horizon)
+    def counting(dist, horizon, limit=None):
+        bounds = []
+
+        def reading(dist, horizon, bound):
+            bounds.append(bound)
+            return tail(dist, horizon, bound)
+
+        calls.append((limit, bounds))
+        with monkeypatch.context() as m:
+            m.setattr(dp, "_final_count_tail", reading)
+            return search(dist, horizon, limit)
 
     monkeypatch.setattr(dp, "suggest_max_count", counting)
     return calls
@@ -725,9 +745,10 @@ class TestCapUpToTheReach:
     def test_any_cap_from_the_reach_on_gives_the_same_tables(self, monkeypatch):
         # The cap DpConfig derives from 1 against the safe cap, which
         # DpConfig keeps: the same values, actions and settled step, byte
-        # for byte.  Where DpConfig ran no search, the search's cap is at
-        # least the reach.  Seeded Poisson rates 1e-3 to 50, sparse pmfs and
-        # a rare far batch, ratios 1e-6 to 0.3 and horizons 1 to 5000; a
+        # for byte.  DpConfig runs one search, stopped at the reach, that
+        # reads no tail past it and gives the smaller of the safe cap and
+        # the reach.  Seeded Poisson rates 1e-3 to 50, sparse pmfs and a
+        # rare far batch, ratios 1e-6 to 0.3 and horizons 1 to 5000; a
         # config past the limits, or whose solve would be charged more than
         # 4e6 multiply-adds, is not solved, to keep the test short.
         rng = np.random.default_rng(28)
@@ -742,13 +763,17 @@ class TestCapUpToTheReach:
                 searches.clear()
                 try:
                     derived = DpConfig(horizon, 1, dist, ratio)
-                    searched = bool(searches)
                     safe = suggest_max_count(dist, horizon)
                 except ValueError:
                     continue
-                if not searched:
-                    assert safe >= solver_reach(derived), (dist.support_max, horizon, ratio)
-                    assert derived.max_count == max(solver_reach(derived), 1)
+                reach = solver_reach(derived)
+                if reach is not None and reach <= 1:
+                    assert searches == [] and derived.max_count == 1
+                else:
+                    [(limit, bounds)] = searches
+                    assert limit == reach, (dist.support_max, horizon, ratio)
+                    assert reach is None or max(bounds) <= reach, (dist.support_max, horizon)
+                    assert derived.max_count == (safe if reach is None else min(safe, reach))
                 if horizon * derived.max_count * (dist.support_max + 1) > 4e6:
                     continue
                 a, b = solve(derived), solve(DpConfig(horizon, safe, dist, ratio))
@@ -765,31 +790,103 @@ class TestCapUpToTheReach:
         # Bernoulli arrivals at ratio 0.005: the solver reads counts up to 25
         # (24 induction rows and one batch).  Over h steps the count ends at
         # h + 1 with probability 2^-h, above CAP_TOLERANCE, so the safe cap
-        # is h + 1: one below the reach, at it and one past it.
+        # is h + 1: one below the reach, at it and one past it.  One search
+        # reads one tail up to the reach and gives the smaller of the two.
         assert suggest_max_count(BERNOULLI, horizon) == safe
         searches = counting_searches(monkeypatch)
         config = DpConfig(horizon, 1, BERNOULLI, 0.005)
         assert solver_reach(config) == 25
-        assert dp._safe_cap_reaches(BERNOULLI, horizon, 25) == (safe >= 25)
         assert config.max_count == min(safe, 25)
-        assert len(searches) == (safe < 25)
+        assert searches == [(25, [25])]
 
-    def test_the_certificate_needs_its_margin(self, monkeypatch):
+
+def reading_tails(monkeypatch):
+    """A list that gets the bound of each tail the cap search reads.  A
+    bound read twice since the list was last cleared fails the test: a
+    search that reads no new counts would never end."""
+    reads = []
+    tail = dp._final_count_tail
+
+    def reading(dist, horizon, bound):
+        assert bound not in reads, f"the tail up to {bound} was read twice"
+        reads.append(bound)
+        return tail(dist, horizon, bound)
+
+    monkeypatch.setattr(dp, "_final_count_tail", reading)
+    return reads
+
+
+class TestLimitedCapSearch:
+    def test_the_limit_cuts_the_search_and_what_it_reads(self, monkeypatch):
+        # suggest_max_count(d, h, limit) is min(suggest_max_count(d, h),
+        # limit) for limits one below the safe cap, at it, one past it and
+        # at the solver's reach; no pass reads a tail past the limit or
+        # reads one bound twice.  Where the safe cap lies below the reach,
+        # DpConfig spends the convolutions of that one limited search, a
+        # single tail unless the search widens.  Seeded Poisson rates 1e-3
+        # to 50, sparse pmfs and a rare far batch, horizons 1 to 5000 and
+        # ratios 1e-6 to 0.3.
+        rng = np.random.default_rng(29)
+        dists = [poisson_truncated(float(lam)) for lam in 10.0 ** rng.uniform(-3, np.log10(50), 30)]
+        dists += [RARE_FAR_BATCH, *sparse_pmfs(rng, 12, 120)]
+        reads, convolutions = reading_tails(monkeypatch), []
+        convolve = np.convolve
+
+        def counting(*args, **kwargs):
+            convolutions.append(1)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(dp.np, "convolve", counting)
+
+        def searched(*args):
+            reads.clear()
+            convolutions.clear()
+            return suggest_max_count(*args), list(reads), len(convolutions)
+
+        limited = below = single = 0
+        for dist in dists:
+            for _ in range(2):
+                horizon = int(10.0 ** rng.uniform(0, np.log10(5000)))
+                ratio = float(10.0 ** rng.uniform(-6, np.log10(0.3)))
+                try:
+                    safe, _, _ = searched(dist, horizon)
+                except ValueError:
+                    continue
+                reads.clear()
+                reach = solver_reach(DpConfig(horizon, safe, dist, ratio))
+                for limit in {safe - 1, safe, safe + 1, reach} - {None, 0}:
+                    cap, bounds, _ = searched(dist, horizon, limit)
+                    assert cap == min(safe, limit), (dist.support_max, horizon, limit)
+                    assert max(bounds) <= limit, (dist.support_max, horizon, limit)
+                    limited += 1
+                if reach is None or safe >= reach:
+                    continue
+                cap, bounds, work = searched(dist, horizon, reach)
+                reads.clear()
+                convolutions.clear()
+                assert DpConfig(horizon, 1, dist, ratio).max_count == cap
+                assert (reads, len(convolutions)) == (bounds, work), (dist.support_max, horizon)
+                below += 1
+                single += len(reads) == 1
+        assert limited >= 250 and below >= 30 and single >= 30
+
+    @pytest.mark.parametrize("scale, safe", [(1 + 2e-6, 5), (1 + 5e-7, 5), (1.0, 7),
+                                             (1 / (1 + 5e-7), 7), (1 / (1 + 2e-6), 7)])
+    def test_a_tail_at_the_tolerance_gives_one_reading(self, monkeypatch, scale, safe):
         # Two arrivals a step with probability 1e-3, else none: over 3 steps
         # the count ends at 7 with probability 1e-9, CAP_TOLERANCE itself.
         # Counts are odd, so the search ends at 7 or at 5 as the tolerance
-        # moves by a hair; the certificate takes 7 only once the tail clears
-        # the tolerance by the margin.
+        # moves by a hair; a limit cuts that answer and no other, with no
+        # margin between the readings.
         pair = from_pmf([(0, 1 - 1e-3), (2, 1e-3)])
         assert dp._final_count_tail(pair, 3, 7)[7] == pytest.approx(1e-9, rel=1e-12)
-        for scale, search, certified in ((1 + 2 * dp.CERTIFICATE_MARGIN, 5, False),
-                                         (1 + dp.CERTIFICATE_MARGIN / 2, 5, False),
-                                         (1.0, 7, False),
-                                         (1 / (1 + dp.CERTIFICATE_MARGIN / 2), 7, False),
-                                         (1 / (1 + 2 * dp.CERTIFICATE_MARGIN), 7, True)):
-            monkeypatch.setattr(dp, "CAP_TOLERANCE", 1e-9 * scale)
-            assert suggest_max_count(pair, 3) == search, scale
-            assert dp._safe_cap_reaches(pair, 3, 7) == certified, scale
+        monkeypatch.setattr(dp, "CAP_TOLERANCE", 1e-9 * scale)
+        assert suggest_max_count(pair, 3) == safe
+        reads = reading_tails(monkeypatch)
+        for limit in range(1, 10):
+            reads.clear()
+            assert suggest_max_count(pair, 3, limit) == min(safe, limit), limit
+            assert max(reads) <= limit
 
 
 def step_by_step_tail(dist, horizon, bound):

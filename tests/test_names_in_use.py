@@ -71,6 +71,17 @@ def test_every_name_the_tracer_patches_exists():
     assert missing <= STALE
 
 
+def test_every_constant_the_readme_names_exists():
+    # A backticked upper-case name in the README is a module constant, so a
+    # constant that is deleted cannot stay in the docs.
+    names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", (ROOT / "README.md").read_text()))
+    modules = [importlib.import_module(f"hubrelease.{module.name}")
+               for module in pkgutil.iter_modules(hubrelease.__path__)
+               if module.name != "__main__"]  # runs the command line on import
+    assert len(names) >= 10
+    assert {name for name in names if not any(hasattr(m, name) for m in modules)} == set()
+
+
 def test_readme_library_example_runs_without_warnings(tmp_path):
     [block] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     done = subprocess.run(
