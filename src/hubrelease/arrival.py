@@ -113,31 +113,33 @@ class InitialCountDistribution(ArrivalDistribution):
             raise ValueError("initial count distribution must place zero mass at 0")
 
 
-def _poisson_head(lam: float, start: int, scale: float) -> np.ndarray:
-    """Poisson(lam) pmf over 0..x, for the smallest x >= start with
+def _poisson_head(lam: float, scale: float) -> np.ndarray:
+    """Poisson(lam) pmf over 0..x, for the smallest x with
     P(X > x) / scale < TAIL_MASS; requires lam > 0.
 
     The pmf is exp(k log(lam) - log k! - lam), evaluated once over a bracket
     0..stop, and each tail P(X > x) is read from a reverse cumulative sum of
-    that array.  No count below int(lam) - 1 can be the hit: every
-    x <= lam - 1 lies below the Poisson median, which is at least
-    lam - ln 2 (Choi, 1994), so P(X > x) > 1/2 there, and with scale <= 1
-    the tail is nowhere near TAIL_MASS.  The bracket always holds the hit:
-    by Bernstein's inequality P(X >= lam + t) <= exp(-t^2 / (2 (lam + t/3))),
-    and at its end, t = 10 sqrt(lam) + 40, the exponent stays above 51 for
-    every rate up to MAX_RATE, where -log(TAIL_MASS) = 27.7 is enough.  A
-    scale of P(X >= 1) >= 1 - 1/e costs under 0.5 of that from rate 1 up;
-    below it, P(X > 40) / P(X >= 1) < lam^40 / 40! is far smaller still.
-    The same bound makes the mass past the bracket, which the tails leave
-    out, negligible beside TAIL_MASS.
+    that array.  The bracket always holds the hit: by Bernstein's inequality
+    P(X >= lam + t) <= exp(-t^2 / (2 (lam + t/3))), and at its end,
+    t = 10 sqrt(lam) + 40, the exponent stays above 51 for every rate up to
+    MAX_RATE, where -log(TAIL_MASS) = 27.7 is enough.  A scale of
+    P(X >= 1) >= 1 - 1/e costs under 0.5 of that from rate 1 up; below it,
+    P(X > 40) / P(X >= 1) < lam^40 / 40! is far smaller still.  The same
+    bound makes the mass past the bracket, which the tails leave out,
+    negligible beside TAIL_MASS.
     """
     stop = int(lam + 10.0 * math.sqrt(lam)) + 40
     pmf = np.exp(np.arange(stop + 1) * math.log(lam) - _LOG_FACTORIAL[: stop + 1] - lam)
-    first = max(start, int(lam) - 1)
-    # P(X > x) for x = first..stop - 1; the float sums only grow as x falls,
-    # so the hit's offset from first is the number of tails not below.
-    tails = np.cumsum(pmf[:first:-1])[::-1]
-    return pmf[: first + np.count_nonzero(tails / scale >= TAIL_MASS) + 1]
+    # P(X > x) for x = 0..stop - 1; the float sums only grow as x falls, so
+    # the hit is the number of tails not below.
+    tails = np.cumsum(pmf[:0:-1])[::-1]
+    return pmf[: np.count_nonzero(tails / scale >= TAIL_MASS) + 1]
+
+
+def check_rate(lam: float) -> None:
+    """Refuse a rate outside [0, MAX_RATE], nan included."""
+    if not 0 <= lam <= MAX_RATE:
+        raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
 
 
 def poisson_truncated(lam: float) -> ArrivalDistribution:
@@ -145,11 +147,10 @@ def poisson_truncated(lam: float) -> ArrivalDistribution:
 
     lam = 0 degenerates to a point mass at zero arrivals.
     """
-    if not 0 <= lam <= MAX_RATE:
-        raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
+    check_rate(lam)
     if lam == 0:
         return ArrivalDistribution((1.0,))
-    probs = _poisson_head(lam, 0, 1.0)
+    probs = _poisson_head(lam, 1.0)
     probs /= probs.sum()
     return ArrivalDistribution(tuple(probs.tolist()))
 
@@ -159,11 +160,10 @@ def zero_truncated_poisson(lam: float) -> InitialCountDistribution:
 
     lam = 0 gives its lam -> 0 limit, a point mass at a single vehicle.
     """
-    if not 0 <= lam <= MAX_RATE:
-        raise ValueError(f"rate must be nonnegative and at most {MAX_RATE:g}, got {lam!r}")
+    check_rate(lam)
     if lam == 0:
         return InitialCountDistribution((0.0, 1.0))
-    probs = _poisson_head(lam, 1, -math.expm1(-lam))
+    probs = _poisson_head(lam, -math.expm1(-lam))
     probs[0] = 0.0
     probs /= probs.sum()
     return InitialCountDistribution(tuple(probs.tolist()))

@@ -161,6 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--initial-lambda must be a rate in [0, {MAX_RATE:g}], got {args.initial_lam!r}"
         )
+    # sweep checks this too, but only after np.linspace builds the grid.
     check_sweep_size(args.points, args.samples, args.horizon, args.lambda_max,
                      args.initial_lam)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]

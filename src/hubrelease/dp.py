@@ -161,7 +161,7 @@ class DpConfig:
     max_count is the occupancy cap, where the solver clamps the count.  solve
     reads no count past its reach, rows + s: rows is the release floor less
     one, rounded up to a multiple of 8, and s the largest batch (no reach
-    where the closed form is not used).  It tabulates min(rows + s,
+    at ratio 0, where there is no closed form).  It tabulates min(rows + s,
     max_count) counts, so every cap at or past the reach gives the same
     tables bit for bit.  A cap at or past the reach is kept; a lower one is
     raised to suggest_max_count(dist, horizon, reach), the smallest safe
@@ -181,10 +181,7 @@ class DpConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.max_count < 1:
             raise ValueError(f"max_count must be >= 1, got {self.max_count}")
-        # Every cap is at least 1, so this refuses no horizon that a cap
-        # could fit.  It comes before _comparison_bound raises 1 plus the
-        # pmf's mass error, below 1e-12, to the horizon-th power, which stays
-        # finite up to 7e14 steps, far past any horizon this admits.
+        # Every cap is at least 1: this refuses only horizons no cap fits.
         _check_states(self.horizon + 1, 2, "the solver")
         rows = _induction_rows(self)
         reach = None if rows is None else rows + self.dist.support_max
@@ -210,7 +207,7 @@ class DpSolution:
     (k, n) is optimal, with ties resolved toward release; values[k, n] for
     n in 1..width, width = min(rows + s, max_count) with s the largest
     batch, are the optimal values.  rows is the release floor rounded up to
-    a multiple of 8 (max_count when the closed form is not used, 0 when
+    a multiple of 8 (max_count at ratio 0, 0 when
     releasing is optimal from one vehicle on).  Every state (k, n) with n
     past those columns, up to max_count, releases, at (n - 1)/n, a value
     that no reader computes.  Column n = 0 holds -ratio, the cost of one
@@ -276,16 +273,14 @@ def _induction_rows(config: DpConfig) -> int | None:
     None where it runs it up to the cap.
 
     Past the floor waiting loses at least ratio/2 a step in exact
-    arithmetic, and a comparison errs by at most the comparison bound plus
-    the u error of the next-step release values, together at most twice the
-    bound; when that stays below ratio/2, the float comparison picks release
-    there too, and by induction from the deadline the closed form has the
-    induction's bits.  The BLAS matrix-vector kernels sum a row in another
-    order when it falls in a ragged last group of rows (groups of 4 in
-    OpenBLAS on x86-64), so rows is a multiple of 8 and every row it keeps
-    is summed as in the full-height product.
+    arithmetic, so at any ratio > 0 release is optimal there and solve
+    stores the closed form in place of the induction.  The BLAS
+    matrix-vector kernels sum a row in another order when it falls in a
+    ragged last group of rows (groups of 4 in OpenBLAS on x86-64), so rows
+    is a multiple of 8 and every row it keeps is summed as in the
+    full-height product.
     """
-    if config.ratio > 4 * _comparison_bound(config):
+    if config.ratio > 0:
         return -(-(_release_floor(config.dist, config.ratio) - 1) // 8) * 8
     return None
 
@@ -396,9 +391,9 @@ def compare_with_threshold(
     k, n = np.divmod(np.flatnonzero(diff), width)
     n += 1
     # Past the block, solve releases only where waiting loses at least
-    # ratio/2 in exact arithmetic, more than its rounding can cover, so a
-    # rule that waits there is wrong.  In one step a state of the block
-    # reaches only stored counts, up to min(rows + s, max_count).
+    # ratio/2 in exact arithmetic, so a rule that waits there is wrong.  In
+    # one step a state of the block reaches only stored counts, up to
+    # min(rows + s, max_count).
     tie = np.zeros(k.size, dtype=bool)
     inside = n <= block
     if inside.any():

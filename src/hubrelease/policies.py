@@ -73,7 +73,7 @@ class ThresholdPolicy:
     def fire_mask(self, cumulative: np.ndarray, ratio: float) -> np.ndarray:
         # A fire at step k is followed by one at the first step whose
         # running total exceeds that at k by n_star.
-        if self.n_star is None or self.n_star > cumulative[-1, -1]:
+        if self.n_star is None:
             return np.zeros(cumulative.shape, dtype=bool)
         return _release_rounds(cumulative, self.n_star)
 
@@ -122,11 +122,9 @@ class NonCausalPolicy:
         flat = cumulative.ravel()
 
         def best(first, end, origin, level):
-            steps = first[:, None] + window
-            if (first + reach > end).any():
-                # A window past its row's end repeats the row's last step,
-                # whose first column argmax prefers to every repeat.
-                steps = np.minimum(steps, end[:, None] - 1)
+            # A window past its row's end repeats the row's last step, whose
+            # first column argmax prefers to every repeat.
+            steps = np.minimum(first[:, None] + window, end[:, None] - 1)
             reward = release_reward(flat[steps] - level[:, None], steps - origin[:, None], ratio)
             return first + np.argmax(reward, axis=1)
 

@@ -24,6 +24,7 @@ import numpy as np
 from .arrival import (
     ArrivalDistribution,
     InitialCountDistribution,
+    check_rate,
     poisson_truncated,
     substream,
     zero_truncated_poisson,
@@ -396,12 +397,16 @@ def sweep(
 
     Every row carries the optimal threshold n_star for its rate.  Cells at
     the same rate share arrival realizations (streams are keyed by the
-    rate's grid index), which sharpens policy comparisons.
+    rate's grid index), which sharpens policy comparisons.  Every rate and
+    the size of the whole sweep are checked before the first cell runs.
     """
     if not lambda_grid:
         raise ValueError("lambda_grid must be non-empty")
     if not policy_names:
         raise ValueError("policy_names must be non-empty")
+    for lam in lambda_grid:
+        check_rate(lam)
+    check_sweep_size(len(lambda_grid), samples, horizon_steps, max(lambda_grid), initial_lam)
     rows: list[SweepRow] = []
     for cell_index, lam in enumerate(lambda_grid):
         distributions = _cell_distributions(lam, initial_lam)

@@ -156,41 +156,34 @@ class TestTruncationAgainstScalarLoop:
             zero_truncated_poisson(rate)
 
 
-def truncation_point(lam, start, scale):
-    return _poisson_head(lam, start, scale).size - 1
+def truncation_point(lam, scale):
+    return _poisson_head(lam, scale).size - 1
 
 
-def full_bracket(lam, start, scale):
-    """Reference: the first hit over the whole bracket from start, tails from pdtrc."""
+def full_bracket(lam, searches):
+    """Reference: for each (start, scale) of searches, the first count from
+    start over the whole bracket whose tail over scale is below TAIL_MASS,
+    tails from pdtrc.  The zero-truncated search starts at 1: its tail
+    ratio at 0 is 1, where pdtrc's tail at a subnormal rate reads 0."""
     stop = int(lam + 10.0 * math.sqrt(lam)) + 40
-    below = np.flatnonzero(poisson_tail(np.arange(start, stop + 1), lam) / scale < TAIL_MASS)
-    return start + int(below[0])
+    tail = poisson_tail(np.arange(stop + 1), lam)
+    return [start + int(np.flatnonzero(tail[start:] / scale < TAIL_MASS)[0])
+            for start, scale in searches]
 
 
-# Landmarks, integers and their neighbours (where int(lam) - 1 moves), then a
-# log grid up to the largest rate.
+# Landmarks, integers and their neighbours, then a log grid up to the
+# largest rate.
 BRACKET_RATES = [5e-324, 1e-300, 0.5, 1.0, 1.0 - 1e-16, 2.0, 2.0 + 4e-16, 3.0, 1000.0,
                  MAX_RATE] + [float(r) for r in np.geomspace(1e-6, MAX_RATE, 400)]
 
 
-def test_median_started_bracket_finds_the_full_brackets_hit():
+def test_the_bracket_search_finds_the_full_brackets_hit():
     for lam in BRACKET_RATES:
-        x_max = truncation_point(lam, 0, 1.0)
-        assert x_max == full_bracket(lam, 0, 1.0), lam
-        assert poisson_truncated(lam).support_max == x_max, lam
-        # The skipped counts have tails above 1/2, as the median bound says.
-        skipped = int(lam) - 2
-        if skipped >= 0:
-            assert poisson_tail(skipped, lam) > 0.5, lam
         scale = -math.expm1(-lam)
-        n_max = truncation_point(lam, 1, scale)
-        assert n_max == full_bracket(lam, 1, scale), lam
+        x_max, n_max = truncation_point(lam, 1.0), truncation_point(lam, scale)
+        assert [x_max, n_max] == full_bracket(lam, ((0, 1.0), (1, scale))), lam
+        assert poisson_truncated(lam).support_max == x_max, lam
         assert zero_truncated_poisson(lam).support_max == n_max, lam
-
-
-def median_started_bracket(lam, start, scale):
-    """Reference: the first hit from max(start, int(lam) - 1), tails from pdtrc."""
-    return full_bracket(lam, max(start, int(lam) - 1), scale)
 
 
 # A log grid and seeded log-uniform rates over the whole accepted range.
@@ -205,9 +198,9 @@ def test_truncation_points_match_the_incomplete_gamma_tails_on_a_grid():
     # zero-truncated.  The helper is called directly: building both
     # distributions at 8000 rates would take seconds.
     for lam in TRUNCATION_RATES:
-        for start, scale in ((0, 1.0), (1, -math.expm1(-lam))):
-            assert truncation_point(lam, start, scale) == median_started_bracket(
-                lam, start, scale), (lam, start)
+        searches = ((0, 1.0), (1, -math.expm1(-lam)))
+        assert [truncation_point(lam, scale) for _, scale in searches] == full_bracket(
+            lam, searches), lam
 
 
 def decimal_poisson_pmf(lam, size):
@@ -248,7 +241,7 @@ def pmf_error_bound(lam, k):
 
 
 def assert_pmf_within_bound(lam):
-    head = _poisson_head(lam, 0, 1.0)
+    head = _poisson_head(lam, 1.0)
     reference = decimal_poisson_pmf(lam, head.size)
     for k, (got, ref) in enumerate(zip(head.tolist(), reference)):
         error = float(abs(Decimal(got) - ref))

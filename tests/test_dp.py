@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hubrelease.dp as dp
-from hubrelease.arrival import from_pmf, poisson_truncated
+from hubrelease.arrival import ArrivalDistribution, from_pmf, poisson_truncated
 from hubrelease.dp import (
     CAP_TOLERANCE,
     DpConfig,
@@ -26,6 +26,8 @@ BERNOULLI = from_pmf([(0, 0.5), (1, 0.5)])
 # 100 in 100 steps have probability 1.6e-7, and their count 301 lies past
 # the cap search's 12-sigma bound of 224, so the search must widen.
 RARE_FAR_BATCH = from_pmf([(0, 0.9999), (100, 0.0001)])
+# A pmf whose mass is 1 - 9e-13, inside PMF_SUM_TOL.
+MASS_ERROR = ArrivalDistribution((0.5, 0.5 - 9e-13))
 
 
 def brute_force_value(dist, horizon, ratio, n0):
@@ -605,8 +607,8 @@ class TestStateLimit:
             DpConfig(37, 1000, dist, 0.005)
 
     def test_a_horizon_no_cap_fits_is_refused_before_the_rounding_bound(self):
-        # The pmf's mass is off by 3.3e-16: the comparison bound's
-        # (1 + 3.3e-16)^horizon would overflow at 10**19 steps, but no cap
+        # The pmf's mass is off by 3.3e-16: the tie flags' comparison bound,
+        # (1 + 3.3e-16)^horizon, would overflow at 10**19 steps, but no cap
         # fits 10**19 + 1 solver rows, so the config is refused first.
         dist = poisson_truncated(2.0892961308540396)
         excess = abs(math.fsum(dist.probabilities) - 1.0)
@@ -712,7 +714,7 @@ class TestSharedCapSearch:
 def solver_reach(config):
     """The last count solve reads at a cap past it, rows + s by solve's own
     rule, or None where its induction runs up to the cap."""
-    if config.ratio > 4 * dp._comparison_bound(config):
+    if config.ratio > 0:
         floor = dp._release_floor(config.dist, config.ratio)
         return -(-(floor - 1) // 8) * 8 + config.dist.support_max
     return None
@@ -1095,7 +1097,7 @@ def traced_solve(config):
 
 def induction_rows(config):
     """The counts solve runs its induction over, by solve's own rule."""
-    if config.ratio > 4 * dp._comparison_bound(config):
+    if config.ratio > 0:
         floor = dp._release_floor(config.dist, config.ratio)
         return min(-(-(floor - 1) // 8) * 8, config.max_count)
     return config.max_count
@@ -1133,6 +1135,10 @@ class TestClosedFormReleaseRegion:
             DpConfig(720, 1, from_pmf([(0, 1.0)]), 0.005),
             DpConfig(5, 1, from_pmf([(0, 1.0)]), 0.0),
             DpConfig(100, suggest_max_count(RARE_FAR_BATCH, 100), RARE_FAR_BATCH, 0.01),
+            # A mass error of 9e-13 next to a ratio of 3e-12: the release
+            # floor, 816497, falls inside the cap.
+            DpConfig(1, 10**6, MASS_ERROR, 3e-12),
+            DpConfig(3, 10**6, MASS_ERROR, 3e-12),
         ]
         dists = [poisson_truncated(float(lam)) for lam in 10.0 ** rng.uniform(-3, 0.7, 60)]
         dists += sparse_pmfs(rng, 40, 30)
@@ -1142,15 +1148,21 @@ class TestClosedFormReleaseRegion:
             cap = suggest_max_count(dist, horizon) + int(rng.integers(0, 40))
             configs.append(DpConfig(horizon, cap, dist, ratio))
         differing = 0
+        blocks = []
         for config in configs:
             solution = solve(config)
             assert table_digests(*full_tables(solution)) == table_digests(
                 *full_table_solve(config)), config
             differing += assert_reward_actions_differ_only_at_ties(solution)
-        # The reward induction waits at 48 of the exact tie's steps at n = 3.
-        assert differing == 48
+            blocks.append(solution.actions.shape[1] - 1)
+        # The reward induction waits at 48 of the exact tie's steps at n = 3,
+        # and at 10 tied states of the mass error's 3-step solve.
+        assert differing == 58
         assert closed_form_runs(configs[0]) and closed_form_runs(configs[1])
         assert not any(closed_form_runs(c) for c in configs[3:5])
+        # The mass-error solves store the block below the floor, not the cap.
+        assert closed_form_runs(configs[9]) and closed_form_runs(configs[10])
+        assert blocks[9:11] == [816496, 816496]
         assert sum(map(closed_form_runs, configs)) >= 40
 
     def test_same_bits_at_the_tiny_ratio_tie_repro(self):

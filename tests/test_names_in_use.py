@@ -71,15 +71,34 @@ def test_every_name_the_tracer_patches_exists():
     assert missing <= STALE
 
 
+def package_modules():
+    return [importlib.import_module(f"hubrelease.{module.name}")
+            for module in pkgutil.iter_modules(hubrelease.__path__)
+            if module.name != "__main__"]  # runs the command line on import
+
+
+def readme_names_missing(pattern: str) -> tuple[set[str], set[str]]:
+    """(names, missing): the README's backticked names matching ``pattern``,
+    and those that no hubrelease module has."""
+    names = set(re.findall(pattern, (ROOT / "README.md").read_text()))
+    modules = package_modules()
+    return names, {name for name in names if not any(hasattr(m, name) for m in modules)}
+
+
 def test_every_constant_the_readme_names_exists():
     # A backticked upper-case name in the README is a module constant, so a
     # constant that is deleted cannot stay in the docs.
-    names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", (ROOT / "README.md").read_text()))
-    modules = [importlib.import_module(f"hubrelease.{module.name}")
-               for module in pkgutil.iter_modules(hubrelease.__path__)
-               if module.name != "__main__"]  # runs the command line on import
+    names, missing = readme_names_missing(r"`([A-Z][A-Z0-9_]+)`")
     assert len(names) >= 10
-    assert {name for name in names if not any(hasattr(m, name) for m in modules)} == set()
+    assert missing == set()
+
+
+def test_every_private_helper_the_readme_names_exists():
+    # A backticked name with a leading underscore is a module's private
+    # helper, so a helper that is deleted cannot stay in the docs.
+    names, missing = readme_names_missing(r"`(_[a-z][a-z0-9_]*)`")
+    assert names >= {"_release_floor", "_row_items", "_row_totals", "_summary"}
+    assert missing == set()
 
 
 def test_readme_library_example_runs_without_warnings(tmp_path):
@@ -98,10 +117,7 @@ def test_the_package_holds_no_memo_caches():
     # cache_clear before each pass, so a new cache changes what a pass
     # measures.  The callables are found the way it finds them.
     caches = set()
-    for module in pkgutil.iter_modules(hubrelease.__path__):
-        if module.name == "__main__":  # runs the command line on import
-            continue
-        loaded = importlib.import_module(f"hubrelease.{module.name}")
+    for loaded in package_modules():
         for value in vars(loaded).values():
             if callable(getattr(value, "cache_clear", None)):
                 caches.add(f"{value.__module__.removeprefix('hubrelease.')}.{value.__qualname__}")

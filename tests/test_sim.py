@@ -36,6 +36,19 @@ def config(policy, lam=1.0 / 6.0, **kwargs):
     return SimConfig(lam=lam, ratio=RATIO, policy=policy, **kwargs)
 
 
+def counting_cells(monkeypatch):
+    """A list that gets the rate of each group of cells sim simulates."""
+    cells = []
+    simulate = sim._simulate_cells
+
+    def counting(configs, distributions):
+        cells.append(configs[0].lam)
+        return simulate(configs, distributions)
+
+    monkeypatch.setattr(sim, "_simulate_cells", counting)
+    return cells
+
+
 def same_hour(a: HourResult, b: HourResult) -> bool:
     return all(
         np.array_equal(getattr(a, f.name), getattr(b, f.name))
@@ -550,6 +563,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="^policy_names must be non-empty$"):
             sweep([0.1], [], ratio=RATIO)
 
+    @pytest.mark.parametrize("lam", [3e4, math.nan, -0.1, math.inf])
+    def test_every_rate_is_checked_before_the_first_cell(self, monkeypatch, lam):
+        cells = counting_cells(monkeypatch)
+        with pytest.raises(ValueError, match="^rate must be nonnegative and at most 20000, "
+                                             f"got {lam!r}$"):
+            sweep([0.1, 0.15, lam], ["threshold", "non_causal"], ratio=RATIO, samples=2000)
+        assert cells == []
+        sweep([0.1, 0.15], ["threshold"], ratio=RATIO, samples=2, horizon_steps=5)
+        assert cells == [0.1, 0.15]
+
 
 class TestConfigValidation:
     def test_negative_rate_rejected(self):
@@ -627,10 +650,22 @@ class TestConfigValidation:
                 SimConfig(lam=0.0, ratio=RATIO, policy=ThresholdPolicy(6),
                           horizon_steps=1, samples=samples)
 
-    def test_sweep_size_counts_every_point(self):
+    def test_sweep_size_counts_every_point(self, monkeypatch):
         sim.check_sweep_size(50, 1000, 720, 1.0 / 6.0, None)
         with pytest.raises(ValueError, match="MAX_SWEEP_ITEMS"):
             sim.check_sweep_size(10**10, 1000, 720, 1.0 / 6.0, None)
+        # One-step cells that each fit alone: a library sweep over two or
+        # three of them is refused before its first cell runs.
+        most = sim.MAX_SWEEP_ITEMS // (2 + sim._SAMPLE_ITEMS)
+        SimConfig(lam=0.0, ratio=RATIO, policy=ThresholdPolicy(6), horizon_steps=1,
+                  samples=most)
+        cells = counting_cells(monkeypatch)
+        for points in (2, 3):
+            with pytest.raises(ValueError, match=f"^the sweep needs {points} points x "
+                                                 f"{most} samples .*MAX_SWEEP_ITEMS"):
+                sweep([0.0] * points, ["threshold"], ratio=RATIO, samples=most,
+                      horizon_steps=1)
+        assert cells == []
 
 
 class TestDistributionCaches:
