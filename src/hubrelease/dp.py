@@ -161,7 +161,7 @@ class DpConfig:
     max_count is the occupancy cap, where the solver clamps the count.  solve
     reads no count past its reach, rows + s: rows is the release floor less
     one, rounded up to a multiple of 8, and s the largest batch (no reach
-    at ratio 0, where there is no closed form).  It tabulates min(rows + s,
+    where the closed form is not used).  It tabulates min(rows + s,
     max_count) counts, so every cap at or past the reach gives the same
     tables bit for bit.  A cap at or past the reach is kept; a lower one is
     raised to suggest_max_count(dist, horizon, reach), the smallest safe
@@ -207,7 +207,7 @@ class DpSolution:
     (k, n) is optimal, with ties resolved toward release; values[k, n] for
     n in 1..width, width = min(rows + s, max_count) with s the largest
     batch, are the optimal values.  rows is the release floor rounded up to
-    a multiple of 8 (max_count at ratio 0, 0 when
+    a multiple of 8 (max_count when the closed form is not used, 0 when
     releasing is optimal from one vehicle on).  Every state (k, n) with n
     past those columns, up to max_count, releases, at (n - 1)/n, a value
     that no reader computes.  Column n = 0 holds -ratio, the cost of one
@@ -272,15 +272,18 @@ def _induction_rows(config: DpConfig) -> int | None:
     """Counts 1..rows that solve runs its induction over before any cap, or
     None where it runs it up to the cap.
 
-    Past the floor waiting loses at least ratio/2 a step in exact
-    arithmetic, so at any ratio > 0 release is optimal there and solve
-    stores the closed form in place of the induction.  The BLAS
-    matrix-vector kernels sum a row in another order when it falls in a
-    ragged last group of rows (groups of 4 in OpenBLAS on x86-64), so rows
-    is a multiple of 8 and every row it keeps is summed as in the
-    full-height product.
+    Past the floor a step raises the benefit by at most ratio/2, and a pmf
+    of mass 1 + e, e <= PMF_SUM_TOL, the expectation by under e(1 + ratio):
+    where ratio > 4e waiting loses over ratio/5 there, and solve stores
+    the closed form, release.  A float comparison errs by about (s + 4) u
+    + (s + 2) u ratio, u = 2^-53; where ratio/5 may not cover it, below
+    6e-16 (s + 4), the floor lies past 2.5e7 and every cap MAX_STATES
+    admits.  BLAS kernels sum a row in another order in a ragged last
+    group of rows (groups of 4 in OpenBLAS on x86-64), so rows is a
+    multiple of 8 and each row kept is summed as in the full product.
     """
-    if config.ratio > 0:
+    excess = math.fsum(config.dist.probabilities) - 1.0
+    if config.ratio > 4 * max(excess, 0.0):
         return -(-(_release_floor(config.dist, config.ratio) - 1) // 8) * 8
     return None
 
@@ -390,8 +393,8 @@ def compare_with_threshold(
     # time on a 720 x 1674 table.
     k, n = np.divmod(np.flatnonzero(diff), width)
     n += 1
-    # Past the block, solve releases only where waiting loses at least
-    # ratio/2 in exact arithmetic, so a rule that waits there is wrong.  In
+    # Past the block, solve releases only where waiting loses more than
+    # ratio/5 in exact arithmetic, so a rule that waits there is wrong.  In
     # one step a state of the block reaches only stored counts, up to
     # min(rows + s, max_count).
     tie = np.zeros(k.size, dtype=bool)

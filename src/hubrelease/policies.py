@@ -44,6 +44,8 @@ def _release_rounds(cumulative: np.ndarray, need: int,
     mask = np.zeros((rows, horizon), dtype=bool)
     flat_mask = mask.ravel()
     flat = cumulative.ravel()
+    if need > flat[-1]:  # no row reaches it; level + need could pass int64
+        return mask
     end = np.arange(1, rows + 1) * horizon
     origin = end - horizon
     level = np.concatenate(([0], cumulative[:-1, -1]))

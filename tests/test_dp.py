@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import hubrelease.dp as dp
-from hubrelease.arrival import ArrivalDistribution, from_pmf, poisson_truncated
+from hubrelease.arrival import (
+    MAX_COUNT,
+    PMF_SUM_TOL,
+    ArrivalDistribution,
+    from_pmf,
+    poisson_truncated,
+)
 from hubrelease.dp import (
     CAP_TOLERANCE,
     DpConfig,
@@ -26,8 +32,9 @@ BERNOULLI = from_pmf([(0, 0.5), (1, 0.5)])
 # 100 in 100 steps have probability 1.6e-7, and their count 301 lies past
 # the cap search's 12-sigma bound of 224, so the search must widen.
 RARE_FAR_BATCH = from_pmf([(0, 0.9999), (100, 0.0001)])
-# A pmf whose mass is 1 - 9e-13, inside PMF_SUM_TOL.
+# Pmfs whose mass is 1 - 9e-13 and 1 + 9e-13, inside PMF_SUM_TOL.
 MASS_ERROR = ArrivalDistribution((0.5, 0.5 - 9e-13))
+MASS_EXCESS = ArrivalDistribution((0.5, 0.5 + 9e-13))
 
 
 def brute_force_value(dist, horizon, ratio, n0):
@@ -711,10 +718,17 @@ class TestSharedCapSearch:
         assert len(calls) == 6
 
 
+def uses_closed_form(config):
+    """solve's own rule: the closed form past the floor where the ratio is
+    above 4 times the pmf's extra mass."""
+    excess = math.fsum(config.dist.probabilities) - 1.0
+    return config.ratio > 4 * max(excess, 0.0)
+
+
 def solver_reach(config):
     """The last count solve reads at a cap past it, rows + s by solve's own
     rule, or None where its induction runs up to the cap."""
-    if config.ratio > 0:
+    if uses_closed_form(config):
         floor = dp._release_floor(config.dist, config.ratio)
         return -(-(floor - 1) // 8) * 8 + config.dist.support_max
     return None
@@ -1097,7 +1111,7 @@ def traced_solve(config):
 
 def induction_rows(config):
     """The counts solve runs its induction over, by solve's own rule."""
-    if config.ratio > 0:
+    if uses_closed_form(config):
         floor = dp._release_floor(config.dist, config.ratio)
         return min(-(-(floor - 1) // 8) * 8, config.max_count)
     return config.max_count
@@ -1139,6 +1153,11 @@ class TestClosedFormReleaseRegion:
             # floor, 816497, falls inside the cap.
             DpConfig(1, 10**6, MASS_ERROR, 3e-12),
             DpConfig(3, 10**6, MASS_ERROR, 3e-12),
+            # Extra mass of 9e-13 above a ratio of 5e-13: past the floor,
+            # 2 * 10**6, waiting gains about 9e-13 - 5e-13 a step, so the
+            # induction runs up to the cap.
+            DpConfig(1, 3 * 10**6, MASS_EXCESS, 5e-13),
+            DpConfig(3, 25 * 10**5, MASS_EXCESS, 5e-13),
         ]
         dists = [poisson_truncated(float(lam)) for lam in 10.0 ** rng.uniform(-3, 0.7, 60)]
         dists += sparse_pmfs(rng, 40, 30)
@@ -1163,7 +1182,29 @@ class TestClosedFormReleaseRegion:
         # The mass-error solves store the block below the floor, not the cap.
         assert closed_form_runs(configs[9]) and closed_form_runs(configs[10])
         assert blocks[9:11] == [816496, 816496]
+        # The extra-mass solves store every count up to the cap, though the
+        # floor lies inside it.
+        for config, block in zip(configs[11:13], blocks[11:13]):
+            assert dp._release_floor(MASS_EXCESS, 5e-13) == 2 * 10**6 < config.max_count
+            assert not closed_form_runs(config) and block == config.max_count
         assert sum(map(closed_form_runs, configs)) >= 40
+
+    def test_no_cap_reaches_the_floor_where_rounding_could_reverse_release(self):
+        # Past the floor a float comparison reads release values, each off
+        # by u, and errs by at most 2u(1 + e) for them and the benefit plus
+        # gamma (1 + e + ratio) for the product of s + 2 terms.  ratio/5,
+        # the least exact loss of waiting there, covers that from
+        # 6e-16 (s + 4) on; below it the floor lies past every cap a
+        # one-step solve admits: 2 x (cap + 1) states within MAX_STATES.
+        u = np.finfo(float).eps / 2
+        e = PMF_SUM_TOL
+        largest_cap = dp.MAX_STATES // 2 - 1
+        for s in (1, 2, 3, 10, 100, 1000, MAX_COUNT):
+            ratio = 6e-16 * (s + 4)
+            gamma = (s + 2) * u / (1 - (s + 2) * u)
+            assert ratio / 5 > 2 * u * (1 + e) + gamma * (1 + e + ratio)
+            floor = dp._release_floor(from_pmf([(0, 0.5), (s, 0.5)]), ratio)
+            assert floor > 2.5e7 > largest_cap
 
     def test_same_bits_at_the_tiny_ratio_tie_repro(self):
         # 387 ties near n* = 223607, and no checked row repeats its successor.

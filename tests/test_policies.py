@@ -41,6 +41,13 @@ class TestThresholdDecision:
     def test_never_release_sentinel(self):
         assert fires(ThresholdPolicy(None), [10_000, 5, 5]) == []
 
+    @pytest.mark.parametrize("n_star", [2**64, 10**150])
+    def test_a_threshold_past_int64_never_fires(self, n_star):
+        # A tiny ratio gives such thresholds; the running total plus one of
+        # them would overflow int64.
+        cumulative = np.cumsum(np.full((3, 4), 5, dtype=np.int64)).reshape(3, 4)
+        assert not ThresholdPolicy(n_star).fire_mask(cumulative, 0.0).any()
+
     def test_policy_validates_threshold(self):
         with pytest.raises(ValueError, match="n_star"):
             ThresholdPolicy(0)

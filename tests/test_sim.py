@@ -539,6 +539,13 @@ class TestSweep:
             expected = compute_threshold(poisson_truncated(row.lam), RATIO)
             assert row.n_star == expected.n_star
 
+    def test_a_threshold_past_int64_releases_only_at_the_end(self):
+        rows = sweep([1.0 / 6.0], ["threshold"], ratio=1e-40,
+                     samples=5, horizon_steps=60, master_seed=1)
+        assert rows[0].n_star > 2**64
+        # Every hour holds its initial vehicles and releases once, forced.
+        assert rows[0].metrics.platoons == 5
+
     def test_same_rate_cells_share_arrivals(self):
         # Streams are keyed by the rate's grid position, not the policy.
         lam = 1.0 / 6.0
