@@ -91,7 +91,7 @@ def cmd_dp_verify(args: argparse.Namespace) -> int:
     # The solver clamps counts at the cap, so the cap must also leave room
     # for one batch on top of n_star for the two rules to compare.  DpConfig
     # raises it only as far as the solver reads; the dump lists every count
-    # up to the cap, so there the cap is also the safe one.
+    # up to the cap, so only there is the cap searched for a safe one.
     cap = threshold.n_star + dist.support_max
     if args.dump_actions is not None:
         cap = max(cap, suggest_max_count(dist, args.horizon))

@@ -16,18 +16,18 @@ from .arrival import ArrivalDistribution
 from .atomic import atomic_writer
 from .stopping import Threshold, check_ratio
 
-# An occupancy cap makes the state space finite.  It is only sound when the
-# count has effectively no chance of reaching it, so a config's cap is
-# raised until the probability of exceeding it within the horizon stays
-# below this bound, or to the solver's reach, past which it reads no count:
-# one cap search, stopped at the reach, decides which comes first.
+# An occupancy cap makes the state space finite.  suggest_max_count finds
+# the smallest cap the count passes within the horizon with probability
+# below this bound, the cap up to which a dump lists counts.  DpConfig runs
+# no search: it raises a cap to one that no count from one vehicle passes,
+# or to the solver's reach, past which it reads no count.
 CAP_TOLERANCE = 1e-9
 # Largest grid the cap search may sweep or the solver may span: (step,
 # count) states up to the cap, or the solver's (count, batch size)
 # transitions.  The solver stores only the counts its induction reads, and
-# DpConfig raises a cap no further than those (rate 2, ratio 0.005,
-# horizon 720: 721 x 99 states); the limits charge horizon x the cap that
-# is used, which an explicit cap past the reach can still make large.  It is
+# DpConfig raises a cap no further than those (rate 2, ratio 0.005, horizon
+# 720: 721 x 99 states); the limits charge horizon x the cap that is used,
+# which an explicit cap or a ratio with no reach can make large.  It is
 # over twenty times the grid of a dump at the busiest benchmarked rate
 # (rate 2.1, horizon 720: 721 x 1753 states up to the safe cap), leaves
 # room for a 5000-step cap search of certain growth (5000 x 5018), and
@@ -120,10 +120,9 @@ def _final_count_tail(dist: ArrivalDistribution, horizon: int, bound: int) -> np
     return np.cumsum(probs[::-1])[::-1] + total[1]
 
 
-def suggest_max_count(dist: ArrivalDistribution, horizon: int, limit: int | None = None) -> int:
+def suggest_max_count(dist: ArrivalDistribution, horizon: int) -> int:
     """Smallest occupancy cap that the count passes within `horizon` steps,
-    starting from one vehicle, with probability below CAP_TOLERANCE, or
-    `limit` where that cap lies past it: no count past `limit` is read.
+    starting from one vehicle, with probability below CAP_TOLERANCE.
 
     The count never falls, so that is the chance that one vehicle plus
     `horizon` i.i.d. arrival draws end past the cap, and it never rises as
@@ -136,22 +135,19 @@ def suggest_max_count(dist: ArrivalDistribution, horizon: int, limit: int | None
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if dist.support_max == 0:
         return 1
-    top = math.inf if limit is None else limit
-    bound = min(_search_bound(dist, horizon), top)
+    bound = _search_bound(dist, horizon)
     while True:
         _check_states(horizon, bound + 2, "the occupancy-cap search")
         _check_work(horizon, bound + 1, dist.support_max + 1, "the occupancy-cap search")
         tail = _final_count_tail(dist, horizon, bound)
         if tail[-1] < CAP_TOLERANCE:
             return max(int(np.flatnonzero(tail < CAP_TOLERANCE)[0]) - 1, 1)
-        if bound == top:
-            return bound
         # A rare large batch can leave more than CAP_TOLERANCE past the
         # cushion ({0: 0.9999, 100: 0.0001} over 100 steps: 1.6e-7 past
-        # 224), so the search is run again over twice the counts, or up to
-        # the limit.  It ends: no count passes 1 + horizon * support_max,
-        # and the limits above refuse a bound that grows too far.
-        bound = min(2 * bound, top)
+        # 224), so the search is run again over twice the counts.  It ends:
+        # no count passes 1 + horizon * support_max, and the limits above
+        # refuse a bound that grows too far.
+        bound *= 2
 
 
 @dataclass(frozen=True)
@@ -163,11 +159,11 @@ class DpConfig:
     one, rounded up to a multiple of 8, and s the largest batch (no reach
     where the closed form is not used).  It tabulates min(rows + s,
     max_count) counts, so every cap at or past the reach gives the same
-    tables bit for bit.  A cap at or past the reach is kept; a lower one is
-    raised to suggest_max_count(dist, horizon, reach), the smallest safe
-    cap or the reach, whichever comes first.  So 1 gives the smaller of the
-    two.  Clamping at an effectively unreachable cap cannot distort the
-    computed actions.
+    tables bit for bit.  No count that starts from one vehicle passes
+    1 + horizon * s.  A cap below min(rows + s, 1 + horizon * s), or below
+    1 + horizon * s where there is no reach, is raised to it with no
+    search, so 1 gives that bound: the solver then reads no count past the
+    cap, or clamps none that one vehicle can reach.
     """
 
     horizon: int
@@ -184,10 +180,10 @@ class DpConfig:
         # Every cap is at least 1: this refuses only horizons no cap fits.
         _check_states(self.horizon + 1, 2, "the solver")
         rows = _induction_rows(self)
-        reach = None if rows is None else rows + self.dist.support_max
-        if reach is None or self.max_count < reach:
-            cap = suggest_max_count(self.dist, self.horizon, reach)
-            object.__setattr__(self, "max_count", max(self.max_count, cap))
+        cap = 1 + self.horizon * self.dist.support_max
+        if rows is not None:
+            cap = min(cap, rows + self.dist.support_max)
+        object.__setattr__(self, "max_count", max(self.max_count, cap))
         _check_states(self.horizon + 1, self.max_count + 1, "the solver")
         _check_states(
             self.max_count, self.dist.support_max + 1, "the solver's transition table"

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -78,7 +79,7 @@ GUARDED_MAIN = (
 BERNOULLI_PMF = "count,probability\n0,0.5\n1,0.5\n"
 
 
-def never_search(dist, horizon):
+def never_search(*args):
     raise AssertionError("the occupancy-cap search ran")
 
 
@@ -251,8 +252,9 @@ class TestDpVerify:
         assert out.startswith("MATCH n_star=3 states=60x")
 
     def test_a_rare_far_batch_gets_a_cap(self, capsys, tmp_path):
-        # Three batches of 100 in 100 steps have probability 1.6e-7, past the
-        # cap search's first bound; the search widens and finds 301.
+        # Three batches of 100 in 100 steps have probability 1.6e-7, so the
+        # safe cap lies past 300, but the cap is the solver's reach: 4424
+        # induction rows and one batch, below 1 + 100 x 100.
         pmf = tmp_path / "pmf.csv"
         pmf.write_text("count,probability\n0,0.9999\n100,0.0001\n")
         code, out, _ = run(
@@ -260,7 +262,7 @@ class TestDpVerify:
             "--horizon", "100",
         )
         assert code == 0
-        assert out == "MATCH n_star=10 states=100x301\n"
+        assert out == "MATCH n_star=10 states=100x4524\n"
 
     @pytest.mark.parametrize("lam, match", [
         ("2", "MATCH n_star=19 states=720x98\n"),
@@ -268,23 +270,14 @@ class TestDpVerify:
         ("1.3", "MATCH n_star=16 states=720x87\n"),
     ])
     def test_busy_hours_verify_with_no_cap_search(self, capsys, monkeypatch, lam, match):
-        # The count passes the counts the solver reads (its induction rows
-        # and one batch) with certainty, so the cap is those counts: the
-        # search stops at them after one tail, and reads none of the counts
-        # up to the safe caps here, 1126 to 1674.
-        bounds = []
-        tail = dp._final_count_tail
-
-        def reading(dist, horizon, bound):
-            bounds.append(bound)
-            return tail(dist, horizon, bound)
-
-        monkeypatch.setattr(dp, "_final_count_tail", reading)
+        # The cap is the counts the solver reads, its induction rows and one
+        # batch, far below the safe caps here, 1126 to 1674: no tail of the
+        # cap search is read at all.
+        monkeypatch.setattr(dp, "_final_count_tail", never_search)
         monkeypatch.setattr(cli, "suggest_max_count", never_search)
         code, out, err = run(capsys, "dp-verify", "--lambda", lam, "--ratio", "0.005",
                              "--horizon", "720")
         assert (code, out, err) == (0, match, "")
-        assert bounds == [int(match.split("x")[-1])]
 
     @pytest.mark.xfail(strict=True, reason=(
         "g(11) equals the ratio, and P(X = 0) is near 1: the waiting value at "
@@ -305,13 +298,14 @@ class TestDpVerify:
         assert "unrecognized arguments: --max-count 10" in err
 
     def test_smallest_usable_cap_matches(self, capsys):
-        # n* = 100 sits far above the safe cap here, so the derived cap is
-        # the smallest usable one: n* plus the largest batch, 104.
+        # n* = 100 sits far above the safe cap here, and n* plus the largest
+        # batch, 104, below the solver's reach, so the derived cap is the
+        # reach: 112 induction rows and one batch.
         code, out, _ = run(
             capsys, "dp-verify", "--lambda", "0.01", "--ratio", "1e-6", "--horizon", "30",
         )
         assert code == 0
-        assert out == "MATCH n_star=100 states=30x104\n"
+        assert out == "MATCH n_star=100 states=30x121\n"
 
     @pytest.mark.parametrize("argv,ties", [
         # g(3) equals the ratio exactly: at n = 3 both actions are optimal,
@@ -352,6 +346,24 @@ class TestDpVerify:
         assert manifest["subcommand"] == "dp-verify"
         assert manifest["parameters"]["horizon"] == 30
 
+    @pytest.mark.parametrize("lam, horizon", [("0.05", "90"), ("0.2", "30")])
+    def test_a_dump_runs_one_cap_search(self, capsys, monkeypatch, tmp_path, lam, horizon):
+        # The safe cap lies below the solver's reach here.  The dump runs the
+        # search for its listing, and DpConfig runs none of its own.
+        calls = []
+        search = dp.suggest_max_count
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(dp, "suggest_max_count", counting)
+        monkeypatch.setattr(cli, "suggest_max_count", counting)
+        code, out, _ = run(capsys, "dp-verify", "--lambda", lam, "--ratio", "0.005",
+                           "--horizon", horizon, "--dump-actions", str(tmp_path / "a.csv"))
+        assert code == 0 and out.startswith("MATCH ")
+        assert len(calls) == 1
+
     # Rates 0.01-1 by ratios 1e-6-1e-3 by horizons 30/90/360.  With only the
     # overflow-safe cap, 27 of these had n_star above the cap, where the
     # solver's clamp made it disagree with the rule.
@@ -372,10 +384,9 @@ class TestDpVerify:
             # n_star = 408248 at this ratio: 721 x 408257 solver states.
             (["dp-verify", "--lambda", "0.16666666666666666", "--ratio", "1e-12"],
              "the solver needs 721 x 408257"),
-            # The solver reads counts up to 86 here, but proving that the
-            # count passes 85 is charged as a search over 86 counts.
+            # The solver reads counts up to 86 here, but not over 10**6 steps.
             (["dp-verify", "--lambda", "1", "--ratio", "0.005",
-              "--horizon", "1000000"], "the occupancy-cap search needs 1000000 x 88 "),
+              "--horizon", "1000000"], "the solver needs 1000001 x 87 "),
             # No cap fits a solver grid of 10**9 steps: refused before the
             # reach or the search.
             (["dp-verify", "--lambda", "1", "--ratio", "0.005",
@@ -422,25 +433,23 @@ class TestDpVerify:
 
     def test_convolution_work_is_checked_before_the_cap_search(self, tmp_path):
         # The solver reads counts up to 21395, one batch past its 392
-        # induction rows.  The tail that would prove the safe cap that high
-        # fits in MAX_STATES (37 x 21397), but every step convolves with a
-        # 21004-entry pmf: 1.7e10 multiply-adds charged, refused before the
-        # first step.
+        # induction rows: 37 x 21396 states fit in MAX_STATES, but the
+        # transitions of 21395 counts by 21004 batch sizes do not, and are
+        # refused before any table is built.
         guards = (
             "import hubrelease.dp as dp\n"
-            "tail = dp._final_count_tail\n"
-            "def guarded_tail(dist, horizon, bound):\n"
-            "    work = horizon * (bound + 1) * (dist.support_max + 1)\n"
-            "    assert work <= dp.MAX_CONVOLUTION_WORK, 'cap search past the limit'\n"
-            "    return tail(dist, horizon, bound)\n"
-            "dp._final_count_tail = guarded_tail\n"
+            "solve = cli.solve\n"
+            "def guarded_solve(config):\n"
+            "    assert config.max_count * (config.dist.support_max + 1) <= dp.MAX_STATES, "
+            "'transitions past the limit'\n"
+            "    return solve(config)\n"
+            "cli.solve = guarded_solve\n"
         )
         argv = ["dp-verify", "--lambda", "20000", "--ratio", "0.005", "--horizon", "37"]
         [(code, err)] = run_in_child([argv], tmp_path, guards)
         assert code == 1
-        assert err.startswith("error: the occupancy-cap search needs 37 steps x 21396 counts "
-                              "x 21004 batch sizes")
-        assert "MAX_CONVOLUTION_WORK" in err
+        assert err.startswith("error: the solver's transition table needs 21395 x 21004")
+        assert "MAX_STATES" in err
 
     def test_solver_work_is_checked_before_the_solve(self, tmp_path):
         # The derived cap n* + 76 = 273922 fits in MAX_STATES, and the cap
@@ -1001,3 +1010,23 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             cli.entrypoint()
         assert excinfo.value.code == 1
+
+
+class TestReadmeExamples:
+    def test_the_examples_print_what_the_readme_shows(self, capsys, monkeypatch, tmp_path):
+        # Each indented `$ hubrelease threshold` and `$ hubrelease dp-verify`
+        # example, against the lines under it up to the next blank line.  The
+        # sweep example runs 50,000 hours and the ingest example reads a file
+        # the README does not give, so neither is run.  The half.csv example
+        # reads {0: 0.5, 1: 0.5} from the working directory.
+        root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+        with open(os.path.join(root, "README.md")) as readme:
+            examples = re.findall(r"^    \$ hubrelease (threshold|dp-verify)( .*)\n((?:    .*\n)*)",
+                                  readme.read(), re.M)
+        assert [command for command, _, _ in examples] == ["threshold"] + ["dp-verify"] * 3
+        (tmp_path / "half.csv").write_text(BERNOULLI_PMF)
+        monkeypatch.chdir(tmp_path)
+        for command, args, printed in examples:
+            code, out, err = run(capsys, command, *shlex.split(args))
+            assert code == 0, args
+            assert err + out == printed.replace("\n    ", "\n")[4:], args

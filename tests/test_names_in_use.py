@@ -22,7 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # Wrapped by the tracer although the package no longer has them; they go
 # with the tracer repair (ROADMAP direction 1).  dp-verify calls
 # cli.suggest_max_count only for --dump-actions, whose listing needs the safe
-# cap; any other search runs inside DpConfig and reads in the dp.cap_check span.
+# cap, and that is the only cap search it runs: DpConfig derives its cap in
+# closed form, so the dp.cap_check span reads no search.
 STALE = {("sim", "decide_non_causal"), ("arrival.ArrivalDistribution", "sample_many")}
 
 
