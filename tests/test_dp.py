@@ -792,6 +792,21 @@ class TestCapUpToTheReach:
                 moved += derived.max_count != b.config.max_count
         assert solved >= 60 and moved >= 20
 
+    @pytest.mark.parametrize("horizon", [23, 24, 25])
+    def test_the_cap_is_the_lower_of_the_reach_and_one_vehicles_top(
+            self, monkeypatch, horizon):
+        # Bernoulli arrivals at ratio 0.005: the solver reads counts up to 25
+        # (24 induction rows and one batch).  Over h steps one vehicle ends
+        # at h + 1 with probability 2^-h, above CAP_TOLERANCE, so the safe
+        # cap is h + 1 too: one below the reach, at it and one past it.  The
+        # config takes the lower of the two with no search.
+        assert suggest_max_count(BERNOULLI, horizon) == horizon + 1
+        monkeypatch.setattr(dp, "suggest_max_count", never("the cap search"))
+        monkeypatch.setattr(dp, "_final_count_tail", never("the cap search"))
+        config = DpConfig(horizon, 1, BERNOULLI, 0.005)
+        assert solver_reach(config) == 25
+        assert config.max_count == min(horizon + 1, 25)
+
 
 def step_by_step_tail(dist, horizon, bound):
     """Reference: the final-count tail by one convolution per step."""
